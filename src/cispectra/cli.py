@@ -24,15 +24,18 @@ import os
 import random
 import sys
 from dataclasses import dataclass
-from itertools import permutations
 
 from . import reference, spectral
 from .ptable import (
     DEFAULT_SIZE_LIMIT,
+    MAX_TABLE_ENTRIES,
     ParseError,
     PFunction,
     SizeLimitError,
     VariableTuple,
+    _check_p_n,
+    _exceeds,
+    _joint_counts,
     all_functions,
     is_balanced,
     is_symmetric,
@@ -58,7 +61,8 @@ def _size_limit() -> int:
     if raw is None:
         return DEFAULT_SIZE_LIMIT
     try:
-        return int(raw)
+        # no table may pass the hard cap, so primality tests stay below it too
+        return min(int(raw), MAX_TABLE_ENTRIES)
     except ValueError:
         raise ParseError(f"CI_SPECTRA_MAX_N must be an integer, got {raw!r}") from None
 
@@ -67,8 +71,7 @@ def _load_function(args, limit: int) -> PFunction:
     if args.poly is not None:
         if args.p is None or args.n is None:
             raise ParseError("--poly requires --p and --n")
-        if args.p ** args.n > limit:
-            raise SizeLimitError(f"p^n = {args.p ** args.n} exceeds the size limit {limit}")
+        _check_p_n(args.p, args.n, limit)
         return parse_polynomial(args.poly, args.p, args.n)
     if args.table is None:
         raise ParseError("provide a truth-table file or --poly")
@@ -78,8 +81,7 @@ def _load_function(args, limit: int) -> PFunction:
         with open(args.table) as fh:
             text = fh.read()
     f = read_table(text)
-    if f.size > limit:
-        raise SizeLimitError(f"p^n = {f.size} exceeds the size limit {limit}")
+    _check_p_n(f.p, f.n, limit)
     return f
 
 
@@ -216,15 +218,13 @@ def cmd_spectrum(args) -> int:
 def cmd_crosscheck(args) -> int:
     limit = _size_limit()
     p, n, m = args.p, args.n, args.m
+    _check_p_n(p, n, limit)
     size = p**n
-    if size > limit:
-        raise SizeLimitError(f"p^n = {size} exceeds the size limit {limit}")
     seed = None
     if args.exhaustive:
-        count = p**size
-        if count > MAX_EXHAUSTIVE:
+        if _exceeds(p, size, MAX_EXHAUSTIVE):
             raise SizeLimitError(
-                f"exhaustive family has {count} functions, above the cap {MAX_EXHAUSTIVE}"
+                f"exhaustive family has {p}^{size} functions, above the cap {MAX_EXHAUSTIVE}"
             )
         funcs = all_functions(p, n)
     else:
@@ -289,16 +289,9 @@ def _search_cost(f: PFunction, target: int, resilient: bool) -> tuple[int, int]:
     """
     unbal = 0
     if resilient:
-        counts = [0] * f.p
-        for v in f.table:
-            counts[v] += 1
         share = f.size // f.p
-        unbal = sum(abs(c - share) for c in counts)
-    nz = 0
-    if target >= 1:
-        for idx in permutations(range(1, f.n + 1), target):
-            if not spectral._conjugates_vanish(f, target, idx):
-                nz += 1
+        unbal = sum(abs(c - share) for c in _joint_counts(f, ()))
+    nz = len(list(spectral.failing_tuples(f, target))) if target >= 1 else 0
     return (unbal, nz)
 
 
@@ -330,13 +323,11 @@ def _search_mutate(rng: random.Random, f: PFunction, resilient: bool) -> PFuncti
 def cmd_search(args) -> int:
     limit = _size_limit()
     p, n, target = args.p, args.n, args.target_ci
-    if p**n > limit:
-        raise SizeLimitError(f"p^n = {p**n} exceeds the size limit {limit}")
+    _check_p_n(p, n, limit)
     if args.budget < 1:
         raise ParseError(f"--budget must be >= 1, got {args.budget}")
     if target < 0:
         raise ParseError(f"--target-ci must be >= 0, got {target}")
-    PFunction(p, n, (0,) * (p**n))  # validates p prime and n >= 1 up front
     seed = args.seed if args.seed is not None else DEFAULT_SEED
 
     infeasible = None
@@ -386,12 +377,14 @@ def cmd_search(args) -> int:
                 stall += 1
 
     result = found if found is not None else best[1]
-    # the claim must survive the full library tests, not just the cost function
-    ok = spectral.is_ci(result, target) and (
-        not args.resilient or spectral.is_resilient(result, target)
-    )
-    met = found is not None and ok
+    # the claim must survive the full library tests, not just the cost function;
+    # target <= n - 1 when resilient, where the order decides is_resilient
     analysis = analyze_function(result)
+    met = (
+        found is not None
+        and analysis.ci_order >= target
+        and (not args.resilient or analysis.resiliency_order >= target)
+    )
     table_text = write_table(result)
     if args.output:
         with open(args.output, "w") as fh:

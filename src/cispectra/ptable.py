@@ -18,6 +18,15 @@ integer coefficient and "*"-joined factors "xI" or "xI^E" (I in 1..n); bare
 integer literals are allowed as terms; whitespace is insignificant; all
 arithmetic is mod p.
 
+Joint counts
+------------
+The verdict path and the reference oracles read one integer object, the
+joint counts of (x_S, f(x)) over an ordered variable tuple S = indices.  The
+digits of k over S pack into w = x_{indices[0]} + x_{indices[1]} * p + ...,
+indices[0] least significant as for k, and _joint_counts(f, indices) is the
+flat list cm[w*p + v] = #{k : k packs to w, f(k) = v}; indices = () gives
+the output histogram cm[v].
+
 Everything here is an immutable value and every function is pure, so objects
 can be shared freely across threads.
 """
@@ -55,6 +64,25 @@ class SizeLimitError(ValueError):
     """A table size exceeds the hard cap or the configured desk limit."""
 
 
+def _exceeds(p: int, n: int, limit: int) -> bool:
+    """p^n > limit for p >= 2, n >= 0, without building a huge p^n: 2^n
+    already exceeds the limit once n passes its bit length."""
+    return n > limit.bit_length() or p**n > limit
+
+
+def _check_p_n(p: int, n: int, limit: int) -> None:
+    """Reject p < 2 or n < 1, then p^n > limit (SizeLimitError), then a
+    composite p; trial division thus only runs on p <= limit."""
+    if p < 2:
+        raise ValueError(f"p must be prime, got {p}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if _exceeds(p, n, limit):
+        raise SizeLimitError(f"p^n for p = {p}, n = {n} exceeds the size limit {limit}")
+    if not _is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -82,15 +110,8 @@ class PFunction:
     table: tuple[int, ...]
 
     def __post_init__(self):
-        if not _is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+        _check_p_n(self.p, self.n, MAX_TABLE_ENTRIES)
         size = self.p**self.n
-        if size > MAX_TABLE_ENTRIES:
-            raise SizeLimitError(
-                f"p^n = {size} exceeds the hard cap of {MAX_TABLE_ENTRIES} table entries"
-            )
         object.__setattr__(self, "table", tuple(int(v) for v in self.table))
         if len(self.table) != size:
             raise ValueError(f"table must have p^n = {size} entries, got {len(self.table)}")
@@ -225,6 +246,36 @@ def digit_rows(p: int, n: int) -> tuple[Sequence[int], ...]:
     return tuple(rows)
 
 
+def _packed_digits(p: int, n: int, indices) -> list[int]:
+    """packed[k] = sum_r x_{indices[r]}(k) * p^r, the base-p packing of the
+    selected digits of every index k."""
+    rows = digit_rows(p, n)
+    packed = [0] * p**n
+    w = 1
+    for i in indices:
+        row = rows[i - 1]
+        if w == 1:
+            packed = list(row)
+        else:
+            for k, d in enumerate(row):
+                packed[k] += d * w
+        w *= p
+    return packed
+
+
+def _joint_counts(f: PFunction, indices) -> list[int]:
+    """cm[w*p + v] = #{k : the digits of k over indices pack to w, f(k) = v}."""
+    p = f.p
+    cm = [0] * p ** (len(indices) + 1)
+    if not indices:
+        for v in f.table:
+            cm[v] += 1
+        return cm
+    for w, v in zip(_packed_digits(p, f.n, indices), f.table):
+        cm[w * p + v] += 1
+    return cm
+
+
 def apply_permutation(f: PFunction, pi: Permutation) -> PFunction:
     """Permute variables: the result g satisfies g(x_1,...,x_n) = f(x_pi(1),...,x_pi(n))."""
     if pi.n != f.n:
@@ -263,10 +314,7 @@ def shift_output(f: PFunction, a: int) -> PFunction:
 
 def is_balanced(f: PFunction) -> bool:
     """True iff every output value occurs exactly p^(n-1) times."""
-    counts = [0] * f.p
-    for v in f.table:
-        counts[v] += 1
-    return all(c == f.size // f.p for c in counts)
+    return all(c == f.size // f.p for c in _joint_counts(f, ()))
 
 
 # --------------------------------------------------------------------------
@@ -414,11 +462,9 @@ def random_function(p: int, n: int, seed: int) -> PFunction:
     randrange(p) call per table slot, so a fixed seed yields the same function
     on every platform.
     """
+    _check_p_n(p, n, MAX_TABLE_ENTRIES)
     rng = random.Random(seed)
-    size = p**n
-    if size > MAX_TABLE_ENTRIES:
-        raise SizeLimitError(f"p^n = {size} exceeds {MAX_TABLE_ENTRIES}")
-    return PFunction(p, n, tuple(rng.randrange(p) for _ in range(size)))
+    return PFunction(p, n, tuple(rng.randrange(p) for _ in range(p**n)))
 
 
 def all_functions(p: int, n: int) -> Iterator[PFunction]:

@@ -1,6 +1,6 @@
 """Independent characterizations of correlation immunity, used as oracles.
 
-Four methods, each self-contained and exact (integer or Z[omega] arithmetic,
+Five methods, each self-contained and exact (integer or Z[omega] arithmetic,
 never a float probability):
 
   definition         p^m * #{x : f(x)=t, x_S=a} = #{x : f(x)=t} for every
@@ -16,9 +16,11 @@ never a float probability):
                      array of strength m: every m columns of W_i carry every
                      pattern exactly |W_i| / p^m times
 
-consensus() runs these four plus the spectral test and reports agreement.
-The point of the module is cross-validation: the implementations share no
-code with the spectral path beyond the truth-table plumbing.
+consensus() runs these five plus the spectral test and reports agreement.
+The point of the module is cross-validation: the oracles share only ptable
+plumbing with the verdict path.  The definition oracle reads the same joint
+counts (ptable._joint_counts) as the spectral verdict but tests them by its
+own identity; the other oracles do their own counting.
 
 Both Chrestenson sums are kept unscaled (multiplied by p^n relative to the
 normalized definitions); scaling cannot change zero-ness and staying in
@@ -37,7 +39,15 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 
 from .cyclotomic import CycloElement
-from .ptable import PFunction, VariableTuple, digit_rows, shift_output
+from .ptable import (
+    PFunction,
+    VariableTuple,
+    _joint_counts,
+    _packed_digits,
+    digit_rows,
+    index_of,
+    shift_output,
+)
 from . import spectral
 
 METHOD_NAMES = (
@@ -92,20 +102,12 @@ def definition_witness(f: PFunction, m: int):
     if m == 0:
         return None
     p = f.p
-    total = [0] * p
-    for v in f.table:
-        total[v] += 1
+    total = _joint_counts(f, ())
     scale = p**m
     for subset in combinations(range(1, f.n + 1), m):
-        packed = spectral._packed_digits(p, f.n, subset)
-        cm = [0] * (scale * p)
-        for a, v in zip(packed, f.table):
-            cm[a * p + v] += 1
+        cm = _joint_counts(f, subset)
         for assign in product(range(p), repeat=m):
-            # packed index has assign[0] (variable subset[0]) least significant
-            a = 0
-            for d in reversed(assign):
-                a = a * p + d
+            a = index_of(assign, p)  # packed like cm: assign[0] least significant
             for t in range(p):
                 if scale * cm[a * p + t] != total[t]:
                     return (subset, assign, t)
@@ -241,14 +243,12 @@ def orthogonal_array_witness(f: PFunction, m: int):
         rows_k = levels[i]
         expected = len(rows_k) // strength
         for subset in combinations(range(1, f.n + 1), m):
-            packed = spectral._packed_digits(p, f.n, subset)
+            packed = _packed_digits(p, f.n, subset)
             counts = [0] * strength
             for k in rows_k:
                 counts[packed[k]] += 1
             for pattern in product(range(p), repeat=m):
-                a = 0
-                for d in reversed(pattern):
-                    a = a * p + d
+                a = index_of(pattern, p)
                 if counts[a] != expected:
                     return {
                         "value": i,

@@ -56,7 +56,7 @@ from .ptable import (
     PFunction,
     SizeLimitError,
     VariableTuple,
-    digit_rows,
+    _joint_counts,
     digits_of,
     is_balanced,
     is_symmetric,
@@ -76,24 +76,6 @@ def critical_index(f: PFunction, m: int) -> int:
     return f.p ** (f.n - m)
 
 
-def _packed_digits(p: int, n: int, indices) -> list[int]:
-    """packed[k] = sum_r x_{indices[r]}(k) * p^(r-1), the base-p packing of
-    the selected digits of every index k."""
-    rows = digit_rows(p, n)
-    size = p**n
-    packed = [0] * size
-    w = 1
-    for i in indices:
-        row = rows[i - 1]
-        if w == 1:
-            packed = list(row)
-        else:
-            for k, d in enumerate(row):
-                packed[k] += d * w
-        w *= p
-    return packed
-
-
 def _validated_tuple(f: PFunction, m: int, t) -> VariableTuple:
     if not isinstance(t, VariableTuple):
         t = VariableTuple(tuple(t))
@@ -105,16 +87,6 @@ def _validated_tuple(f: PFunction, m: int, t) -> VariableTuple:
         if i > f.n:
             raise ValueError(f"variable index {i} is outside 1..{f.n}")
     return t
-
-
-def _joint_counts(f: PFunction, m: int, indices) -> list[int]:
-    """cm[w*p + v] = #{k : packed tuple digits of k = w, f(k) = v}."""
-    p = f.p
-    packed = _packed_digits(p, f.n, indices)
-    cm = [0] * (p**m * p)
-    for w, v in zip(packed, f.table):
-        cm[w * p + v] += 1
-    return cm
 
 
 def exact_spectrum_at_critical(f: PFunction, m: int, t) -> CycloElement:
@@ -133,14 +105,7 @@ def exact_spectrum_at_critical(f: PFunction, m: int, t) -> CycloElement:
     Zero here is necessary for order-m immunity but sufficient only when
     p = 2; verdicts use the full orbit (exact_spectrum_conjugates).
     """
-    t = _validated_tuple(f, m, t)
-    order = f.p**m
-    half = order // f.p  # p^(m-1), the exponent step of omega inside Z[zeta]
-    e = _packed_digits(f.p, f.n, t.indices)
-    counts = [0] * order
-    for v, ek in zip(f.table, e):
-        counts[(v * half - ek) % order] += 1
-    return CycloElement.from_root_counts(f.p, m, counts)
+    return exact_spectrum_conjugates(f, m, t)[0]
 
 
 def exact_spectrum_conjugates(f: PFunction, m: int, t) -> tuple[CycloElement, ...]:
@@ -157,8 +122,8 @@ def exact_spectrum_conjugates(f: PFunction, m: int, t) -> tuple[CycloElement, ..
     t = _validated_tuple(f, m, t)
     p = f.p
     order = p**m
-    half = order // p
-    cm = _joint_counts(f, m, t.indices)
+    half = order // p  # p^(m-1), the exponent step of omega inside Z[zeta]
+    cm = _joint_counts(f, t.indices)
     out = []
     for a in range(1, p):
         counts = [0] * order
@@ -171,7 +136,7 @@ def exact_spectrum_conjugates(f: PFunction, m: int, t) -> tuple[CycloElement, ..
     return tuple(out)
 
 
-def _conjugates_vanish(f: PFunction, m: int, indices) -> bool:
+def _conjugates_vanish(f: PFunction, indices) -> bool:
     """Fast integer core of the order-m verdict at one ordered tuple.
 
     Checks that the joint count table cm[w][v] does not depend on the top
@@ -184,9 +149,8 @@ def _conjugates_vanish(f: PFunction, m: int, indices) -> bool:
     fixed at the fiber size p^(n-m), forcing them to zero.
     """
     p = f.p
-    order = p**m
-    cm = _joint_counts(f, m, indices)
-    block = order // p
+    cm = _joint_counts(f, indices)
+    block = p ** (len(indices) - 1)
     for r in range(block):
         first = cm[r * p : (r + 1) * p]
         for j in range(1, p):
@@ -196,15 +160,21 @@ def _conjugates_vanish(f: PFunction, m: int, indices) -> bool:
     return True
 
 
-def first_failing_tuple(f: PFunction, m: int) -> VariableTuple | None:
-    """Lexicographically first ordered m-tuple at which some critical-stratum
-    value is nonzero, or None when f is m-CI."""
+def failing_tuples(f: PFunction, m: int):
+    """Every ordered m-tuple at which some critical-stratum value is nonzero,
+    as a plain index tuple, in lexicographic order."""
     if not 1 <= m <= f.n:
         raise ValueError(f"m must be in 1..{f.n}, got {m}")
     for idx in permutations(range(1, f.n + 1), m):
-        if not _conjugates_vanish(f, m, idx):
-            return VariableTuple(idx)
-    return None
+        if not _conjugates_vanish(f, idx):
+            yield idx
+
+
+def first_failing_tuple(f: PFunction, m: int) -> VariableTuple | None:
+    """Lexicographically first ordered m-tuple at which some critical-stratum
+    value is nonzero, or None when f is m-CI."""
+    idx = next(failing_tuples(f, m), None)
+    return None if idx is None else VariableTuple(idx)
 
 
 def is_ci(f: PFunction, m: int) -> bool:
@@ -242,7 +212,7 @@ def is_ci_symmetric(f: PFunction, m: int) -> bool:
         raise ValueError("f is not symmetric; use is_ci")
     if not 1 <= m <= f.n:
         raise ValueError(f"m must be in 1..{f.n}, got {m}")
-    return _conjugates_vanish(f, m, tuple(range(1, m + 1)))
+    return _conjugates_vanish(f, tuple(range(1, m + 1)))
 
 
 def ci_order_symmetric(f: PFunction) -> int:
@@ -251,7 +221,7 @@ def ci_order_symmetric(f: PFunction) -> int:
         raise ValueError("f is not symmetric; use ci_order")
     m = 0
     while m < f.n:
-        if not _conjugates_vanish(f, m + 1, tuple(range(1, m + 2))):
+        if not _conjugates_vanish(f, tuple(range(1, m + 2))):
             break
         m += 1
     return m
@@ -268,20 +238,9 @@ def first_unbalanced_restriction(f: PFunction, m: int):
     if not 0 <= m <= f.n:
         raise ValueError(f"m must be in 0..{f.n}, got {m}")
     p = f.p
-    if m == 0:
-        counts = [0] * p
-        for v in f.table:
-            counts[v] += 1
-        if counts.count(counts[0]) == p:
-            return None
-        return ((), (), tuple(counts))
     for subset in combinations(range(1, f.n + 1), m):
-        packed = _packed_digits(p, f.n, subset)
-        fibers = p**m
-        cm = [0] * (fibers * p)
-        for a, v in zip(packed, f.table):
-            cm[a * p + v] += 1
-        for a in range(fibers):
+        cm = _joint_counts(f, subset)
+        for a in range(p**m):
             row = cm[a * p : a * p + p]
             if row.count(row[0]) != p:
                 return (subset, digits_of(a, p, m), tuple(row))

@@ -1,9 +1,17 @@
+import os
+from pathlib import Path
+
 import pytest
 from hypothesis import settings
 
 from cispectra import parse_polynomial
 
 import helpers
+
+# pyproject's pytest `pythonpath` puts src/ on this process's sys.path only;
+# tests that start `python -m cispectra` need it in the environment too.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")

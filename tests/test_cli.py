@@ -4,10 +4,20 @@ import json
 import shutil
 import subprocess
 import sys
+import time
+from collections import Counter
+from itertools import permutations
 
 import pytest
 
-from cispectra import PFunction, parse_polynomial, read_table, write_table
+from cispectra import (
+    PFunction,
+    exact_spectrum_conjugates,
+    parse_polynomial,
+    random_function,
+    read_table,
+    write_table,
+)
 from cispectra.cli import (
     DEFAULT_SEED,
     EXIT_DISAGREEMENT,
@@ -15,6 +25,7 @@ from cispectra.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_UNMET,
+    _search_cost,
     analyze_function,
     main,
 )
@@ -279,6 +290,23 @@ def test_search_unmet_within_budget_reports_best(capsys):
         assert code == EXIT_UNMET and obj["found"] is False
 
 
+@pytest.mark.parametrize("p,n,text", [(2, 4, "x1 + x2 + x3*x4"), (3, 3, "x1 + x2*x3")])
+def test_search_cost_counts_failing_tuples_and_imbalance(p, n, text):
+    subjects = [parse_polynomial(text, p, n)] + [random_function(p, n, seed=s) for s in range(3)]
+    for f in subjects:
+        counts = Counter(f.table)
+        imbalance = sum(abs(counts[v] - p ** (n - 1)) for v in range(p))
+        assert _search_cost(f, 0, True) == (imbalance, 0)
+        assert _search_cost(f, 0, False) == (0, 0)
+        for target in range(1, n + 1):
+            failing = sum(
+                not all(v.is_zero() for v in exact_spectrum_conjugates(f, target, t))
+                for t in permutations(range(1, n + 1), target)
+            )
+            assert _search_cost(f, target, True) == (imbalance, failing)
+            assert _search_cost(f, target, False) == (0, failing)
+
+
 def test_search_is_deterministic(capsys, tmp_path):
     args = ["search", "--p", "2", "--n", "3", "--target-ci", "1", "--seed", "5", "--json"]
     _, out_a = run(capsys, *args)
@@ -322,6 +350,44 @@ def test_size_env_var(capsys, monkeypatch):
     monkeypatch.setenv("CI_SPECTRA_MAX_N", "lots")
     code, _ = run(capsys, "analyze", "--poly", "x1", "--p", "3", "--n", "2")
     assert code == EXIT_PARSE
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["analyze", "--poly", "x1", "--p", "3", "--n", "30000000"], EXIT_LIMIT),
+        # oversize is checked before primality, so trial division stays small
+        (["analyze", "--poly", "x1", "--p", "4", "--n", "300000000"], EXIT_LIMIT),
+        (["search", "--p", "3", "--n", "300000000", "--target-ci", "1"], EXIT_LIMIT),
+        (["crosscheck", "--p", "3", "--n", "30000000", "--m", "1", "--random", "1"], EXIT_LIMIT),
+        # 2^(2^14) functions: the family count has more than 4300 digits
+        (["crosscheck", "--p", "2", "--n", "14", "--m", "1", "--exhaustive"], EXIT_LIMIT),
+        (["analyze", "--poly", "x1", "--p", "1", "--n", "300000000"], EXIT_PARSE),
+        (["search", "--p", "3", "--n", "-1", "--target-ci", "1"], EXIT_PARSE),
+        (["crosscheck", "--p", "3", "--n", "-1", "--m", "1", "--random", "1"], EXIT_PARSE),
+    ],
+)
+def test_sizes_are_checked_before_big_arithmetic(capsys, argv, code):
+    start = time.perf_counter()
+    assert run(capsys, *argv)[0] == code
+    assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("header", ["3 30000000", "1000000000000000003 1"])
+def test_table_header_sizes_are_checked_before_big_arithmetic(capsys, tmp_path, header):
+    path = tmp_path / "huge.tbl"
+    path.write_text(f"{header}\n0 1 2\n")
+    start = time.perf_counter()
+    assert run(capsys, "analyze", str(path))[0] == EXIT_LIMIT
+    assert time.perf_counter() - start < 2.0
+
+
+def test_raised_size_limit_still_bounds_primality_work(capsys, monkeypatch):
+    monkeypatch.setenv("CI_SPECTRA_MAX_N", str(10**19))
+    start = time.perf_counter()
+    code, _ = run(capsys, "analyze", "--poly", "x1", "--p", str(10**18 + 3), "--n", "1")
+    assert code == EXIT_LIMIT
+    assert time.perf_counter() - start < 2.0
 
 
 def test_error_messages_go_to_stderr(capsys):

@@ -1,6 +1,8 @@
 """Tables, indexing, permutations, and the polynomial front end."""
 
 import random
+import time
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -25,7 +27,7 @@ from cispectra import (
     shift_output,
     write_table,
 )
-from cispectra.ptable import digit_rows, evaluate_terms
+from cispectra.ptable import _joint_counts, digit_rows, evaluate_terms
 
 import helpers
 
@@ -103,6 +105,20 @@ def test_pfunction_size_cap_beats_length_check():
     # the p^n bound must trip before any attempt to materialize the table
     with pytest.raises(SizeLimitError):
         PFunction(2, 40, (0,))
+
+
+def test_size_cap_is_checked_before_big_arithmetic():
+    start = time.perf_counter()
+    for p, n in [(3, 30_000_000), (10**18 + 3, 1), (4, 300_000_000)]:
+        with pytest.raises(SizeLimitError):
+            PFunction(p, n, ())
+        with pytest.raises(SizeLimitError):
+            random_function(p, n, seed=0)
+    for p, n in [(1, 10**9), (3, 0), (3, -1)]:
+        with pytest.raises(ValueError) as err:
+            PFunction(p, n, ())
+        assert not isinstance(err.value, SizeLimitError)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_evaluate_is_table_lookup():
@@ -247,6 +263,27 @@ def test_is_balanced():
     assert is_balanced(parse_polynomial("x1 + 2*x2", 3, 2))
     assert not is_balanced(PFunction(2, 2, (0, 0, 0, 1)))
     assert not is_balanced(PFunction(3, 2, (0,) * 9))
+
+
+@pytest.mark.parametrize(
+    "p,n,tuples",
+    [
+        (2, 4, [(), (1,), (3, 1), (2, 4, 1), (4, 3, 2, 1)]),
+        (3, 3, [(), (2,), (3, 1), (1, 2, 3)]),
+        (5, 2, [(), (1,), (2, 1)]),
+    ],
+)
+def test_joint_counts_match_brute_force(p, n, tuples):
+    for seed in range(3):
+        f = random_function(p, n, seed=seed)
+        for indices in tuples:
+            # pack x_S with indices[0] least significant, as the module documents
+            want = Counter(
+                (sum(x[i - 1] * p**r for r, i in enumerate(indices)), f.evaluate(x))
+                for x in helpers.points(p, n)
+            )
+            expected = [want[(w, v)] for w in range(p ** len(indices)) for v in range(p)]
+            assert _joint_counts(f, indices) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from cispectra.spectral import (
     autocorrelation,
     ci_order,
     ci_order_symmetric,
+    failing_tuples,
     first_failing_tuple,
     first_unbalanced_restriction,
     float_is_zero,
@@ -282,6 +283,25 @@ def test_first_failing_tuple_is_lexicographic_minimum():
             if idx == t.indices:
                 break
             assert all(v.is_zero() for v in exact_spectrum_conjugates(f, 1, idx))
+
+
+@pytest.mark.parametrize(
+    "text,p,n", [("x1 + x2 + x3*x4", 2, 4), ("x1 + x2*x3", 3, 3), ("x1*x2 + x2", 5, 2)]
+)
+def test_failing_tuples_are_exactly_the_nonvanishing_orbits(text, p, n):
+    f = parse_polynomial(text, p, n)
+    for m in range(1, n + 1):
+        got = list(failing_tuples(f, m))
+        want = [
+            t for t in permutations(range(1, n + 1), m)
+            if not all(v.is_zero() for v in exact_spectrum_conjugates(f, m, t))
+        ]
+        assert got == want
+        assert all(type(t) is tuple for t in got)
+        first = first_failing_tuple(f, m)
+        assert (first is None) if not got else first.indices == got[0]
+    with pytest.raises(ValueError):
+        list(failing_tuples(f, 0))
 
 
 def test_ci_order_pinned_values(e2, e2e3):
