@@ -68,6 +68,8 @@ def _size_limit() -> int:
 
 
 def _load_function(args, limit: int) -> PFunction:
+    if args.poly is not None and args.table is not None:
+        raise ParseError("give a truth-table file or --poly, not both")
     if args.poly is not None:
         if args.p is None or args.n is None:
             raise ParseError("--poly requires --p and --n")
@@ -121,13 +123,15 @@ def analyze_function(f: PFunction, shortcut: bool = True, reports: bool = False)
         ci = spectral.ci_order_symmetric(f)
     else:
         ci = spectral.ci_order(f)
+    balanced = is_balanced(f)
+    # m-resilient iff balanced and m-CI; a balanced f is never n-CI
     return AnalysisResult(
         p=f.p,
         n=f.n,
-        balanced=is_balanced(f),
+        balanced=balanced,
         symmetric=symmetric,
         ci_order=ci,
-        resiliency_order=spectral.resiliency_order(f),
+        resiliency_order=ci if balanced else -1,
         reports=[reference.consensus(f, m) for m in range(1, f.n + 1)] if reports else None,
     )
 
@@ -170,6 +174,8 @@ def _parse_tuples(args, m: int, n: int) -> list[VariableTuple]:
 
 
 def cmd_spectrum(args) -> int:
+    if args.tuple and args.exact_at is None:
+        raise ParseError("--tuple requires --exact-at")
     limit = _size_limit()
     f = _load_function(args, limit)
     if args.full:
@@ -219,6 +225,10 @@ def cmd_crosscheck(args) -> int:
     limit = _size_limit()
     p, n, m = args.p, args.n, args.m
     _check_p_n(p, n, limit)
+    if not 1 <= m <= n:
+        raise ParseError(f"--m must be in 1..{n}, got {m}")
+    if args.random is not None and args.random < 0:
+        raise ParseError(f"--random must be >= 0, got {args.random}")
     size = p**n
     seed = None
     if args.exhaustive:
@@ -433,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument(
         "--no-shortcut",
         action="store_true",
-        help="always test all variable tuples, even for symmetric functions",
+        help="test every variable subset, even for symmetric functions",
     )
     a.add_argument(
         "--reports",

@@ -26,15 +26,20 @@ lives on the frequency stratum gcd(j, N) = p^(n-m):
     Verdicts here therefore always test the full conjugate orbit;
   * a value depends on a permutation pi only through which variables pi
     places on positions 1..m and in what order, so the n! permutations
-    collapse to n!/(n-m)! ordered tuples.  is_ci enumerates those tuples in
-    lexicographic order and stops at the first failing one, which makes
-    failure witnesses reproducible.  The collapse and the orbit criterion
-    are validated against the independent counting oracles in the test
-    suite rather than trusted.
+    collapse to n!/(n-m)! ordered tuples; failing_tuples and
+    first_failing_tuple enumerate those in lexicographic order, which makes
+    failure witnesses, the consensus "spectral" method and the search cost
+    reproducible.  Every ordering of a variable set S passes iff all rows of
+    the joint counts over S are equal (_rows_equal), so the verdicts is_ci
+    and ci_order collapse further to the C(n, m) unordered subsets.  Both
+    collapses and the orbit criterion are validated against the independent
+    counting oracles in the test suite rather than trusted.
 
 f is m-resilient iff fixing any m variables to any values leaves a balanced
 restriction; is_resilient checks exactly that by counting, over unordered
 subsets (order of the fixed variables cannot matter for balancedness).
+Equivalently f is balanced and m-CI, which is how resiliency_order derives
+the order from ci_order instead of scanning again.
 
 Float results (dft_float, autocorrelation) are for inspection and
 cross-checking only.  The reporting threshold for calling a float value zero
@@ -177,25 +182,37 @@ def first_failing_tuple(f: PFunction, m: int) -> VariableTuple | None:
     return None if idx is None else VariableTuple(idx)
 
 
+def _rows_equal(f: PFunction, indices) -> bool:
+    """True iff every row cm[w*p : w*p + p] of the joint counts over the
+    variable set indices is the same, i.e. every ordering of indices passes
+    _conjugates_vanish.
+
+    An ordering passes iff the rows do not change when its top variable
+    changes; when that holds for every variable of the set, single-coordinate
+    changes connect all rows.
+    """
+    cm = _joint_counts(f, indices)
+    return cm == cm[: f.p] * (len(cm) // f.p)
+
+
 def is_ci(f: PFunction, m: int) -> bool:
     """Correlation immunity of order m, decided exactly.
 
-    m = 0 is vacuously true.  Otherwise every ordered m-tuple of distinct
-    variables must have all p-1 conjugate spectral values zero.
+    Every ordered m-tuple of distinct variables must have all p-1 conjugate
+    spectral values zero, which is decided once per unordered m-subset by
+    _rows_equal.  m = 0 is vacuously true: its only subset is empty.
     """
     if not 0 <= m <= f.n:
         raise ValueError(f"m must be in 0..{f.n}, got {m}")
-    if m == 0:
-        return True
-    return first_failing_tuple(f, m) is None
+    return all(_rows_equal(f, s) for s in combinations(range(1, f.n + 1), m))
 
 
 def ci_order(f: PFunction) -> int:
     """Largest m with is_ci(f, m); 0 when not even first-order immune.
 
-    Scans m = 1, 2, ... upward; immunity of order m implies order m-1
-    (conditioning on fewer variables averages conditionals on more), so the
-    first failure ends the scan.
+    Scans m = 1, 2, ... upward, C(n, m) subsets per order; immunity of order
+    m implies order m-1 (conditioning on fewer variables averages
+    conditionals on more), so the first failure ends the scan.
     """
     m = 0
     while m < f.n and is_ci(f, m + 1):
@@ -257,16 +274,11 @@ def is_resilient(f: PFunction, m: int) -> bool:
 def resiliency_order(f: PFunction) -> int:
     """Largest m with is_resilient(f, m); -1 when f is not balanced.
 
-    Resiliency of order m implies order m-1 (fibers of a smaller fixing are
-    disjoint unions of balanced fibers), so the upward scan is sound.  The
-    result lies in [-1, n-1].
+    Derived, not scanned: f is m-resilient iff it is balanced and m-CI, and
+    a balanced f is never n-CI (only constants are), so ci_order of a
+    balanced f lies in [0, n-1].
     """
-    if not is_balanced(f):
-        return -1
-    m = 0
-    while m < f.n - 1 and is_resilient(f, m + 1):
-        m += 1
-    return m
+    return ci_order(f) if is_balanced(f) else -1
 
 
 # --------------------------------------------------------------------------

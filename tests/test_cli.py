@@ -107,6 +107,28 @@ def test_analyze_matches_library_verdict(capsys, tmp_path):
     assert obj["resiliency_order"] == resiliency_order(f)
 
 
+@pytest.mark.parametrize(
+    "argv,symmetric,order",
+    [
+        (["--poly", "x3+x4+x5+x6+x7+x8+x9 + x1*x2", "--p", "2", "--n", "9"], False, 6),
+        (["--poly", "2*x1 + x2 + x3 + x4 + x5 + x6 + x7", "--p", "3", "--n", "7"], False, 6),
+        (["--no-shortcut", "--poly", "+".join(f"x{i}" for i in range(1, 11)),
+          "--p", "2", "--n", "10"], True, 9),
+    ],
+)
+def test_analyze_highly_immune_functions_is_not_factorial(capsys, argv, symmetric, order):
+    # each variable subset is read once, not each ordered tuple
+    start = time.perf_counter()
+    code, out = run(capsys, "analyze", "--json", *argv)
+    assert time.perf_counter() - start < 2.0
+    assert code == EXIT_OK
+    obj = json.loads(out)
+    assert obj["balanced"] is True
+    assert obj["symmetric"] is symmetric
+    assert obj["ci_order"] == order
+    assert obj["resiliency_order"] == order
+
+
 # ---------------------------------------------------------------------------
 # spectrum
 # ---------------------------------------------------------------------------
@@ -388,6 +410,32 @@ def test_raised_size_limit_still_bounds_primality_work(capsys, monkeypatch):
     code, _ = run(capsys, "analyze", "--poly", "x1", "--p", str(10**18 + 3), "--n", "1")
     assert code == EXIT_LIMIT
     assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # contradictory input modes; the file is not opened
+        (["analyze", "no-such-file.tbl", "--poly", "x1", "--p", "3", "--n", "2"], "not both"),
+        (["spectrum", "--full", "--tuple", "1", "--poly", "x1", "--p", "3", "--n", "2"],
+         "--tuple requires --exact-at"),
+        *[
+            (["crosscheck", "--p", "2", "--n", "2", "--m", m, *mode], "--m must be in 1..2")
+            for m in ("0", "3", "99")
+            for mode in (["--exhaustive"], ["--random", "0"], ["--random", "5"])
+        ],
+        (["crosscheck", "--p", "2", "--n", "2", "--m", "1", "--random", "-3"],
+         "--random must be >= 0"),
+    ],
+)
+def test_bad_arguments_exit_2_before_any_work(capsys, argv, message):
+    start = time.perf_counter()
+    code = main(argv)
+    assert time.perf_counter() - start < 2.0
+    captured = capsys.readouterr()
+    assert code == EXIT_PARSE
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_error_messages_go_to_stderr(capsys):

@@ -8,7 +8,7 @@ Galois orbit.  A single evaluation at p^(n-m) is enough only when p = 2.
 """
 
 import random
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -321,6 +321,59 @@ def test_ci_order_consistent_with_is_ci():
         assert is_ci(f, k)
         if k < n:
             assert not is_ci(f, k + 1)
+
+
+def _assert_subset_verdicts_match_tuple_scan(f):
+    """is_ci (one pass per unordered subset) against the ordered-tuple scan,
+    and the derived resiliency_order against the definitional is_resilient."""
+    for m in range(f.n + 1):
+        assert is_ci(f, m) == (m == 0 or first_failing_tuple(f, m) is None)
+    res = [m for m in range(f.n + 1) if is_resilient(f, m)]
+    assert resiliency_order(f) == (max(res) if res else -1)
+
+
+def _balanced_table(rng, p, n):
+    values = [v for v in range(p) for _ in range(p ** (n - 1))]
+    rng.shuffle(values)
+    return PFunction(p, n, tuple(values))
+
+
+def _q_plus_linear(rng, p, n):
+    """q(x_S) + sum of c_i * x_i over the other variables, all c_i != 0: a
+    random q on |S| <= n-1 variables, (n-|S|-1)-resilient by construction.
+    Returns the function and that guaranteed order."""
+    s = rng.randrange(n)
+    subset = sorted(rng.sample(range(n), s))
+    q = {a: rng.randrange(p) for a in product(range(p), repeat=s)}
+    coeff = [0 if i in subset else rng.randrange(1, p) for i in range(n)]
+    table = tuple(
+        (q[tuple(x[i] for i in subset)] + sum(c * xi for c, xi in zip(coeff, x))) % p
+        for x in helpers.points(p, n)
+    )
+    return PFunction(p, n, table), n - s - 1
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 2)])
+def test_subset_verdict_matches_tuple_scan_exhaustive(p, n):
+    from cispectra import all_functions
+
+    for f in all_functions(p, n):
+        _assert_subset_verdicts_match_tuple_scan(f)
+
+
+@pytest.mark.parametrize("p,n", [(2, 5), (3, 4), (5, 3), (7, 2)])
+def test_subset_verdict_matches_tuple_scan_on_immune_families(p, n):
+    # random tables almost never reach CI = true; balanced tables and
+    # q(x_S) + linear families do
+    rng = random.Random(100 * p + n)
+    immune = 0
+    for _ in range(20):
+        _assert_subset_verdicts_match_tuple_scan(_balanced_table(rng, p, n))
+        f, order = _q_plus_linear(rng, p, n)
+        _assert_subset_verdicts_match_tuple_scan(f)
+        assert resiliency_order(f) >= order
+        immune += order >= 1
+    assert immune >= 5
 
 
 # ---------------------------------------------------------------------------
