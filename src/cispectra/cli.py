@@ -184,6 +184,12 @@ def cmd_spectrum(args) -> int:
     m = args.exact_at
     if not 1 <= m <= f.n:
         raise ParseError(f"--exact-at must be in 1..{f.n}, got {m}")
+    # exact_spectrum_conjugates takes (p-1) * p^(m+1) Python steps per tuple
+    steps = (f.p - 1) * f.p ** (m + 1)
+    if steps > limit:
+        raise SizeLimitError(
+            f"--exact-at {m} at p = {f.p} takes {steps} steps, above the size limit {limit}"
+        )
     tuples = _parse_tuples(args, m, f.n)
     # orbit[0] is the value at p^(n-m) itself; the CI-relevant vanishing is
     # the whole orbit (indices a*p^(n-m), a = 1..p-1).

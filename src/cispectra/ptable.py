@@ -12,8 +12,8 @@ the rule above.  Variable indices are 1-based in all public interfaces.
 
 Text formats
 ------------
-Truth table:  first line "p n", second line p^n whitespace-separated digits
-in index order.  Polynomial: terms joined by "+" / "-", each term an optional
+Truth table:  first line "p n", then the p^n values in index order,
+separated by ASCII whitespace (the usual form puts them on one line).  Polynomial: terms joined by "+" / "-", each term an optional
 integer coefficient and "*"-joined factors "xI" or "xI^E" (I in 1..n); bare
 integer literals are allowed as terms; whitespace is insignificant; all
 arithmetic is mod p.
@@ -27,17 +27,28 @@ indices[0] least significant as for k, and _joint_counts(f, indices) is the
 flat list cm[w*p + v] = #{k : k packs to w, f(k) = v}; indices = () gives
 the output histogram cm[v].
 
-Everything here is an immutable value and every function is pure, so objects
-can be shared freely across threads.
+Array view
+----------
+PFunction.array is the table as a read-only ndarray of shape (p,)*n in C
+order.  Axis j holds x_(n-j), so x_1 is the last, fastest-varying axis and
+array.ravel() is the table in index order.  It is built on first use only:
+the many tiny tables of search and crosscheck never need it.
+
+Everything here is an immutable value and every function is pure.  The one
+cache on an object, PFunction.array, is written once with a value derived
+from the table, so objects can be shared freely across threads.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Iterator, Sequence
+
+import numpy as np
 
 # Tables larger than this are rejected outright at construction.
 MAX_TABLE_ENTRIES = 2**31
@@ -112,16 +123,29 @@ class PFunction:
     def __post_init__(self):
         _check_p_n(self.p, self.n, MAX_TABLE_ENTRIES)
         size = self.p**self.n
-        object.__setattr__(self, "table", tuple(int(v) for v in self.table))
-        if len(self.table) != size:
-            raise ValueError(f"table must have p^n = {size} entries, got {len(self.table)}")
-        for v in self.table:
-            if not 0 <= v < self.p:
-                raise ValueError(f"table entry {v} is outside 0..{self.p - 1}")
+        table = tuple(map(int, self.table))
+        object.__setattr__(self, "table", table)
+        if len(table) != size:
+            raise ValueError(f"table must have p^n = {size} entries, got {len(table)}")
+        if min(table) < 0 or max(table) >= self.p:
+            bad = next(v for v in table if not 0 <= v < self.p)
+            raise ValueError(f"table entry {bad} is outside 0..{self.p - 1}")
 
     @property
     def size(self) -> int:
         return self.p**self.n
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The table as a read-only ndarray of shape (p,)*n, axis j holding
+        x_(n-j) (module docstring); uint8 for p <= 256, int64 otherwise."""
+        if self.p <= 256:
+            flat = np.frombuffer(bytes(self.table), dtype=np.uint8)
+        else:
+            flat = np.array(self.table, dtype=np.int64)
+        out = flat.reshape((self.p,) * self.n)
+        out.flags.writeable = False
+        return out
 
     def evaluate(self, x: Sequence[int]) -> int:
         """Value of f at the point x = (x_1, ..., x_n)."""
@@ -225,7 +249,9 @@ def digits_of(k: int, p: int, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=32)
+# One size only: the rows of a 2^19 table take 10 MB and rebuild in a few
+# ms, far less than one pass of the count loops that read them.
+@lru_cache(maxsize=1)
 def digit_rows(p: int, n: int) -> tuple[Sequence[int], ...]:
     """Row i-1 holds digit x_i of every index k = 0..p^n-1.
 
@@ -280,28 +306,24 @@ def apply_permutation(f: PFunction, pi: Permutation) -> PFunction:
     """Permute variables: the result g satisfies g(x_1,...,x_n) = f(x_pi(1),...,x_pi(n))."""
     if pi.n != f.n:
         raise ValueError(f"permutation acts on {pi.n} symbols, function has {f.n} variables")
-    rows = digit_rows(f.p, f.n)
-    # g's index k has digits x_i; f is looked up at the point (x_pi(1), ..., x_pi(n)).
-    src = [rows[pi(i) - 1] for i in range(1, f.n + 1)]
-    weights = [f.p**i for i in range(f.n)]
-    table = f.table
-    new = tuple(
-        table[sum(d * w for d, w in zip(digs, weights))] for digs in zip(*src)
-    )
-    return PFunction(f.p, f.n, new)
+    n = f.n
+    # f's axis b holds its argument n-b, which g fills with x_pi(n-b); g
+    # holds that variable on its axis n - pi(n-b).
+    axes = [0] * n
+    for b in range(n):
+        axes[n - pi(n - b)] = b
+    return PFunction(f.p, n, tuple(f.array.transpose(axes).ravel().tolist()))
 
 
 def is_symmetric(f: PFunction) -> bool:
     """True iff f is invariant under every variable permutation.
 
     Checked on the n-1 adjacent transpositions, which generate the full
-    symmetric group.
+    symmetric group; swapping adjacent axes of f.array swaps adjacent
+    variables.
     """
-    for i in range(1, f.n):
-        tau = Permutation.transposition(f.n, i, i + 1)
-        if apply_permutation(f, tau).table != f.table:
-            return False
-    return True
+    a = f.array
+    return all(np.array_equal(a, a.swapaxes(j, j + 1)) for j in range(f.n - 1))
 
 
 def shift_output(f: PFunction, a: int) -> PFunction:
@@ -483,13 +505,18 @@ def read_table(text: str) -> PFunction:
         p, n = int(head[0]), int(head[1])
     except ValueError:
         raise ParseError(f"first line must hold two integers, got {lines[0]!r}", 0) from None
-    body = lines[1].split() if len(lines) > 1 else []
+    # After strip() a body is empty or ends in a token; numpy would read a
+    # blank body as [0].  Overlong digit strings saturate to 2^63 - 1 and
+    # fail the range check of PFunction.
+    body = lines[1] if len(lines) > 1 else ""
     try:
-        values = [int(v) for v in body]
-    except ValueError as e:
-        raise ParseError(f"table entries must be integers: {e}") from None
+        values = np.fromstring(body, dtype=np.int64, sep=" ")
+    except ValueError:
+        tokens = re.split(r"[ \t\n\r\f\v]+", body)
+        bad = next((t for t in tokens if t and not re.fullmatch(r"[+-]?[0-9]+", t)), "")
+        raise ParseError(f"table entries must be integers, got {bad!r}") from None
     try:
-        return PFunction(p, n, tuple(values))
+        return PFunction(p, n, values.tolist())
     except SizeLimitError:
         raise
     except ValueError as e:
@@ -498,4 +525,5 @@ def read_table(text: str) -> PFunction:
 
 def write_table(f: PFunction) -> str:
     """Render the two-line truth-table format."""
-    return f"{f.p} {f.n}\n{' '.join(str(v) for v in f.table)}\n"
+    labels = [str(v) for v in range(f.p)]
+    return f"{f.p} {f.n}\n{' '.join(map(labels.__getitem__, f.table))}\n"

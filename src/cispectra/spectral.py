@@ -42,8 +42,11 @@ Equivalently f is balanced and m-CI, which is how resiliency_order derives
 the order from ci_order instead of scanning again.
 
 Float results (dft_float, autocorrelation) are for inspection and
-cross-checking only.  The reporting threshold for calling a float value zero
-is FLOAT_ZERO_FACTOR * N; exact verdicts never consult it.
+cross-checking only.  Both are computed from their definitions up to
+N = _DIRECT_DFT_MAX and by FFT above it (autocorrelation by
+Wiener-Khinchin); the tests compare the two paths.  The reporting threshold
+for calling a float value zero is FLOAT_ZERO_FACTOR * N; exact verdicts
+never consult it.
 """
 
 from __future__ import annotations
@@ -67,7 +70,8 @@ from .ptable import (
     is_symmetric,
 )
 
-# Above this length dft_float switches from direct O(N^2) summation to FFT.
+# Above this length dft_float and autocorrelation switch from direct O(N^2)
+# summation to FFT.
 _DIRECT_DFT_MAX = 4096
 # Reporting-only threshold scale for float zero classification.
 FLOAT_ZERO_FACTOR = 1e-6
@@ -324,13 +328,16 @@ def inverse_dft_float(spectrum) -> np.ndarray:
 def autocorrelation(f: PFunction, size_limit: int | None = DEFAULT_SIZE_LIMIT) -> np.ndarray:
     """C[t] = sum_k omega^(f(k+t) - f(k)), index addition mod N.
 
-    Computed straight from the definition (not via the transform) so that
-    the DFT-pair identity |dft[j]|^2 = DFT(C)[j] stays an actual test.
-    C[0] = N always.
+    Computed straight from the definition up to N = 4096, so that the
+    DFT-pair identity |dft[j]|^2 = DFT(C)[j] stays an actual test there;
+    above that by Wiener-Khinchin, C = ifft(|fft(omega^f)|^2), in
+    O(N log N) instead of O(N^2).  C[0] = N always.
     """
     _check_size(f, size_limit)
     w = _omega_sequence(f)
     N = f.size
+    if N > _DIRECT_DFT_MAX:
+        return np.fft.ifft(np.abs(np.fft.fft(w)) ** 2)
     out = np.empty(N, dtype=np.complex128)
     for t in range(N):
         out[t] = np.vdot(w, np.roll(w, -t))

@@ -14,7 +14,8 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
-from cispectra import PFunction
+from cispectra import Permutation, PFunction
+from cispectra.ptable import digit_rows
 
 # Elementary symmetric polynomials in four variables, the fixed symmetric
 # test subjects over F_3.  e2 is first-order correlation-immune; e2 + e3
@@ -114,3 +115,23 @@ def random_symmetric_function(p: int, n: int, seed: int) -> PFunction:
     rng = random.Random(seed)
     values = {ms: rng.randrange(p) for ms in sorted(digit_classes(p, n))}
     return symmetric_from_classes(p, n, values)
+
+
+def apply_permutation_loop(f: PFunction, pi: Permutation) -> PFunction:
+    """Loop reference for ptable.apply_permutation: for every index k of g,
+    look f up at the point (x_pi(1), ..., x_pi(n)) built from k's digits."""
+    rows = digit_rows(f.p, f.n)
+    src = [rows[pi(i) - 1] for i in range(1, f.n + 1)]
+    weights = [f.p**i for i in range(f.n)]
+    table = f.table
+    new = tuple(table[sum(d * w for d, w in zip(digs, weights))] for digs in zip(*src))
+    return PFunction(f.p, f.n, new)
+
+
+def is_symmetric_loop(f: PFunction) -> bool:
+    """Loop reference for ptable.is_symmetric: every adjacent transposition,
+    applied point by point, leaves the table unchanged."""
+    return all(
+        apply_permutation_loop(f, Permutation.transposition(f.n, i, i + 1)).table == f.table
+        for i in range(1, f.n)
+    )

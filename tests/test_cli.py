@@ -13,6 +13,7 @@ import pytest
 from cispectra import (
     PFunction,
     exact_spectrum_conjugates,
+    is_balanced,
     parse_polynomial,
     random_function,
     read_table,
@@ -43,6 +44,19 @@ def run(capsys, *argv):
 # ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------
+
+def test_analyze_large_table_file_is_fast(capsys, tmp_path):
+    f = random_function(2, 19, seed=11)
+    path = tmp_path / "big.tbl"
+    path.write_text(write_table(f))
+    start = time.perf_counter()
+    code, out = run(capsys, "analyze", "--json", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_OK
+    obj = json.loads(out)
+    assert (obj["p"], obj["n"], obj["symmetric"], obj["ci_order"]) == (2, 19, False, 0)
+    assert obj["balanced"] is is_balanced(f)
+
 
 def test_analyze_constant_zero(capsys, tmp_path):
     path = tmp_path / "zero.tbl"
@@ -180,6 +194,30 @@ def test_spectrum_surfaces_partial_orbit_zeroes(capsys, tmp_path):
     res = json.loads(out)["results"][0]
     assert res["zero"] is True
     assert res["orbit_zero"] is False
+
+
+@pytest.mark.parametrize(
+    "p,max_n,code",
+    [
+        (211, None, EXIT_LIMIT),  # 210 * 211^2 steps; 1.3 s when unbounded
+        (101, None, EXIT_LIMIT),  # 1,020,100 steps, just above 10^6
+        (97, None, EXIT_OK),  # 903,264 steps
+        (101, "2000000", EXIT_OK),
+    ],
+)
+def test_spectrum_exact_at_work_is_bounded(capsys, monkeypatch, p, max_n, code):
+    if max_n is not None:
+        monkeypatch.setenv("CI_SPECTRA_MAX_N", max_n)
+    start = time.perf_counter()
+    got, out = run(
+        capsys, "spectrum", "--poly", "x1", "--p", str(p), "--n", "1", "--exact-at", "1", "--json"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert got == code
+    if code == EXIT_OK:
+        obj = json.loads(out)
+        assert obj["critical_index"] == 1
+        assert obj["results"][0]["orbit_zero"] is False  # x1 is not 1-CI
 
 
 def test_spectrum_tuple_validation(capsys):
@@ -356,6 +394,13 @@ def test_parse_failures_exit_2(capsys):
     assert run(capsys, "analyze", "--poly", "x1")[0] == EXIT_PARSE
     assert run(capsys, "analyze", "--poly", "x1", "--p", "4", "--n", "2")[0] == EXIT_PARSE
     assert run(capsys, "analyze")[0] == EXIT_PARSE
+
+
+@pytest.mark.parametrize("token", ["x", "2.5", "-1", "2", "99999999999999999999"])
+def test_bad_table_entries_exit_2(capsys, tmp_path, token):
+    path = tmp_path / "bad.tbl"
+    path.write_text(f"2 2\n0 1 {token} 0\n")
+    assert run(capsys, "analyze", str(path))[0] == EXIT_PARSE
 
 
 def test_missing_table_file_exit_2(capsys, tmp_path):

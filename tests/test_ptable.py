@@ -5,6 +5,7 @@ import time
 from collections import Counter
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -250,6 +251,50 @@ def test_is_symmetric(e2e3):
         assert apply_permutation(e2e3, Permutation(tuple(mapping))).table == e2e3.table
 
 
+@pytest.mark.parametrize("p,n", [(2, 5), (3, 4), (5, 3), (7, 2), (257, 2)])
+def test_array_paths_match_loop_references(p, n):
+    rng = random.Random(p * 1000 + n)
+    sym = helpers.random_symmetric_function(p, n, seed=rng.randrange(10**6))
+    table = list(sym.table)
+    table[1] = (table[1] + 1) % p  # x_1 = 1, rest 0: an orbit of n points
+    near = PFunction(p, n, tuple(table))
+    rand = random_function(p, n, seed=rng.randrange(10**6))
+    for f, symmetric in [(rand, None), (sym, True), (near, False)]:
+        assert is_symmetric(f) == helpers.is_symmetric_loop(f)
+        if symmetric is not None:
+            assert is_symmetric(f) is symmetric
+        for _ in range(4):
+            mapping = list(range(1, n + 1))
+            rng.shuffle(mapping)
+            pi = Permutation(tuple(mapping))
+            assert apply_permutation(f, pi).table == helpers.apply_permutation_loop(f, pi).table
+
+
+@pytest.mark.parametrize("p,n,dtype", [(3, 4, np.uint8), (257, 2, np.int64)])
+def test_array_view_is_lazy_read_only_and_in_index_order(p, n, dtype):
+    f = random_function(p, n, seed=p + n)
+    assert "array" not in vars(f)  # built on first use, not by the constructor
+    a = f.array
+    assert f.array is a
+    assert a.shape == (p,) * n and a.dtype == dtype
+    assert a.ravel().tolist() == list(f.table)
+    rng = random.Random(3)
+    for _ in range(20):
+        x = tuple(rng.randrange(p) for _ in range(n))
+        assert a[tuple(reversed(x))] == f.evaluate(x)  # axis j holds x_(n-j)
+    with pytest.raises(ValueError):
+        a[(0,) * n] = 1
+
+
+def test_is_symmetric_is_fast_on_large_tables():
+    rand = random_function(2, 19, seed=5)
+    parity = PFunction(2, 19, tuple(bin(k).count("1") % 2 for k in range(2**19)))
+    start = time.perf_counter()
+    assert not is_symmetric(rand)
+    assert is_symmetric(parity)  # every adjacent swap is compared
+    assert time.perf_counter() - start < 0.5
+
+
 def test_shift_output():
     f = PFunction(3, 1, (0, 1, 2))
     assert shift_output(f, 1).table == (1, 2, 0)
@@ -429,3 +474,24 @@ def test_read_table_rejects_malformed_input(text):
 def test_read_table_size_cap_is_not_a_parse_error():
     with pytest.raises(SizeLimitError):
         read_table("2 40\n0")
+
+
+@pytest.mark.parametrize("p,n", [(2, 6), (11, 2), (257, 1)])
+def test_write_table_matches_per_entry_str(p, n):
+    f = random_function(p, n, seed=p)
+    assert write_table(f) == f"{p} {n}\n{' '.join(str(v) for v in f.table)}\n"
+
+
+@pytest.mark.parametrize(
+    "token", ["x", "2.5", "1e3", "1_0", "1+1", "0x1", "-1", "2", "99999999999999999999"]
+)
+def test_read_table_rejects_bad_tokens(token):
+    with pytest.raises(ParseError) as exc:
+        read_table(f"2 2\n0 1 {token} 0\n")
+    if not token.lstrip("-").isdigit():
+        assert repr(token) in str(exc.value)  # the message names the token
+
+
+def test_read_table_accepts_any_ascii_whitespace():
+    f = read_table("3 2\r\n  0 1\t2\r\n\r\n2 0 1\n\n1\x0b2  0 \n\n")
+    assert f.table == (0, 1, 2, 2, 0, 1, 1, 2, 0)

@@ -8,6 +8,7 @@ Galois orbit.  A single evaluation at p^(n-m) is enough only when p = 2.
 """
 
 import random
+import time
 from itertools import combinations, permutations, product
 
 import numpy as np
@@ -556,6 +557,25 @@ def test_wiener_khinchin_and_parseval():
         assert np.max(np.abs(np.fft.fft(autocorrelation(f)) - power)) < 1e-6 * f.size
         # Parseval: total power is N^2
         assert abs(power.sum() - f.size**2) < 1e-6 * f.size**2
+
+
+@pytest.mark.parametrize("p,n", [(3, 4), (3, 5), (5, 4)])
+def test_autocorrelation_direct_and_fft_paths_agree(monkeypatch, p, n):
+    f = random_function(p, n, seed=p * n)
+    direct = autocorrelation(f)
+    monkeypatch.setattr(spectral, "_DIRECT_DFT_MAX", 1)
+    via_fft = autocorrelation(f)
+    assert np.max(np.abs(direct - via_fft)) < 1e-9 * f.size
+
+
+def test_autocorrelation_is_fast_on_large_tables():
+    f = random_function(3, 10, seed=8)
+    start = time.perf_counter()
+    ac = autocorrelation(f)
+    assert time.perf_counter() - start < 1.0
+    w = np.exp(2j * np.pi / 3 * np.asarray(f.table))
+    for t in [0, 1, 3**9, 12345, f.size - 1]:
+        assert abs(ac[t] - np.vdot(w, np.roll(w, -t))) < 1e-9 * f.size
 
 
 def test_float_is_zero_threshold_scales_with_size():
