@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -296,19 +297,23 @@ def cmd_crosscheck(args) -> int:
     return EXIT_DISAGREEMENT if disagreements else EXIT_OK
 
 
+def _imbalance(f: PFunction) -> int:
+    share = f.size // f.p
+    return sum(abs(c - share) for c in _joint_counts(f, ()))
+
+
 def _search_cost(f: PFunction, target: int, resilient: bool) -> tuple[int, int]:
     """(imbalance, failing critical tuples at the target order); (0, 0) wins.
 
     Imbalance is only charged when resiliency is requested; it dominates
     lexicographically so the climb restores balance before chasing spectra.
-    A tuple fails when its conjugate-orbit spectral values are not all zero.
+    A tuple fails when its conjugate-orbit spectral values are not all zero;
+    the count comes from the per-subset joint counts of FailingTupleCounter,
+    not from enumerating ordered tuples.  cmd_search keeps the same value
+    current move by move instead of calling this.
     """
-    unbal = 0
-    if resilient:
-        share = f.size // f.p
-        unbal = sum(abs(c - share) for c in _joint_counts(f, ()))
-    nz = len(list(spectral.failing_tuples(f, target))) if target >= 1 else 0
-    return (unbal, nz)
+    unbal = _imbalance(f) if resilient else 0
+    return (unbal, spectral.FailingTupleCounter(f, target).count)
 
 
 def _search_start(rng: random.Random, p: int, n: int, resilient: bool) -> PFunction:
@@ -320,20 +325,20 @@ def _search_start(rng: random.Random, p: int, n: int, resilient: bool) -> PFunct
     return PFunction(p, n, tuple(rng.randrange(p) for _ in range(size)))
 
 
-def _search_mutate(rng: random.Random, f: PFunction, resilient: bool) -> PFunction:
-    table = list(f.table)
+def _search_mutate(
+    rng: random.Random, table: list[int], p: int, resilient: bool
+) -> list[tuple[int, int]]:
+    """One random move on table, as (index, new value) changes; table is
+    left as it is."""
     if resilient:
         # swap two differing entries; preserves the output multiset
         while True:
             i = rng.randrange(len(table))
             j = rng.randrange(len(table))
             if table[i] != table[j]:
-                table[i], table[j] = table[j], table[i]
-                break
-    else:
-        i = rng.randrange(len(table))
-        table[i] = (table[i] + rng.randrange(1, f.p)) % f.p
-    return PFunction(f.p, f.n, tuple(table))
+                return [(i, table[j]), (j, table[i])]
+    i = rng.randrange(len(table))
+    return [(i, (table[i] + rng.randrange(1, p)) % p)]
 
 
 def cmd_search(args) -> int:
@@ -361,38 +366,50 @@ def cmd_search(args) -> int:
             print(f"seed = {seed}")
             print(f"infeasible: {infeasible}")
         return EXIT_UNMET
+    # the climb's counter holds the joint counts of every target-subset
+    cells = math.comb(n, target) * p ** (target + 1)
+    if cells > limit:
+        raise SizeLimitError(
+            f"--target-ci {target} at p = {p}, n = {n} keeps {cells} joint counts, "
+            f"above the size limit {limit}"
+        )
 
     rng = random.Random(seed)
     stall_limit = 8 * p**n
     evals = 0
-    best: tuple[tuple[int, int], PFunction] | None = None
+    best: tuple[tuple[int, int], tuple[int, ...]] | None = None
     found = None
     while evals < args.budget and found is None:
         f = _search_start(rng, p, n, args.resilient)
-        cost = _search_cost(f, target, args.resilient)
+        # imbalance is fixed for the whole climb: a resilient start is the
+        # balanced multiset and swaps keep it; otherwise it is not charged
+        unbal = _imbalance(f) if args.resilient else 0
+        counter = spectral.FailingTupleCounter(f, target)
+        table = counter.table
+        cost = (unbal, counter.count)
         evals += 1
         if best is None or cost < best[0]:
-            best = (cost, f)
+            best = (cost, f.table)
         if cost == (0, 0):
-            found = f
+            found = f.table
             break
         stall = 0
         while evals < args.budget and stall < stall_limit:
-            g = _search_mutate(rng, f, args.resilient)
-            c2 = _search_cost(g, target, args.resilient)
+            c2 = (unbal, counter.apply(_search_mutate(rng, table, p, args.resilient)))
             evals += 1
             if c2 < cost:
-                f, cost = g, c2
+                cost = c2
                 stall = 0
                 if cost < best[0]:
-                    best = (cost, f)
+                    best = (cost, tuple(table))
                 if cost == (0, 0):
-                    found = f
+                    found = tuple(table)
                     break
             else:
+                counter.undo()
                 stall += 1
 
-    result = found if found is not None else best[1]
+    result = PFunction(p, n, found if found is not None else best[1])
     # the claim must survive the full library tests, not just the cost function;
     # target <= n - 1 when resilient, where the order decides is_resilient
     analysis = analyze_function(result)

@@ -28,12 +28,21 @@ lives on the frequency stratum gcd(j, N) = p^(n-m):
     places on positions 1..m and in what order, so the n! permutations
     collapse to n!/(n-m)! ordered tuples; failing_tuples and
     first_failing_tuple enumerate those in lexicographic order, which makes
-    failure witnesses, the consensus "spectral" method and the search cost
-    reproducible.  Every ordering of a variable set S passes iff all rows of
-    the joint counts over S are equal (_rows_equal), so the verdicts is_ci
-    and ci_order collapse further to the C(n, m) unordered subsets.  Both
+    failure witnesses and the consensus "spectral" method reproducible.
+    Every ordering of a variable set S passes iff all rows of the joint
+    counts over S are equal (_rows_equal), so the verdicts is_ci and
+    ci_order collapse further to the C(n, m) unordered subsets.  An ordered
+    tuple fails iff the counts over its set change along its top variable
+    (_axis_changes), so the number of failing tuples is (m-1)! times the
+    number of failing (subset, axis) pairs; FailingTupleCounter keeps that
+    number current under point changes for the search climb.  These
     collapses and the orbit criterion are validated against the independent
-    counting oracles in the test suite rather than trusted.
+    counting oracles in the test suite rather than trusted;
+  * for a symmetric f every tuple gives the same values, so one tuple per
+    order decides (is_ci_symmetric, ci_order_symmetric).  One *location*
+    decides only at p = 2; for p > 2 the whole conjugate orbit at that
+    tuple must vanish.  The symmetric table (0,0,0,0,2,0,0,0,1) over F_3^2
+    has dft[3] = 0 exactly but dft[6] != 0, and is not 1-CI.
 
 f is m-resilient iff fixing any m variables to any values leaves a balanced
 restriction; is_resilient checks exactly that by counting, over unordered
@@ -54,6 +63,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations, permutations
+from math import factorial
 
 import numpy as np
 
@@ -65,6 +75,7 @@ from .ptable import (
     SizeLimitError,
     VariableTuple,
     _joint_counts,
+    digit_rows,
     digits_of,
     is_balanced,
     is_symmetric,
@@ -145,6 +156,23 @@ def exact_spectrum_conjugates(f: PFunction, m: int, t) -> tuple[CycloElement, ..
     return tuple(out)
 
 
+def _axis_changes(cm: list[int], p: int, r: int) -> bool:
+    """True iff some two rows cm[w*p : w*p + p] of a joint-count list that
+    differ only in digit r of w differ.
+
+    Digit r of w has stride p^(r+1) in the flat list, so the rows sharing
+    every other digit form p consecutive chunks of length p^(r+1) in each
+    block of length p^(r+2).  The chunks of a block are all equal iff the
+    block equals itself shifted by one chunk.
+    """
+    step = p ** (r + 1)
+    block = step * p
+    for b in range(0, len(cm), block):
+        if cm[b + step : b + block] != cm[b : b + block - step]:
+            return True
+    return False
+
+
 def _conjugates_vanish(f: PFunction, indices) -> bool:
     """Fast integer core of the order-m verdict at one ordered tuple.
 
@@ -157,16 +185,7 @@ def _conjugates_vanish(f: PFunction, indices) -> bool:
     coordinates forces all coordinates equal, and their sum over outputs is
     fixed at the fiber size p^(n-m), forcing them to zero.
     """
-    p = f.p
-    cm = _joint_counts(f, indices)
-    block = p ** (len(indices) - 1)
-    for r in range(block):
-        first = cm[r * p : (r + 1) * p]
-        for j in range(1, p):
-            base = (j * block + r) * p
-            if cm[base : base + p] != first:
-                return False
-    return True
+    return not _axis_changes(_joint_counts(f, indices), f.p, len(indices) - 1)
 
 
 def failing_tuples(f: PFunction, m: int):
@@ -184,6 +203,82 @@ def first_failing_tuple(f: PFunction, m: int) -> VariableTuple | None:
     value is nonzero, or None when f is m-CI."""
     idx = next(failing_tuples(f, m), None)
     return None if idx is None else VariableTuple(idx)
+
+
+class FailingTupleCounter:
+    """len(list(failing_tuples(f, m))), kept current while table entries change.
+
+    An ordered tuple fails iff the joint counts over its variable set change
+    along its top variable, and the other m-1 variables can be ordered in
+    (m-1)! ways.  So the count is (m-1)! times the number of failing
+    (subset, axis) pairs.  The counter holds the joint counts of each of the
+    C(n, m) subsets, C(n, m) * p^(m+1) cells in all, and its number of
+    failing axes.  A point change moves one cell per subset, so apply costs
+    O(C(n, m) * m) plus the row tests of each subset, never a pass over the
+    p^n table.  m = 0 is accepted and counts no tuples.
+
+    `table` is the current table as a list; change it only through apply
+    and undo.
+    """
+
+    def __init__(self, f: PFunction, m: int):
+        if not 0 <= m <= f.n:
+            raise ValueError(f"m must be in 0..{f.n}, got {m}")
+        p = f.p
+        self.p = p
+        self.m = m
+        self.table = list(f.table)
+        self._rows = digit_rows(p, f.n)
+        subsets = list(combinations(range(1, f.n + 1), m))
+        # in the counts of a subset whose r-th variable is s, digit x_s of a
+        # point has stride p^(r+1) and the output value has stride 1
+        self._strides = [[(s - 1, p ** (r + 1)) for r, s in enumerate(sub)] for sub in subsets]
+        self._counts = [_joint_counts(f, sub) for sub in subsets]
+        self._failing = self._failing_axes()
+        self._orderings = factorial(m - 1) if m else 0
+        self._undo: tuple[list[int], list[tuple[int, int]]] | None = None
+
+    def _failing_axes(self) -> list[int]:
+        """Number of axes r of each subset along which its counts change."""
+        p, axes = self.p, range(self.m)
+        return [sum([_axis_changes(cm, p, r) for r in axes]) for cm in self._counts]
+
+    @property
+    def count(self) -> int:
+        return self._orderings * sum(self._failing)
+
+    def _move(self, k: int, v: int):
+        """Set table[k] = v, moving one joint count per subset."""
+        old = self.table[k]
+        digits = [row[k] for row in self._rows]
+        for strides, cm in zip(self._strides, self._counts):
+            base = 0
+            for i, stride in strides:
+                base += digits[i] * stride
+            cm[base + old] -= 1
+            cm[base + v] += 1
+        self.table[k] = v
+
+    def apply(self, changes) -> int:
+        """Set table[k] = v for each (k, v) in order; return the new count.
+
+        undo reverts the last apply.
+        """
+        self._undo = (self._failing, [(k, self.table[k]) for k, _ in changes])
+        for k, v in changes:
+            self._move(k, v)
+        self._failing = self._failing_axes()
+        return self.count
+
+    def undo(self):
+        """Revert the last apply, restoring the saved failing axes."""
+        if self._undo is None:
+            raise ValueError("nothing to undo")
+        failing, previous = self._undo
+        for k, v in reversed(previous):
+            self._move(k, v)
+        self._failing = failing
+        self._undo = None
 
 
 def _rows_equal(f: PFunction, indices) -> bool:

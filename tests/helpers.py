@@ -30,6 +30,12 @@ E2_E3_POLY = E3_POLY + " + " + E2_POLY
 # spectral test accepts it wrongly.
 STRATUM_TRAP_TABLE = (0, 0, 0, 0, 0, 2, 1, 0, 0)
 
+# A *symmetric* p=3, n=2 trap: f(1,1) = 2, f(2,2) = 1, 0 elsewhere.  Its
+# DFT is zero at index 3 but not at the conjugate index 6, and it is not
+# first-order immune.  For symmetric f one tuple per order suffices, but
+# for p > 2 one location does not: the whole orbit at that tuple must vanish.
+SYMMETRIC_TRAP_TABLE = (0, 0, 0, 0, 2, 0, 0, 0, 1)
+
 
 def points(p: int, n: int):
     """All input points (x_1, ..., x_n) in table order: x_1 varies fastest."""

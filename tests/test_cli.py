@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, including exit codes and JSON output."""
 
+import hashlib
 import json
 import shutil
 import subprocess
@@ -365,6 +366,89 @@ def test_search_cost_counts_failing_tuples_and_imbalance(p, n, text):
             )
             assert _search_cost(f, target, True) == (imbalance, failing)
             assert _search_cost(f, target, False) == (0, failing)
+
+
+# SHA-256 of the whole `search --json` stdout: found and unmet targets,
+# resilient or not, p in {2, 3, 5, 7}, target 0 and target n.  The cost
+# values and rng draws fix every trajectory, so these bytes may not move
+# when the climb is made faster.
+PINNED_SEARCHES = [
+    ("--p 2 --n 3 --target-ci 1 --resilient", EXIT_OK,
+     "9b121c051c4a1edafed7f406a6bc16905bdf5c8cc9acf672f9d9713c5027e999"),
+    ("--p 2 --n 4 --target-ci 1 --seed 3 --budget 2000", EXIT_OK,
+     "a518343e0205280a0aa2e419d613d6c6c69191e5d7629078d015a3c58d64992c"),
+    ("--p 2 --n 4 --target-ci 2 --seed 7 --budget 1000", EXIT_UNMET,
+     "a10984c6f95e9ea983bd5fbf74503cb0a46c02327d72ca32ec85b4cb8caa7ba2"),
+    ("--p 2 --n 5 --target-ci 1 --resilient --seed 11 --budget 2000", EXIT_OK,
+     "c70c1da9fa166774a71eb08b54c2380eccd50508921ab08b19b1c0153b4fb69e"),
+    ("--p 2 --n 6 --target-ci 2 --resilient --seed 5 --budget 300", EXIT_UNMET,
+     "0de88e744788a0c2fc00f3ca145cd831082368d06d887591255445aeeaf9037d"),
+    ("--p 2 --n 3 --target-ci 2 --resilient --seed 2 --budget 500", EXIT_OK,
+     "601532e4b67371458003041fcf940f5d553a8c50ff6d8b68c03ecdea2320a236"),
+    ("--p 3 --n 2 --target-ci 1 --seed 5 --budget 500", EXIT_OK,
+     "7807a1e09d8d72d6268bb26ce25fc841b46c03ecdc1d881ff5b9f39794641f31"),
+    ("--p 3 --n 3 --target-ci 1 --resilient --seed 5 --budget 3000", EXIT_OK,
+     "499db725bd30c7136d2a96f9d7496a845a8c8d65d28497a4b3ce75ea8835f68c"),
+    ("--p 3 --n 4 --target-ci 1 --resilient --seed 8 --budget 800", EXIT_UNMET,
+     "aae0b2f7755b90cef43a0e38eee78aed82770e61305bb8cd12e35a51f133fa76"),
+    ("--p 5 --n 2 --target-ci 1 --seed 6 --budget 1500", EXIT_UNMET,
+     "9142b856987cec919f6badd419c1607ee49f8cbd26a6b017cdb0f0b2447d106c"),
+    ("--p 5 --n 2 --target-ci 1 --resilient --seed 6 --budget 1500", EXIT_UNMET,
+     "568082f83b6585cf7c4b93281bce2df1611ee5ad361d5fadb4932b28ad6bece2"),
+    ("--p 3 --n 2 --target-ci 0", EXIT_OK,
+     "91e6c577eca617ca35f985d1ff30da8b2d8feba29b3bddfbb45c193055029391"),
+    ("--p 2 --n 2 --target-ci 2 --seed 1 --budget 200", EXIT_OK,
+     "fc56be3e52267c7d92063253c936d0802090a055c6ed34c76bfc8d898cd81efc"),
+    ("--p 3 --n 2 --target-ci 2 --seed 1 --budget 100", EXIT_UNMET,
+     "59eb45365995f45f95e3fa8d6dea1921c8cdf6caca16287702558edac3cd8cbc"),
+    ("--p 7 --n 2 --target-ci 1 --resilient --seed 9 --budget 500", EXIT_UNMET,
+     "0d6d3c4266117725f2abef75244c3c9d042d668627c030e90ab7ab141e5eb551"),
+]
+
+
+@pytest.mark.parametrize("args,code,digest", PINNED_SEARCHES)
+def test_search_output_is_pinned(capsys, args, code, digest):
+    got_code, out = run(capsys, "search", "--json", *args.split())
+    assert got_code == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "args,evaluations",
+    [
+        ("--p 2 --n 8 --target-ci 3 --budget 200", 200),
+        ("--p 2 --n 10 --target-ci 5 --budget 1", 1),
+    ],
+)
+def test_search_evaluations_do_not_rescan_ordered_tuples(capsys, args, evaluations):
+    # one move updates C(n, m) subsets' counts instead of scanning the
+    # n!/(n-m)! ordered tuples over all p^n entries
+    start = time.perf_counter()
+    code, out = run(capsys, "search", "--json", *args.split())
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_UNMET
+    assert json.loads(out)["evaluations"] == evaluations
+
+
+@pytest.mark.parametrize(
+    "args,env,code",
+    [
+        # C(19, 9) * 2^10 = 94.6M joint counts
+        ("--p 2 --n 19 --target-ci 9 --budget 1", None, EXIT_LIMIT),
+        # 97^3 = 912,673 and 101^3 = 1,030,301
+        ("--p 97 --n 2 --target-ci 2 --budget 1", None, EXIT_UNMET),
+        ("--p 101 --n 2 --target-ci 2 --budget 1", None, EXIT_LIMIT),
+        ("--p 101 --n 2 --target-ci 2 --budget 1", "2000000", EXIT_UNMET),
+        # C(10, 5) * 2^6 = 16,128
+        ("--p 2 --n 10 --target-ci 5 --budget 1", "10000", EXIT_LIMIT),
+    ],
+)
+def test_search_counter_size_is_bounded_before_any_table(capsys, monkeypatch, args, env, code):
+    if env is not None:
+        monkeypatch.setenv("CI_SPECTRA_MAX_N", env)
+    start = time.perf_counter()
+    assert run(capsys, "search", "--json", *args.split())[0] == code
+    assert time.perf_counter() - start < 2.0
 
 
 def test_search_is_deterministic(capsys, tmp_path):

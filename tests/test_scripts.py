@@ -44,3 +44,13 @@ def test_worked_example_runs():
     proc = _run("worked_example.py")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_ci_census_symmetric_ternary_two_variables():
+    # symmetric f over F_3^2 whose DFT is zero at p^(n-m) while the rest of
+    # the conjugate orbit is not: one location does not decide CI at p = 3
+    proc = _run("ci_census.py", "--symmetric", "--p", "3", "--n", "2")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert _histogram(lines, "zero at p^(n-m), orbit nonzero, by order m:") == {1: 60, 2: 3}
+    assert "total: 63 of 1458 (function, order) pairs" in lines

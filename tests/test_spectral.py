@@ -20,15 +20,18 @@ from cispectra import (
     SizeLimitError,
     VariableTuple,
     apply_permutation,
+    consensus,
     critical_index,
     dft_float,
     exact_spectrum_at_critical,
     exact_spectrum_conjugates,
     is_balanced,
+    is_symmetric,
     parse_polynomial,
     random_function,
 )
 from cispectra import spectral
+from cispectra.cli import analyze_function
 from cispectra.reference import ci_oracle_definition
 from cispectra.spectral import (
     FLOAT_ZERO_FACTOR,
@@ -209,6 +212,18 @@ def test_single_evaluation_is_not_sufficient_for_odd_p():
     assert abs(spec[6]) > 1e-3
 
 
+def test_symmetric_shortcut_needs_the_whole_orbit_for_odd_p():
+    f = PFunction(3, 2, helpers.SYMMETRIC_TRAP_TABLE)
+    assert is_symmetric(f)
+    orbit = exact_spectrum_conjugates(f, 1, (1,))
+    assert [v.to_text() for v in orbit] == ["3 1 : 0 0", "3 1 : 3 0"]
+    assert orbit[0].is_zero() and not orbit[1].is_zero()
+    assert not is_ci_symmetric(f, 1)
+    assert analyze_function(f).ci_order == 0
+    verdicts = consensus(f, 1).verdicts
+    assert len(verdicts) == 6 and not any(verdicts.values())
+
+
 def test_whole_orbit_vanishes_for_genuinely_immune_functions(e2):
     spec = dft_float(e2)
     for a in (1, 2):
@@ -303,6 +318,70 @@ def test_failing_tuples_are_exactly_the_nonvanishing_orbits(text, p, n):
         assert (first is None) if not got else first.indices == got[0]
     with pytest.raises(ValueError):
         list(failing_tuples(f, 0))
+
+
+# ---------------------------------------------------------------------------
+# FailingTupleCounter against the ordered tuple scan
+# ---------------------------------------------------------------------------
+
+def _random_move(rng, table, p):
+    """A point change to a different value, or a swap of two differing
+    entries, as (index, value) changes."""
+    if rng.random() < 0.5:
+        i, j = rng.randrange(len(table)), rng.randrange(len(table))
+        if table[i] != table[j]:
+            return [(i, table[j]), (j, table[i])]
+    i = rng.randrange(len(table))
+    return [(i, (table[i] + rng.randrange(1, p)) % p)]
+
+
+def _check_counter(counter_cls, p, n, m, seed, steps=25):
+    rng = random.Random(seed)
+    counter = counter_cls(random_function(p, n, seed=seed), m)
+    assert counter.count == len(list(failing_tuples(PFunction(p, n, tuple(counter.table)), m)))
+    for _ in range(steps):
+        before = tuple(counter.table)
+        got = counter.apply(_random_move(rng, counter.table, p))
+        g = PFunction(p, n, tuple(counter.table))
+        assert got == counter.count == len(list(failing_tuples(g, m)))
+        if rng.random() < 0.5:
+            counter.undo()
+            assert tuple(counter.table) == before
+            fresh = counter_cls(PFunction(p, n, before), m)
+            assert counter._counts == fresh._counts
+            assert counter._failing == fresh._failing
+            assert counter.count == fresh.count
+
+
+@pytest.mark.parametrize("p,n", [(2, 4), (2, 6), (3, 3), (3, 4), (5, 2), (7, 2)])
+def test_failing_tuple_counter_tracks_the_tuple_scan(p, n):
+    for m in range(1, n + 1):
+        _check_counter(spectral.FailingTupleCounter, p, n, m, seed=10 * n + m)
+
+
+class _TopAxisOnly(spectral.FailingTupleCounter):
+    """Mutant: tests only the top axis of each subset."""
+
+    def _failing_axes(self):
+        return [int(spectral._axis_changes(cm, self.p, self.m - 1)) for cm in self._counts]
+
+
+def test_failing_tuple_counter_check_catches_a_top_axis_mutant():
+    with pytest.raises(AssertionError):
+        _check_counter(_TopAxisOnly, 2, 4, 2, seed=1)
+
+
+def test_failing_tuple_counter_edges():
+    f = random_function(3, 2, seed=4)
+    with pytest.raises(ValueError):
+        spectral.FailingTupleCounter(f, 3)
+    zero = spectral.FailingTupleCounter(f, 0)
+    assert zero.count == 0
+    assert zero.apply([(0, (f.table[0] + 1) % 3)]) == 0
+    zero.undo()
+    assert tuple(zero.table) == f.table
+    with pytest.raises(ValueError):
+        zero.undo()
 
 
 def test_ci_order_pinned_values(e2, e2e3):
