@@ -245,6 +245,11 @@ def cmd_crosscheck(args) -> int:
             )
         funcs = all_functions(p, n)
     else:
+        if args.random * size > limit:
+            raise SizeLimitError(
+                f"--random {args.random} at p^n = {size} builds {args.random * size} entries, "
+                f"above the size limit {limit}"
+            )
         seed = args.seed if args.seed is not None else DEFAULT_SEED
         rng = random.Random(seed)
         funcs = (
@@ -300,20 +305,6 @@ def cmd_crosscheck(args) -> int:
 def _imbalance(f: PFunction) -> int:
     share = f.size // f.p
     return sum(abs(c - share) for c in _joint_counts(f, ()))
-
-
-def _search_cost(f: PFunction, target: int, resilient: bool) -> tuple[int, int]:
-    """(imbalance, failing critical tuples at the target order); (0, 0) wins.
-
-    Imbalance is only charged when resiliency is requested; it dominates
-    lexicographically so the climb restores balance before chasing spectra.
-    A tuple fails when its conjugate-orbit spectral values are not all zero;
-    the count comes from the per-subset joint counts of FailingTupleCounter,
-    not from enumerating ordered tuples.  cmd_search keeps the same value
-    current move by move instead of calling this.
-    """
-    unbal = _imbalance(f) if resilient else 0
-    return (unbal, spectral.FailingTupleCounter(f, target).count)
 
 
 def _search_start(rng: random.Random, p: int, n: int, resilient: bool) -> PFunction:

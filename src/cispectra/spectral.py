@@ -25,20 +25,18 @@ lives on the frequency stratum gcd(j, N) = p^(n-m):
     orders yet dft[6] != 0, and the function fails the counting definition.
     Verdicts here therefore always test the full conjugate orbit;
   * a value depends on a permutation pi only through which variables pi
-    places on positions 1..m and in what order, so the n! permutations
-    collapse to n!/(n-m)! ordered tuples; failing_tuples and
-    first_failing_tuple enumerate those in lexicographic order, which makes
-    failure witnesses and the consensus "spectral" method reproducible.
-    Every ordering of a variable set S passes iff all rows of the joint
-    counts over S are equal (_rows_equal), so the verdicts is_ci and
-    ci_order collapse further to the C(n, m) unordered subsets.  An ordered
-    tuple fails iff the counts over its set change along its top variable
-    (_axis_changes), so the number of failing tuples is (m-1)! times the
-    number of failing (subset, axis) pairs; FailingTupleCounter keeps that
-    number current under point changes for the search climb.  These
-    collapses and the orbit criterion are validated against the independent
-    counting oracles in the test suite rather than trusted;
-  * for a symmetric f every tuple gives the same values, so one tuple per
+    places on positions 1..m and in what order, and vanishes iff the joint
+    counts of (x_S, f(x)) over its variable set S do not change along its
+    top variable (_axis_changes); no ordered tuple is ever enumerated.
+    Every ordering of S passes iff all rows of those counts are equal
+    (_rows_equal), so is_ci and ci_order read each of the C(n, m) subsets
+    once, and first_failing_tuple (the witness of the consensus "spectral"
+    method) reads each at most once.  The number of failing ordered tuples
+    is (m-1)! times the number of failing (subset, axis) pairs, which
+    FailingTupleCounter keeps current for the search climb.  These
+    collapses and the orbit criterion are validated in the test suite
+    against an ordered scan of the exact values and the counting oracles;
+  * for a symmetric f every tuple gives the same values, so one subset per
     order decides (is_ci_symmetric, ci_order_symmetric).  One *location*
     decides only at p = 2; for p > 2 the whole conjugate orbit at that
     tuple must vanish.  The symmetric table (0,0,0,0,2,0,0,0,1) over F_3^2
@@ -62,7 +60,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from math import factorial
 
 import numpy as np
@@ -160,6 +158,15 @@ def _axis_changes(cm: list[int], p: int, r: int) -> bool:
     """True iff some two rows cm[w*p : w*p + p] of a joint-count list that
     differ only in digit r of w differ.
 
+    For the counts over an ordered tuple and r its top position, no change
+    along r is equivalent to all p-1 conjugate spectral values vanishing:
+    reducing the associated polynomial mod the p^m-th cyclotomic polynomial
+    leaves Z[omega]-coefficients whose integer coordinates are the row
+    differences, a vanishing combination of powers of omega with integer
+    coordinates forces all coordinates equal, and their sum over outputs is
+    fixed at the fiber size p^(n-m), forcing them to zero.  The order of
+    the other variables only permutes rows.
+
     Digit r of w has stride p^(r+1) in the flat list, so the rows sharing
     every other digit form p consecutive chunks of length p^(r+1) in each
     block of length p^(r+2).  The chunks of a block are all equal iff the
@@ -173,49 +180,49 @@ def _axis_changes(cm: list[int], p: int, r: int) -> bool:
     return False
 
 
-def _conjugates_vanish(f: PFunction, indices) -> bool:
-    """Fast integer core of the order-m verdict at one ordered tuple.
-
-    Checks that the joint count table cm[w][v] does not depend on the top
-    digit of w, i.e. cm[j*p^(m-1) + r][.] is the same row for j = 0 .. p-1.
-    That column identity holds iff all p-1 conjugate spectral values vanish:
-    reducing the associated polynomial mod the p^m-th cyclotomic polynomial
-    leaves Z[omega]-coefficients whose integer coordinates are the row
-    differences, a vanishing combination of powers of omega with integer
-    coordinates forces all coordinates equal, and their sum over outputs is
-    fixed at the fiber size p^(n-m), forcing them to zero.
-    """
-    return not _axis_changes(_joint_counts(f, indices), f.p, len(indices) - 1)
-
-
-def failing_tuples(f: PFunction, m: int):
-    """Every ordered m-tuple at which some critical-stratum value is nonzero,
-    as a plain index tuple, in lexicographic order."""
-    if not 1 <= m <= f.n:
-        raise ValueError(f"m must be in 1..{f.n}, got {m}")
-    for idx in permutations(range(1, f.n + 1), m):
-        if not _conjugates_vanish(f, idx):
-            yield idx
-
-
 def first_failing_tuple(f: PFunction, m: int) -> VariableTuple | None:
     """Lexicographically first ordered m-tuple at which some critical-stratum
-    value is nonzero, or None when f is m-CI."""
-    idx = next(failing_tuples(f, m), None)
-    return None if idx is None else VariableTuple(idx)
+    value is nonzero, or None when f is m-CI.
+
+    A tuple fails iff the counts over its set change along its top variable
+    (_axis_changes), so sorting its first m-1 entries keeps it failing and
+    makes it no larger: the first failing tuple is an increasing prefix
+    followed by a top variable.  Prefixes and then tops are tried in
+    increasing order, and each subset's counts are read at most once.
+    """
+    if not 1 <= m <= f.n:
+        raise ValueError(f"m must be in 1..{f.n}, got {m}")
+    p = f.p
+    # subset -> the variables along which its counts change (failing tops)
+    failing: dict[tuple[int, ...], list[int]] = {}
+    for prefix in combinations(range(1, f.n + 1), m - 1):
+        for top in range(1, f.n + 1):
+            if top in prefix:
+                continue
+            subset = tuple(sorted(prefix + (top,)))
+            tops = failing.get(subset)
+            if tops is None:
+                cm = _joint_counts(f, subset)
+                tops = [s for r, s in enumerate(subset) if _axis_changes(cm, p, r)]
+                failing[subset] = tops
+            if top in tops:
+                return VariableTuple(prefix + (top,))
+    return None
 
 
 class FailingTupleCounter:
-    """len(list(failing_tuples(f, m))), kept current while table entries change.
+    """Number of failing ordered m-tuples, kept current while entries change.
 
     An ordered tuple fails iff the joint counts over its variable set change
     along its top variable, and the other m-1 variables can be ordered in
     (m-1)! ways.  So the count is (m-1)! times the number of failing
     (subset, axis) pairs.  The counter holds the joint counts of each of the
     C(n, m) subsets, C(n, m) * p^(m+1) cells in all, and its number of
-    failing axes.  A point change moves one cell per subset, so apply costs
-    O(C(n, m) * m) plus the row tests of each subset, never a pass over the
-    p^n table.  m = 0 is accepted and counts no tuples.
+    failing axes.  A point change moves one cell per subset, but apply
+    re-tests every axis of every subset over its whole count list: a move
+    costs O(C(n, m) * m * p^(m+1)) comparisons (about 12 ms at p = 97,
+    n = 2, m = 2), though never a pass over the p^n table.  m = 0 counts
+    no tuples.
 
     `table` is the current table as a list; change it only through apply
     and undo.
@@ -283,8 +290,8 @@ class FailingTupleCounter:
 
 def _rows_equal(f: PFunction, indices) -> bool:
     """True iff every row cm[w*p : w*p + p] of the joint counts over the
-    variable set indices is the same, i.e. every ordering of indices passes
-    _conjugates_vanish.
+    variable set indices is the same, i.e. no axis changes (_axis_changes)
+    and every ordering of indices passes.
 
     An ordering passes iff the rows do not change when its top variable
     changes; when that holds for every variable of the set, single-coordinate
@@ -320,25 +327,24 @@ def ci_order(f: PFunction) -> int:
 
 
 def is_ci_symmetric(f: PFunction, m: int) -> bool:
-    """Single-tuple shortcut valid for symmetric f: permuting variables
-    fixes f, so the identity tuple stands in for all of them (the conjugate
-    orbit there must still vanish in full).  Raises on non-symmetric input
-    rather than silently answering the wrong question."""
+    """Single-subset shortcut valid for symmetric f: permuting variables
+    fixes f, so the counts over {1, ..., m} stand in for every subset and
+    are invariant under permuting their axes; _rows_equal decides (the
+    conjugate orbit must still vanish in full).  Raises on non-symmetric
+    input rather than silently answering the wrong question."""
     if not is_symmetric(f):
         raise ValueError("f is not symmetric; use is_ci")
     if not 1 <= m <= f.n:
         raise ValueError(f"m must be in 1..{f.n}, got {m}")
-    return _conjugates_vanish(f, tuple(range(1, m + 1)))
+    return _rows_equal(f, tuple(range(1, m + 1)))
 
 
 def ci_order_symmetric(f: PFunction) -> int:
-    """ci_order via the symmetric shortcut (one tuple per order)."""
+    """ci_order via the symmetric shortcut (one subset per order)."""
     if not is_symmetric(f):
         raise ValueError("f is not symmetric; use ci_order")
     m = 0
-    while m < f.n:
-        if not _conjugates_vanish(f, tuple(range(1, m + 2))):
-            break
+    while m < f.n and _rows_equal(f, tuple(range(1, m + 2))):
         m += 1
     return m
 

@@ -12,9 +12,9 @@ import ast
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
-from cispectra import Permutation, PFunction
+from cispectra import Permutation, PFunction, exact_spectrum_conjugates
 from cispectra.ptable import digit_rows
 
 # Elementary symmetric polynomials in four variables, the fixed symmetric
@@ -141,3 +141,14 @@ def is_symmetric_loop(f: PFunction) -> bool:
         apply_permutation_loop(f, Permutation.transposition(f.n, i, i + 1)).table == f.table
         for i in range(1, f.n)
     )
+
+
+def failing_tuples_scan(f: PFunction, m: int) -> list[tuple[int, ...]]:
+    """Ordered-scan reference for spectral.first_failing_tuple and
+    FailingTupleCounter: every ordered m-tuple, in lexicographic order, at
+    which some exact critical-stratum value is nonzero (the paper's
+    criterion, evaluated tuple by tuple)."""
+    return [
+        t for t in permutations(range(1, f.n + 1), m)
+        if not all(v.is_zero() for v in exact_spectrum_conjugates(f, m, t))
+    ]

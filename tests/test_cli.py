@@ -7,13 +7,11 @@ import subprocess
 import sys
 import time
 from collections import Counter
-from itertools import permutations
 
 import pytest
 
 from cispectra import (
     PFunction,
-    exact_spectrum_conjugates,
     is_balanced,
     parse_polynomial,
     random_function,
@@ -27,11 +25,11 @@ from cispectra.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_UNMET,
-    _search_cost,
+    _imbalance,
     analyze_function,
     main,
 )
-from cispectra.spectral import ci_order, resiliency_order
+from cispectra.spectral import FailingTupleCounter, ci_order, resiliency_order
 
 import helpers
 
@@ -266,6 +264,26 @@ def test_crosscheck_random_zero_functions(capsys):
     assert "checked = 0 functions" in out
 
 
+@pytest.mark.parametrize(
+    "argv,env,code",
+    [
+        # K * p^n table entries are checked before any function is built
+        (["--random", "600000", "--p", "2", "--n", "1"], None, EXIT_LIMIT),
+        (["--random", str(10**15), "--p", "3", "--n", "2"], None, EXIT_LIMIT),
+        (["--random", "2", "--p", "2", "--n", "19"], None, EXIT_LIMIT),
+        (["--random", "3", "--p", "2", "--n", "4"], "47", EXIT_LIMIT),
+        (["--random", "3", "--p", "2", "--n", "4"], "48", EXIT_OK),
+        (["--random", "0", "--p", "2", "--n", "19"], None, EXIT_OK),
+    ],
+)
+def test_crosscheck_random_work_is_bounded(capsys, monkeypatch, argv, env, code):
+    if env is not None:
+        monkeypatch.setenv("CI_SPECTRA_MAX_N", env)
+    start = time.perf_counter()
+    assert run(capsys, "crosscheck", "--m", "1", *argv)[0] == code
+    assert time.perf_counter() - start < 0.5
+
+
 def test_crosscheck_json_schema(capsys):
     code, out = run(
         capsys, "crosscheck", "--p", "2", "--n", "3", "--m", "2",
@@ -353,19 +371,18 @@ def test_search_unmet_within_budget_reports_best(capsys):
 
 @pytest.mark.parametrize("p,n,text", [(2, 4, "x1 + x2 + x3*x4"), (3, 3, "x1 + x2*x3")])
 def test_search_cost_counts_failing_tuples_and_imbalance(p, n, text):
+    # the climb's cost is (_imbalance, FailingTupleCounter.count)
+    def cost(f, t):
+        return (_imbalance(f), FailingTupleCounter(f, t).count)
+
     subjects = [parse_polynomial(text, p, n)] + [random_function(p, n, seed=s) for s in range(3)]
     for f in subjects:
         counts = Counter(f.table)
         imbalance = sum(abs(counts[v] - p ** (n - 1)) for v in range(p))
-        assert _search_cost(f, 0, True) == (imbalance, 0)
-        assert _search_cost(f, 0, False) == (0, 0)
+        assert cost(f, 0) == (imbalance, 0)
         for target in range(1, n + 1):
-            failing = sum(
-                not all(v.is_zero() for v in exact_spectrum_conjugates(f, target, t))
-                for t in permutations(range(1, n + 1), target)
-            )
-            assert _search_cost(f, target, True) == (imbalance, failing)
-            assert _search_cost(f, target, False) == (0, failing)
+            failing = len(helpers.failing_tuples_scan(f, target))
+            assert cost(f, target) == (imbalance, failing)
 
 
 # SHA-256 of the whole `search --json` stdout: found and unmet targets,

@@ -7,6 +7,7 @@ a * p^(n-m) with gcd(a, p) = 1), and the p-1 values for a = 1..p-1 form one
 Galois orbit.  A single evaluation at p^(n-m) is enough only when p = 2.
 """
 
+import math
 import random
 import time
 from itertools import combinations, permutations, product
@@ -39,7 +40,6 @@ from cispectra.spectral import (
     autocorrelation,
     ci_order,
     ci_order_symmetric,
-    failing_tuples,
     first_failing_tuple,
     first_unbalanced_restriction,
     float_is_zero,
@@ -306,18 +306,44 @@ def test_first_failing_tuple_is_lexicographic_minimum():
 )
 def test_failing_tuples_are_exactly_the_nonvanishing_orbits(text, p, n):
     f = parse_polynomial(text, p, n)
-    for m in range(1, n + 1):
-        got = list(failing_tuples(f, m))
-        want = [
-            t for t in permutations(range(1, n + 1), m)
-            if not all(v.is_zero() for v in exact_spectrum_conjugates(f, m, t))
-        ]
-        assert got == want
-        assert all(type(t) is tuple for t in got)
-        first = first_failing_tuple(f, m)
-        assert (first is None) if not got else first.indices == got[0]
+    _assert_subset_verdicts_match_tuple_scan(f)
     with pytest.raises(ValueError):
-        list(failing_tuples(f, 0))
+        first_failing_tuple(f, 0)
+    with pytest.raises(ValueError):
+        first_failing_tuple(f, n + 1)
+
+
+def test_first_failing_tuple_counts_each_subset_at_most_once(monkeypatch):
+    calls = []
+    real = spectral._joint_counts
+
+    def counting(f, indices):
+        calls.append(tuple(indices))
+        return real(f, indices)
+
+    monkeypatch.setattr(spectral, "_joint_counts", counting)
+    rng = random.Random(71)
+    subjects = [parse_polynomial(" + ".join(f"x{i}" for i in range(1, 7)), 2, 6)]
+    subjects += [_q_plus_linear(rng, 3, 4)[0] for _ in range(6)]
+    subjects += [random_function(2, 6, seed=5), _balanced_table(rng, 2, 6)]
+    for f in subjects:
+        for m in range(1, f.n + 1):
+            calls.clear()
+            first_failing_tuple(f, m)
+            assert len(calls) == len(set(calls)) <= math.comb(f.n, m)
+    calls.clear()
+    first_failing_tuple(random_function(2, 10, seed=3), 5)
+    assert len(calls) == 1  # a random table fails at the first subset
+
+
+@pytest.mark.parametrize("p,n,m", [(2, 10, 9), (3, 7, 6)])
+def test_first_failing_tuple_is_not_factorial(p, n, m):
+    # linear forms are (n-1)-CI: the ordered scan visits n!/(n-m)! tuples
+    f = parse_polynomial(" + ".join(f"x{i}" for i in range(1, n + 1)), p, n)
+    start = time.perf_counter()
+    assert first_failing_tuple(f, m) is None
+    assert first_failing_tuple(f, n).indices == tuple(range(1, n + 1))
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -337,13 +363,14 @@ def _random_move(rng, table, p):
 
 def _check_counter(counter_cls, p, n, m, seed, steps=25):
     rng = random.Random(seed)
-    counter = counter_cls(random_function(p, n, seed=seed), m)
-    assert counter.count == len(list(failing_tuples(PFunction(p, n, tuple(counter.table)), m)))
+    f = random_function(p, n, seed=seed)
+    counter = counter_cls(f, m)
+    assert counter.count == len(helpers.failing_tuples_scan(f, m))
     for _ in range(steps):
         before = tuple(counter.table)
         got = counter.apply(_random_move(rng, counter.table, p))
         g = PFunction(p, n, tuple(counter.table))
-        assert got == counter.count == len(list(failing_tuples(g, m)))
+        assert got == counter.count == len(helpers.failing_tuples_scan(g, m))
         if rng.random() < 0.5:
             counter.undo()
             assert tuple(counter.table) == before
@@ -404,10 +431,16 @@ def test_ci_order_consistent_with_is_ci():
 
 
 def _assert_subset_verdicts_match_tuple_scan(f):
-    """is_ci (one pass per unordered subset) against the ordered-tuple scan,
-    and the derived resiliency_order against the definitional is_resilient."""
-    for m in range(f.n + 1):
-        assert is_ci(f, m) == (m == 0 or first_failing_tuple(f, m) is None)
+    """is_ci, the witness first_failing_tuple and FailingTupleCounter (all
+    per unordered subset) against the ordered scan of exact values, and the
+    derived resiliency_order against the definitional is_resilient."""
+    assert is_ci(f, 0)
+    for m in range(1, f.n + 1):
+        want = helpers.failing_tuples_scan(f, m)
+        first = first_failing_tuple(f, m)
+        assert (first is None) if not want else first.indices == want[0]
+        assert is_ci(f, m) == (not want)
+        assert spectral.FailingTupleCounter(f, m).count == len(want)
     res = [m for m in range(f.n + 1) if is_resilient(f, m)]
     assert resiliency_order(f) == (max(res) if res else -1)
 
