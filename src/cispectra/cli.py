@@ -36,7 +36,6 @@ from .ptable import (
     VariableTuple,
     _check_p_n,
     _exceeds,
-    _joint_counts,
     all_functions,
     is_balanced,
     is_symmetric,
@@ -118,12 +117,9 @@ class AnalysisResult:
         return json.dumps(obj)
 
 
-def analyze_function(f: PFunction, shortcut: bool = True, reports: bool = False) -> AnalysisResult:
+def analyze_function(f: PFunction, reports: bool = False) -> AnalysisResult:
     symmetric = is_symmetric(f)
-    if symmetric and shortcut:
-        ci = spectral.ci_order_symmetric(f)
-    else:
-        ci = spectral.ci_order(f)
+    ci = spectral.ci_order_symmetric(f) if symmetric else spectral.ci_order(f)
     balanced = is_balanced(f)
     # m-resilient iff balanced and m-CI; a balanced f is never n-CI
     return AnalysisResult(
@@ -137,10 +133,24 @@ def analyze_function(f: PFunction, shortcut: bool = True, reports: bool = False)
     )
 
 
+def _reports_work(p: int, n: int) -> int:
+    """Steps of --reports: one pass over the p^n table per c-vector per
+    order, where a c of weight w is evaluated at the n + 1 - w orders m >= w."""
+    return sum(
+        math.comb(n, w) * (p - 1) ** w * (n + 1 - w) for w in range(1, n + 1)
+    ) * p**n
+
+
 def cmd_analyze(args) -> int:
     limit = _size_limit()
     f = _load_function(args, limit)
-    res = analyze_function(f, shortcut=not args.no_shortcut, reports=args.reports)
+    work = _reports_work(f.p, f.n) if args.reports else 0
+    if work > limit:
+        raise SizeLimitError(
+            f"--reports at p = {f.p}, n = {f.n} takes {work} steps, "
+            f"above the size limit {limit}"
+        )
+    res = analyze_function(f, reports=args.reports)
     if args.json:
         print(res.to_json())
         return EXIT_OK
@@ -302,11 +312,6 @@ def cmd_crosscheck(args) -> int:
     return EXIT_DISAGREEMENT if disagreements else EXIT_OK
 
 
-def _imbalance(f: PFunction) -> int:
-    share = f.size // f.p
-    return sum(abs(c - share) for c in _joint_counts(f, ()))
-
-
 def _search_start(rng: random.Random, p: int, n: int, resilient: bool) -> PFunction:
     size = p**n
     if resilient:
@@ -368,32 +373,31 @@ def cmd_search(args) -> int:
     rng = random.Random(seed)
     stall_limit = 8 * p**n
     evals = 0
-    best: tuple[tuple[int, int], tuple[int, ...]] | None = None
+    best: tuple[int, tuple[int, ...]] | None = None
     found = None
     while evals < args.budget and found is None:
+        # a resilient start is balanced and swaps keep it so; the cost is
+        # the failing-tuple count alone
         f = _search_start(rng, p, n, args.resilient)
-        # imbalance is fixed for the whole climb: a resilient start is the
-        # balanced multiset and swaps keep it; otherwise it is not charged
-        unbal = _imbalance(f) if args.resilient else 0
         counter = spectral.FailingTupleCounter(f, target)
         table = counter.table
-        cost = (unbal, counter.count)
+        cost = counter.count
         evals += 1
         if best is None or cost < best[0]:
             best = (cost, f.table)
-        if cost == (0, 0):
+        if cost == 0:
             found = f.table
             break
         stall = 0
         while evals < args.budget and stall < stall_limit:
-            c2 = (unbal, counter.apply(_search_mutate(rng, table, p, args.resilient)))
+            c2 = counter.apply(_search_mutate(rng, table, p, args.resilient))
             evals += 1
             if c2 < cost:
                 cost = c2
                 stall = 0
                 if cost < best[0]:
                     best = (cost, tuple(table))
-                if cost == (0, 0):
+                if cost == 0:
                     found = tuple(table)
                     break
             else:
@@ -454,11 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("analyze", help="orders and structure of one function")
     add_input(a)
-    a.add_argument(
-        "--no-shortcut",
-        action="store_true",
-        help="test every variable subset, even for symmetric functions",
-    )
     a.add_argument(
         "--reports",
         action="store_true",

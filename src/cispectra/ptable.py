@@ -272,21 +272,26 @@ def digit_rows(p: int, n: int) -> tuple[Sequence[int], ...]:
     return tuple(rows)
 
 
+def _weighted_digits(p: int, n: int, weights) -> list[int]:
+    """out[k] = sum_i w * x_i(k) over the (i, w) pairs of weights, i 1-based,
+    for every index k; zero weights are skipped."""
+    rows = digit_rows(p, n)
+    out = None
+    for i, w in weights:
+        if w == 0:
+            continue
+        row = rows[i - 1]
+        if out is None:
+            out = list(row) if w == 1 else [d * w for d in row]
+        else:
+            out = [s + d * w for s, d in zip(out, row)]
+    return [0] * p**n if out is None else out
+
+
 def _packed_digits(p: int, n: int, indices) -> list[int]:
     """packed[k] = sum_r x_{indices[r]}(k) * p^r, the base-p packing of the
     selected digits of every index k."""
-    rows = digit_rows(p, n)
-    packed = [0] * p**n
-    w = 1
-    for i in indices:
-        row = rows[i - 1]
-        if w == 1:
-            packed = list(row)
-        else:
-            for k, d in enumerate(row):
-                packed[k] += d * w
-        w *= p
-    return packed
+    return _weighted_digits(p, n, [(i, p**r) for r, i in enumerate(indices)])
 
 
 def _joint_counts(f: PFunction, indices) -> list[int]:

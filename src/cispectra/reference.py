@@ -20,7 +20,14 @@ consensus() runs these five plus the spectral test and reports agreement.
 The point of the module is cross-validation: the oracles share only ptable
 plumbing with the verdict path.  The definition oracle reads the same joint
 counts (ptable._joint_counts) as the spectral verdict but tests them by its
-own identity; the other oracles do their own counting.
+own identity; the orthogonal-array oracle counts each level set itself.
+
+The three Fourier-side oracles (chrestenson_cyclic, chrestenson_linear,
+matrix) share count_matrix: for each c one pass over the table gives
+M_c[d][v] = #{x : c.x = d, f(x) = v}, and each oracle folds M_c.  The cyclic
+sum puts M_c[d][v] on omega^(v - d); the linear sum of the shift f + a puts
+((v + a) mod p) * M_c[d][v] on omega^d (Xiao and Massey, IEEE Trans. IT
+34(3), 1988; Camion, Carlet, Charpin and Sendrier, CRYPTO '91).
 
 Both Chrestenson sums are kept unscaled (multiplied by p^n relative to the
 normalized definitions); scaling cannot change zero-ness and staying in
@@ -44,9 +51,8 @@ from .ptable import (
     VariableTuple,
     _joint_counts,
     _packed_digits,
-    digit_rows,
+    _weighted_digits,
     index_of,
-    shift_output,
 )
 from . import spectral
 
@@ -63,23 +69,6 @@ METHOD_NAMES = (
 def _check_order(f: PFunction, m: int, low: int):
     if not low <= m <= f.n:
         raise ValueError(f"m must be in {low}..{f.n}, got {m}")
-
-
-def _linear_form(f: PFunction, c) -> list[int]:
-    """row[k] = c.x(k) mod p for every index k."""
-    if len(c) != f.n:
-        raise ValueError(f"c has length {len(c)}, expected {f.n}")
-    p = f.p
-    rows = digit_rows(p, f.n)
-    out = [0] * f.size
-    for i, ci in enumerate(c):
-        ci %= p
-        if ci == 0:
-            continue
-        row = rows[i]
-        for k, d in enumerate(row):
-            out[k] += ci * d
-    return [v % p for v in out]
 
 
 def _weighted_vectors(p: int, n: int, m: int):
@@ -121,64 +110,7 @@ def ci_oracle_definition(f: PFunction, m: int) -> bool:
 
 
 # --------------------------------------------------------------------------
-# Chrestenson spectra
-# --------------------------------------------------------------------------
-
-def chrestenson_cyclic(f: PFunction, c) -> CycloElement:
-    """Unscaled cyclic spectrum value sum_x omega^(f(x) - c.x), in Z[omega].
-
-    At p = 2 this is the classical Walsh-Hadamard sum sum_x (-1)^(f(x)+c.x).
-    """
-    p = f.p
-    dot = _linear_form(f, c)
-    counts = [0] * p
-    for v, d in zip(f.table, dot):
-        counts[(v - d) % p] += 1
-    return CycloElement.from_root_counts(p, 1, counts)
-
-
-def chrestenson_linear(f: PFunction, c) -> CycloElement:
-    """Unscaled linear spectrum value sum_x f(x) * omega^(c.x); the output
-    enters as an integer multiplier, not as an exponent."""
-    p = f.p
-    dot = _linear_form(f, c)
-    counts = [0] * p
-    for v, d in zip(f.table, dot):
-        counts[d] += v
-    return CycloElement.from_root_counts(p, 1, counts)
-
-
-def chrestenson_cyclic_witness(f: PFunction, m: int):
-    _check_order(f, m, 1)
-    for c in _weighted_vectors(f.p, f.n, m):
-        if not chrestenson_cyclic(f, c).is_zero():
-            return c
-    return None
-
-
-def ci_oracle_chrestenson_cyclic(f: PFunction, m: int) -> bool:
-    """CI iff the cyclic spectrum vanishes on every c with 1 <= wt(c) <= m."""
-    return chrestenson_cyclic_witness(f, m) is None
-
-
-def chrestenson_linear_witness(f: PFunction, m: int):
-    """First failing (c, shift); all p output shifts of f must have vanishing
-    linear spectrum on every c with 1 <= wt(c) <= m."""
-    _check_order(f, m, 1)
-    shifted = [f] + [shift_output(f, a) for a in range(1, f.p)]
-    for c in _weighted_vectors(f.p, f.n, m):
-        for a, g in enumerate(shifted):
-            if not chrestenson_linear(g, c).is_zero():
-                return (c, a)
-    return None
-
-
-def ci_oracle_chrestenson_linear(f: PFunction, m: int) -> bool:
-    return chrestenson_linear_witness(f, m) is None
-
-
-# --------------------------------------------------------------------------
-# Count-matrix test
+# Count matrix and the Chrestenson spectra folded from it
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -197,13 +129,71 @@ class CountMatrix:
 
 
 def count_matrix(f: PFunction, c) -> CountMatrix:
+    """The one pass over the table behind the matrix and Chrestenson oracles."""
+    if len(c) != f.n:
+        raise ValueError(f"c has length {len(c)}, expected {f.n}")
     p = f.p
-    dot = _linear_form(f, c)
+    c = tuple([int(v) % p for v in c])
     flat = [0] * (p * p)
-    for v, d in zip(f.table, dot):
-        flat[d * p + v] += 1
-    entries = tuple(tuple(flat[i * p : i * p + p]) for i in range(p))
-    return CountMatrix(tuple(int(v) % p for v in c), entries)
+    for d, v in zip(_weighted_digits(p, f.n, enumerate(c, 1)), f.table):
+        flat[d % p * p + v] += 1
+    return CountMatrix(c, tuple([tuple(flat[i : i + p]) for i in range(0, p * p, p)]))
+
+
+def _linear_fold(cm: CountMatrix, a: int) -> CycloElement:
+    """sum_x ((f(x) + a) mod p) * omega^(c.x), read off the count matrix."""
+    p = len(cm.entries)
+    counts = [sum((v + a) % p * k for v, k in enumerate(row)) for row in cm.entries]
+    return CycloElement.from_root_counts(p, 1, counts)
+
+
+def chrestenson_cyclic(f: PFunction, c) -> CycloElement:
+    """Unscaled cyclic spectrum value sum_x omega^(f(x) - c.x), in Z[omega].
+
+    At p = 2 this is the classical Walsh-Hadamard sum sum_x (-1)^(f(x)+c.x).
+    """
+    p = f.p
+    counts = [0] * p
+    for d, row in enumerate(count_matrix(f, c).entries):
+        for v, k in enumerate(row):
+            counts[(v - d) % p] += k
+    return CycloElement.from_root_counts(p, 1, counts)
+
+
+def chrestenson_linear(f: PFunction, c) -> CycloElement:
+    """Unscaled linear spectrum value sum_x f(x) * omega^(c.x); the output
+    enters as an integer multiplier, not as an exponent."""
+    return _linear_fold(count_matrix(f, c), 0)
+
+
+def chrestenson_cyclic_witness(f: PFunction, m: int):
+    _check_order(f, m, 1)
+    for c in _weighted_vectors(f.p, f.n, m):
+        if not chrestenson_cyclic(f, c).is_zero():
+            return c
+    return None
+
+
+def ci_oracle_chrestenson_cyclic(f: PFunction, m: int) -> bool:
+    """CI iff the cyclic spectrum vanishes on every c with 1 <= wt(c) <= m."""
+    return chrestenson_cyclic_witness(f, m) is None
+
+
+def chrestenson_linear_witness(f: PFunction, m: int):
+    """First failing (c, shift); all p output shifts of f must have vanishing
+    linear spectrum on every c with 1 <= wt(c) <= m.  Every shift is folded
+    from one count matrix per c."""
+    _check_order(f, m, 1)
+    for c in _weighted_vectors(f.p, f.n, m):
+        cm = count_matrix(f, c)
+        for a in range(f.p):
+            if not _linear_fold(cm, a).is_zero():
+                return (c, a)
+    return None
+
+
+def ci_oracle_chrestenson_linear(f: PFunction, m: int) -> bool:
+    return chrestenson_linear_witness(f, m) is None
 
 
 def matrix_test(f: PFunction, m: int):

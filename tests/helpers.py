@@ -12,9 +12,11 @@ import ast
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations, product
+from operator import mul
 
-from cispectra import Permutation, PFunction, exact_spectrum_conjugates
+from cispectra import CycloElement, Permutation, PFunction, exact_spectrum_conjugates
 from cispectra.ptable import digit_rows
 
 # Elementary symmetric polynomials in four variables, the fixed symmetric
@@ -41,6 +43,39 @@ def points(p: int, n: int):
     """All input points (x_1, ..., x_n) in table order: x_1 varies fastest."""
     for rev in product(range(p), repeat=n):
         yield tuple(reversed(rev))
+
+
+@lru_cache(maxsize=None)
+def _point_list(p: int, n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(points(p, n))
+
+
+def _dot(c, x, p: int) -> int:
+    return sum(map(mul, c, x)) % p
+
+
+def cyclic_sum_points(f: PFunction, c) -> CycloElement:
+    """sum_x omega^(f(x) - c.x), one root of unity per input point."""
+    counts = [0] * f.p
+    for x, v in zip(_point_list(f.p, f.n), f.table):
+        counts[(v - _dot(c, x, f.p)) % f.p] += 1
+    return CycloElement.from_root_counts(f.p, 1, counts)
+
+
+def linear_sum_points(f: PFunction, c, a: int) -> CycloElement:
+    """sum_x ((f(x) + a) mod p) * omega^(c.x), one term per input point."""
+    counts = [0] * f.p
+    for x, v in zip(_point_list(f.p, f.n), f.table):
+        counts[_dot(c, x, f.p)] += (v + a) % f.p
+    return CycloElement.from_root_counts(f.p, 1, counts)
+
+
+def count_matrix_points(f: PFunction, c) -> tuple[tuple[int, ...], ...]:
+    """entries[d][v] = #{x : c.x = d, f(x) = v}, counted point by point."""
+    entries = [[0] * f.p for _ in range(f.p)]
+    for x, v in zip(_point_list(f.p, f.n), f.table):
+        entries[_dot(c, x, f.p)][v] += 1
+    return tuple(tuple(row) for row in entries)
 
 
 def ci_by_fractions(f: PFunction, m: int) -> bool:

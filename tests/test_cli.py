@@ -2,11 +2,11 @@
 
 import hashlib
 import json
+import random
 import shutil
 import subprocess
 import sys
 import time
-from collections import Counter
 
 import pytest
 
@@ -25,7 +25,7 @@ from cispectra.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_UNMET,
-    _imbalance,
+    _search_start,
     analyze_function,
     main,
 )
@@ -100,14 +100,6 @@ def test_analyze_reports_flag(capsys):
     assert out.count("consensus=") == 4
 
 
-def test_analyze_no_shortcut_agrees(capsys):
-    base = ["analyze", "--poly", helpers.E2_E3_POLY, "--p", "3", "--n", "4", "--json"]
-    code_a, out_a = run(capsys, *base)
-    code_b, out_b = run(capsys, *base, "--no-shortcut")
-    assert code_a == code_b == EXIT_OK
-    assert json.loads(out_a)["ci_order"] == json.loads(out_b)["ci_order"] == 0
-
-
 def test_analyze_matches_library_verdict(capsys, tmp_path):
     from cispectra import random_function
 
@@ -125,8 +117,7 @@ def test_analyze_matches_library_verdict(capsys, tmp_path):
     [
         (["--poly", "x3+x4+x5+x6+x7+x8+x9 + x1*x2", "--p", "2", "--n", "9"], False, 6),
         (["--poly", "2*x1 + x2 + x3 + x4 + x5 + x6 + x7", "--p", "3", "--n", "7"], False, 6),
-        (["--no-shortcut", "--poly", "+".join(f"x{i}" for i in range(1, 11)),
-          "--p", "2", "--n", "10"], True, 9),
+        (["--poly", "+".join(f"x{i}" for i in range(1, 11)), "--p", "2", "--n", "10"], True, 9),
     ],
 )
 def test_analyze_highly_immune_functions_is_not_factorial(capsys, argv, symmetric, order):
@@ -140,6 +131,40 @@ def test_analyze_highly_immune_functions_is_not_factorial(capsys, argv, symmetri
     assert obj["symmetric"] is symmetric
     assert obj["ci_order"] == order
     assert obj["resiliency_order"] == order
+
+
+def test_ci_order_scans_every_subset_of_linear_2_10_quickly():
+    # the CLI answers the symmetric x1 + ... + x10 by ci_order_symmetric;
+    # the full subset scan must meet the same bound on it
+    f = parse_polynomial("+".join(f"x{i}" for i in range(1, 11)), 2, 10)
+    start = time.perf_counter()
+    assert ci_order(f) == 9
+    assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize(
+    "poly,p,n,answers",
+    [
+        (helpers.E2_POLY, 3, 4, True),  # 14,904 entries read
+        ("x7*x8 + x1 + x2 + x3 + x4 + x5 + x6", 2, 8, True),  # 325,376
+        ("+".join(f"x{i}" for i in range(1, 10)), 2, 9, False),  # 1,436,672
+        ("+".join(f"x{i}" for i in range(1, 7)), 3, 6, False),  # 1,589,220
+        ("+".join(f"x{i}" for i in range(1, 11)), 2, 10, False),  # 6,280,192
+    ],
+)
+def test_analyze_reports_work_is_bounded(capsys, poly, p, n, answers):
+    # the bound counts the c-vector passes of the oracles at orders 1..n
+    start = time.perf_counter()
+    code, out = run(capsys, "analyze", "--json", "--reports", "--poly", poly,
+                    "--p", str(p), "--n", str(n))
+    elapsed = time.perf_counter() - start
+    if answers:
+        assert code == EXIT_OK
+        assert len(json.loads(out)["reports"]) == n
+        assert elapsed < 2.0
+    else:
+        assert (code, out) == (EXIT_LIMIT, "")
+        assert elapsed < 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -370,19 +395,22 @@ def test_search_unmet_within_budget_reports_best(capsys):
 
 
 @pytest.mark.parametrize("p,n,text", [(2, 4, "x1 + x2 + x3*x4"), (3, 3, "x1 + x2*x3")])
-def test_search_cost_counts_failing_tuples_and_imbalance(p, n, text):
-    # the climb's cost is (_imbalance, FailingTupleCounter.count)
-    def cost(f, t):
-        return (_imbalance(f), FailingTupleCounter(f, t).count)
-
+def test_search_cost_counts_failing_tuples(p, n, text):
+    # the climb's cost is FailingTupleCounter.count
     subjects = [parse_polynomial(text, p, n)] + [random_function(p, n, seed=s) for s in range(3)]
     for f in subjects:
-        counts = Counter(f.table)
-        imbalance = sum(abs(counts[v] - p ** (n - 1)) for v in range(p))
-        assert cost(f, 0) == (imbalance, 0)
+        assert FailingTupleCounter(f, 0).count == 0
         for target in range(1, n + 1):
             failing = len(helpers.failing_tuples_scan(f, target))
-            assert cost(f, target) == (imbalance, failing)
+            assert FailingTupleCounter(f, target).count == failing
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (2, 6), (3, 4), (5, 2), (7, 2)])
+def test_resilient_search_start_is_balanced(p, n):
+    # why the cost charges no imbalance: swaps keep this start's multiset
+    rng = random.Random(p * n)
+    for _ in range(5):
+        assert is_balanced(_search_start(rng, p, n, resilient=True))
 
 
 # SHA-256 of the whole `search --json` stdout: found and unmet targets,

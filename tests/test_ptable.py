@@ -28,7 +28,7 @@ from cispectra import (
     shift_output,
     write_table,
 )
-from cispectra.ptable import _joint_counts, digit_rows, evaluate_terms
+from cispectra.ptable import _joint_counts, _weighted_digits, digit_rows, evaluate_terms
 
 import helpers
 
@@ -329,6 +329,21 @@ def test_joint_counts_match_brute_force(p, n, tuples):
             )
             expected = [want[(w, v)] for w in range(p ** len(indices)) for v in range(p)]
             assert _joint_counts(f, indices) == expected
+
+
+@pytest.mark.parametrize(
+    "p,n,weights",
+    [
+        (2, 4, [(3, 1), (1, 2), (4, 0), (2, 1)]),
+        (3, 3, [(1, 2), (2, 2), (3, 2)]),
+        (5, 2, [(2, 25), (1, 7)]),
+        (3, 2, [(1, 0), (2, 0)]),
+        (3, 2, []),
+    ],
+)
+def test_weighted_digits_match_point_sums(p, n, weights):
+    want = [sum(w * x[i - 1] for i, w in weights) for x in helpers.points(p, n)]
+    assert _weighted_digits(p, n, weights) == want
 
 
 # ---------------------------------------------------------------------------

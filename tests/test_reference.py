@@ -29,9 +29,11 @@ from cispectra.reference import (
     matrix_test,
     orthogonal_array_test,
     orthogonal_array_witness,
+    _linear_fold,
     _weighted_vectors,
 )
 from cispectra import is_balanced
+from cispectra import reference
 
 import helpers
 
@@ -238,6 +240,86 @@ def test_matrix_test_matches_definition():
         if not ok:
             assert isinstance(witness, CountMatrix)
             assert not witness.rows_identical()
+
+
+def _check_values(f, shifts):
+    """count_matrix, both Chrestenson sums and the linear witness's per-shift
+    folds against the per-point references at every c in F_p^n, with
+    chrestenson_linear taken on shift_output(f, a) for each a in shifts."""
+    p = f.p
+    for c in product(range(p), repeat=f.n):
+        cm = count_matrix(f, c)
+        assert cm.entries == helpers.count_matrix_points(f, c)
+        assert chrestenson_cyclic(f, c) == helpers.cyclic_sum_points(f, c)
+        linear = [helpers.linear_sum_points(f, c, a) for a in range(p)]
+        assert [_linear_fold(cm, a) for a in range(p)] == linear
+        for a in shifts:
+            assert chrestenson_linear(shift_output(f, a), c) == linear[a]
+
+
+def _check_witnesses(f):
+    """The three witnesses at every order against scans of the per-point
+    references; each scan stops at its first failure, as the oracle does."""
+    p, n = f.p, f.n
+    for m in range(1, n + 1):
+        cs = list(_weighted_vectors(p, n, m))
+        assert chrestenson_cyclic_witness(f, m) == next(
+            (c for c in cs if not helpers.cyclic_sum_points(f, c).is_zero()), None)
+        assert chrestenson_linear_witness(f, m) == next(
+            ((c, a) for c in cs for a in range(p)
+             if not helpers.linear_sum_points(f, c, a).is_zero()), None)
+        c = next((c for c in cs if len(set(helpers.count_matrix_points(f, c))) > 1), None)
+        ok, cm = matrix_test(f, m)
+        assert ok == (c is None)
+        if c is not None:
+            assert (cm.c, cm.entries) == (c, helpers.count_matrix_points(f, c))
+
+
+@pytest.mark.parametrize("p,n,values", [(2, 3, True), (3, 2, False)])
+def test_fourier_oracles_match_point_sums_exhaustive(p, n, values):
+    # values at every c only at (2,3): (3,2) has 19,683 functions, and its
+    # witnesses reach each fold up to the first failing c.  A whole family
+    # is closed under output shifts, so shift 0 of every member covers
+    # chrestenson_linear(shift_output(f, a), c) for every (f, a).
+    for f in all_functions(p, n):
+        if values:
+            _check_values(f, (0,))
+        _check_witnesses(f)
+
+
+@pytest.mark.parametrize("p,n", [(5, 2), (3, 3), (7, 2)])
+def test_fourier_oracles_match_point_sums_on_seeded_tables(p, n):
+    # the linear form is immune to every order below n, so each witness
+    # scans every c of weight 1..n-1
+    linear = parse_polynomial("+".join(f"x{i}" for i in range(1, n + 1)), p, n)
+    for f in [linear] + [random_function(p, n, seed=s) for s in range(4)]:
+        _check_values(f, range(p))
+        _check_witnesses(f)
+
+
+def test_fourier_oracles_make_one_digit_pass_per_c(monkeypatch):
+    # x1 + x2 + x3 over F_3 is 2-CI, so each oracle evaluates every c of
+    # weight 1..2 and returns no witness
+    f = parse_polynomial("x1 + x2 + x3", 3, 3)
+    passes = []
+    weighted_digits = reference._weighted_digits
+    monkeypatch.setattr(
+        reference, "_weighted_digits",
+        lambda p, n, weights: passes.append(1) or weighted_digits(p, n, weights))
+    builds = []
+    post_init = PFunction.__post_init__
+    monkeypatch.setattr(
+        PFunction, "__post_init__", lambda self: builds.append(1) or post_init(self))
+    evaluated = len(list(_weighted_vectors(3, 3, 2)))
+    assert chrestenson_cyclic_witness(f, 2) is None
+    assert len(passes) == evaluated
+    passes.clear()
+    assert chrestenson_linear_witness(f, 2) is None
+    assert len(passes) == evaluated
+    assert builds == []
+    passes.clear()
+    assert matrix_test(f, 2) == (True, None)
+    assert len(passes) == evaluated
 
 
 # ---------------------------------------------------------------------------
