@@ -203,8 +203,10 @@ def cmd_spectrum(args) -> int:
         )
     tuples = _parse_tuples(args, m, f.n)
     # orbit[0] is the value at p^(n-m) itself; the CI-relevant vanishing is
-    # the whole orbit (indices a*p^(n-m), a = 1..p-1).
-    results = [(t, spectral.exact_spectrum_conjugates(f, m, t)) for t in tuples]
+    # the whole orbit (indices a*p^(n-m), a = 1..p-1).  A repeated tuple is
+    # evaluated once.
+    orbits = {t: spectral.exact_spectrum_conjugates(f, m, t) for t in dict.fromkeys(tuples)}
+    results = [(t, orbits[t]) for t in tuples]
     if args.json:
         print(
             json.dumps(
@@ -362,54 +364,46 @@ def cmd_search(args) -> int:
             print(f"seed = {seed}")
             print(f"infeasible: {infeasible}")
         return EXIT_UNMET
-    # the climb's counter holds the joint counts of every target-subset
+    # the climb's counter holds the joint counts of every target-subset and
+    # of every (target-1)-subset
     cells = math.comb(n, target) * p ** (target + 1)
+    if target:
+        cells += math.comb(n, target - 1) * p**target
     if cells > limit:
         raise SizeLimitError(
-            f"--target-ci {target} at p = {p}, n = {n} keeps {cells} joint counts, "
-            f"above the size limit {limit}"
+            f"--target-ci {target} at p = {p}, n = {n} keeps {cells} joint counts "
+            f"over its {target}- and {target - 1}-variable subsets, above the size limit {limit}"
         )
 
     rng = random.Random(seed)
     stall_limit = 8 * p**n
     evals = 0
     best: tuple[int, tuple[int, ...]] | None = None
-    found = None
-    while evals < args.budget and found is None:
-        # a resilient start is balanced and swaps keep it so; the cost is
-        # the failing-tuple count alone
-        f = _search_start(rng, p, n, args.resilient)
-        counter = spectral.FailingTupleCounter(f, target)
-        table = counter.table
-        cost = counter.count
-        evals += 1
-        if best is None or cost < best[0]:
-            best = (cost, f.table)
-        if cost == 0:
-            found = f.table
-            break
-        stall = 0
-        while evals < args.budget and stall < stall_limit:
-            c2 = counter.apply(_search_mutate(rng, table, p, args.resilient))
-            evals += 1
+    stall = stall_limit  # the first pass starts a climb
+    while evals < args.budget and (best is None or best[0] > 0):
+        if stall == stall_limit:
+            # a resilient start is balanced and swaps keep it so; the cost
+            # is the failing-tuple count alone
+            f = _search_start(rng, p, n, args.resilient)
+            counter = spectral.FailingTupleCounter(f, target)
+            cost, stall = counter.count, 0
+        else:
+            c2 = counter.apply(_search_mutate(rng, counter.table, p, args.resilient))
             if c2 < cost:
-                cost = c2
-                stall = 0
-                if cost < best[0]:
-                    best = (cost, tuple(table))
-                if cost == 0:
-                    found = tuple(table)
-                    break
+                cost, stall = c2, 0
             else:
                 counter.undo()
                 stall += 1
+        evals += 1
+        if best is None or cost < best[0]:
+            best = (cost, tuple(counter.table))
 
-    result = PFunction(p, n, found if found is not None else best[1])
+    result = PFunction(p, n, best[1])
     # the claim must survive the full library tests, not just the cost function;
     # target <= n - 1 when resilient, where the order decides is_resilient
     analysis = analyze_function(result)
     met = (
-        found is not None
+        best[0] == 0
         and analysis.ci_order >= target
         and (not args.resilient or analysis.resiliency_order >= target)
     )

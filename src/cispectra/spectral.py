@@ -33,9 +33,11 @@ lives on the frequency stratum gcd(j, N) = p^(n-m):
     once, and first_failing_tuple (the witness of the consensus "spectral"
     method) reads each at most once.  The number of failing ordered tuples
     is (m-1)! times the number of failing (subset, axis) pairs, which
-    FailingTupleCounter keeps current for the search climb.  These
-    collapses and the orbit criterion are validated in the test suite
-    against an ordered scan of the exact values and the counting oracles;
+    FailingTupleCounter keeps current for the search climb from square
+    sums alone: the axis of x in S fails iff p * SS(S) != SS(S - {x}), SS
+    being the sum of squared joint counts.  These collapses and the orbit
+    criterion are validated in the test suite against an ordered scan of
+    the exact values and the counting oracles;
   * for a symmetric f every tuple gives the same values, so one subset per
     order decides (is_ci_symmetric, ci_order_symmetric).  One *location*
     decides only at p = 2; for p > 2 the whole conjugate orbit at that
@@ -215,14 +217,15 @@ class FailingTupleCounter:
 
     An ordered tuple fails iff the joint counts over its variable set change
     along its top variable, and the other m-1 variables can be ordered in
-    (m-1)! ways.  So the count is (m-1)! times the number of failing
-    (subset, axis) pairs.  The counter holds the joint counts of each of the
-    C(n, m) subsets, C(n, m) * p^(m+1) cells in all, and its number of
-    failing axes.  A point change moves one cell per subset, but apply
-    re-tests every axis of every subset over its whole count list: a move
-    costs O(C(n, m) * m * p^(m+1)) comparisons (about 12 ms at p = 97,
-    n = 2, m = 2), though never a pass over the p^n table.  m = 0 counts
-    no tuples.
+    (m-1)! ways, so the count is (m-1)! times the number of failing
+    (subset, axis) pairs.  The only state is counts: the joint counts of
+    the C(n, m) m-subsets and of the C(n, m-1) (m-1)-subsets, and for each
+    subset T the sum of squares SS(T) = sum cm_T^2.  The axis of x in S
+    fails iff p * SS(S) != SS(S - {x}): on each line of p counts a_d along
+    x, p * sum a_d^2 >= (sum a_d)^2 with equality iff all a_d are equal
+    (Cauchy-Schwarz), and the line sums are the counts over S - {x}.  A move
+    costs C(n, m) + C(n, m-1) cell pairs, each moving its SS by O(1), and
+    C(n, m) * m integer comparisons.  m = 0 counts no tuples.
 
     `table` is the current table as a list; change it only through apply
     and undo.
@@ -233,35 +236,40 @@ class FailingTupleCounter:
             raise ValueError(f"m must be in 0..{f.n}, got {m}")
         p = f.p
         self.p = p
-        self.m = m
         self.table = list(f.table)
         self._rows = digit_rows(p, f.n)
-        subsets = list(combinations(range(1, f.n + 1), m))
+        variables = range(1, f.n + 1)
+        subsets = list(combinations(variables, m))
+        every = subsets + (list(combinations(variables, m - 1)) if m else [])
+        at = {sub: i for i, sub in enumerate(every)}
+        # (S, S without its r-th variable) for every axis r of every m-subset S
+        self._axes = [(i, at[s[:r] + s[r + 1 :]]) for i, s in enumerate(subsets) for r in range(m)]
         # in the counts of a subset whose r-th variable is s, digit x_s of a
         # point has stride p^(r+1) and the output value has stride 1
-        self._strides = [[(s - 1, p ** (r + 1)) for r, s in enumerate(sub)] for sub in subsets]
-        self._counts = [_joint_counts(f, sub) for sub in subsets]
-        self._failing = self._failing_axes()
+        self._strides = [[(s - 1, p ** (r + 1)) for r, s in enumerate(sub)] for sub in every]
+        self._counts = [_joint_counts(f, sub) for sub in every]
+        self._squares = [sum([c * c for c in cm]) for cm in self._counts]
         self._orderings = factorial(m - 1) if m else 0
-        self._undo: tuple[list[int], list[tuple[int, int]]] | None = None
-
-    def _failing_axes(self) -> list[int]:
-        """Number of axes r of each subset along which its counts change."""
-        p, axes = self.p, range(self.m)
-        return [sum([_axis_changes(cm, p, r) for r in axes]) for cm in self._counts]
+        self._undo: list[tuple[int, int]] | None = None
 
     @property
     def count(self) -> int:
-        return self._orderings * sum(self._failing)
+        p, ss = self.p, self._squares
+        return self._orderings * sum([p * ss[i] != ss[j] for i, j in self._axes])
 
     def _move(self, k: int, v: int):
-        """Set table[k] = v, moving one joint count per subset."""
+        """Set table[k] = v, moving one joint count and its SS per subset."""
         old = self.table[k]
+        if old == v:
+            return  # the SS update below needs two distinct cells
         digits = [row[k] for row in self._rows]
-        for strides, cm in zip(self._strides, self._counts):
+        ss = self._squares
+        for i, (strides, cm) in enumerate(zip(self._strides, self._counts)):
             base = 0
-            for i, stride in strides:
-                base += digits[i] * stride
+            for j, stride in strides:
+                base += digits[j] * stride
+            # (a-1)^2 + (b+1)^2 - a^2 - b^2 for a = cm[base+old], b = cm[base+v]
+            ss[i] += 2 * (cm[base + v] - cm[base + old] + 1)
             cm[base + old] -= 1
             cm[base + v] += 1
         self.table[k] = v
@@ -271,20 +279,17 @@ class FailingTupleCounter:
 
         undo reverts the last apply.
         """
-        self._undo = (self._failing, [(k, self.table[k]) for k, _ in changes])
+        self._undo = [(k, self.table[k]) for k, _ in changes]
         for k, v in changes:
             self._move(k, v)
-        self._failing = self._failing_axes()
         return self.count
 
     def undo(self):
-        """Revert the last apply, restoring the saved failing axes."""
+        """Revert the last apply by replaying the values it overwrote."""
         if self._undo is None:
             raise ValueError("nothing to undo")
-        failing, previous = self._undo
-        for k, v in reversed(previous):
+        for k, v in self._undo:
             self._move(k, v)
-        self._failing = failing
         self._undo = None
 
 

@@ -29,6 +29,7 @@ from cispectra.cli import (
     analyze_function,
     main,
 )
+from cispectra import spectral
 from cispectra.spectral import FailingTupleCounter, ci_order, resiliency_order
 
 import helpers
@@ -242,6 +243,25 @@ def test_spectrum_exact_at_work_is_bounded(capsys, monkeypatch, p, max_n, code):
         obj = json.loads(out)
         assert obj["critical_index"] == 1
         assert obj["results"][0]["orbit_zero"] is False  # x1 is not 1-CI
+
+
+def test_spectrum_repeated_tuple_is_evaluated_once(capsys, monkeypatch):
+    calls = []
+    real = spectral._joint_counts
+
+    def counting(f, indices):
+        calls.append(tuple(indices))
+        return real(f, indices)
+
+    monkeypatch.setattr(spectral, "_joint_counts", counting)
+    code, out = run(
+        capsys, "spectrum", "--poly", helpers.E2_E3_POLY, "--p", "3", "--n", "4",
+        "--exact-at", "2", *["--tuple", "1,2"] * 40,
+    )
+    assert code == EXIT_OK
+    assert calls == [(1, 2)]
+    results = out.splitlines()[1:]
+    assert len(results) == 40 and len(set(results)) == 1
 
 
 def test_spectrum_tuple_validation(capsys):
@@ -478,13 +498,15 @@ def test_search_evaluations_do_not_rescan_ordered_tuples(capsys, args, evaluatio
 @pytest.mark.parametrize(
     "args,env,code",
     [
-        # C(19, 9) * 2^10 = 94.6M joint counts
+        # C(19, 9) * 2^10 + C(19, 8) * 2^9 = 133.3M joint counts
         ("--p 2 --n 19 --target-ci 9 --budget 1", None, EXIT_LIMIT),
-        # 97^3 = 912,673 and 101^3 = 1,030,301
+        # 97^3 + 2 * 97^2 = 931,491 and 101^3 + 2 * 101^2 = 1,050,703
         ("--p 97 --n 2 --target-ci 2 --budget 1", None, EXIT_UNMET),
         ("--p 101 --n 2 --target-ci 2 --budget 1", None, EXIT_LIMIT),
         ("--p 101 --n 2 --target-ci 2 --budget 1", "2000000", EXIT_UNMET),
-        # C(10, 5) * 2^6 = 16,128
+        # the 2 * 97^2 counts of the 1-subsets tip 97^3 over this limit
+        ("--p 97 --n 2 --target-ci 2 --budget 1", "920000", EXIT_LIMIT),
+        # C(10, 5) * 2^6 + C(10, 4) * 2^5 = 22,848
         ("--p 2 --n 10 --target-ci 5 --budget 1", "10000", EXIT_LIMIT),
     ],
 )
@@ -494,6 +516,28 @@ def test_search_counter_size_is_bounded_before_any_table(capsys, monkeypatch, ar
     start = time.perf_counter()
     assert run(capsys, "search", "--json", *args.split())[0] == code
     assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("args,code,digest", PINNED_SEARCHES)
+def test_search_climb_reads_only_counts(capsys, monkeypatch, args, code, digest):
+    # the climb decides each axis from square sums, never by comparing rows
+    def refuse(*_):
+        raise AssertionError("the climb compared count rows")
+
+    monkeypatch.setattr(spectral, "_axis_changes", refuse)
+    got_code, out = run(capsys, "search", "--json", *args.split())
+    assert got_code == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_search_move_is_constant_time_in_the_counts(capsys):
+    # 2,000 moves over 931,491 joint counts: a move must not scan them
+    start = time.perf_counter()
+    code, out = run(capsys, "search", "--json", "--p", "97", "--n", "2", "--target-ci", "2",
+                    "--budget", "2000")
+    assert time.perf_counter() - start < 2.0
+    assert code == EXIT_UNMET
+    assert json.loads(out)["evaluations"] == 2000
 
 
 def test_search_is_deterministic(capsys, tmp_path):

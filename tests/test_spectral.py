@@ -20,6 +20,7 @@ from cispectra import (
     Permutation,
     SizeLimitError,
     VariableTuple,
+    all_functions,
     apply_permutation,
     consensus,
     critical_index,
@@ -376,7 +377,7 @@ def _check_counter(counter_cls, p, n, m, seed, steps=25):
             assert tuple(counter.table) == before
             fresh = counter_cls(PFunction(p, n, before), m)
             assert counter._counts == fresh._counts
-            assert counter._failing == fresh._failing
+            assert counter._squares == fresh._squares
             assert counter.count == fresh.count
 
 
@@ -387,15 +388,68 @@ def test_failing_tuple_counter_tracks_the_tuple_scan(p, n):
 
 
 class _TopAxisOnly(spectral.FailingTupleCounter):
-    """Mutant: tests only the top axis of each subset."""
+    """Mutant: keeps only the top axis of each subset."""
 
-    def _failing_axes(self):
-        return [int(spectral._axis_changes(cm, self.p, self.m - 1)) for cm in self._counts]
+    def __init__(self, f, m):
+        super().__init__(f, m)
+        self._axes = self._axes[m - 1 :: m]
 
 
 def test_failing_tuple_counter_check_catches_a_top_axis_mutant():
     with pytest.raises(AssertionError):
         _check_counter(_TopAxisOnly, 2, 4, 2, seed=1)
+
+
+def _failing_axis_count(f, m):
+    """(m-1)! times the (subset, axis) pairs along which the joint counts
+    change, read with _axis_changes."""
+    pairs = sum(
+        spectral._axis_changes(spectral._joint_counts(f, s), f.p, r)
+        for s in combinations(range(1, f.n + 1), m)
+        for r in range(m)
+    )
+    return math.factorial(m - 1) * pairs if m else 0
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 2)])
+def test_failing_tuple_counter_matches_axis_changes_exhaustive(p, n):
+    # p * SS(S) == SS(S - {x}) decides each axis exactly as _axis_changes
+    start = time.perf_counter()
+    rng = random.Random(p * n)
+    for m in range(n + 1):
+        want = {f.table: _failing_axis_count(f, m) for f in all_functions(p, n)}
+        for table, count in want.items():
+            counter = spectral.FailingTupleCounter(PFunction(p, n, table), m)
+            assert counter.count == count
+            assert counter.apply(_random_move(rng, counter.table, p)) == want[tuple(counter.table)]
+            counter.undo()
+            assert tuple(counter.table) == table
+            assert counter.count == count
+    assert time.perf_counter() - start < 5.0
+
+
+def test_failing_tuple_counter_same_value_and_repeated_index():
+    f = random_function(3, 3, seed=5)
+    k, j = 7, 20
+    for m in range(f.n + 1):
+        counter = spectral.FailingTupleCounter(f, m)
+        count, squares = counter.count, list(counter._squares)
+        # a change to the value already there is a no-op
+        assert counter.apply([(k, f.table[k])]) == count
+        assert counter._squares == squares
+        counter.undo()
+        assert counter._squares == squares
+        moves = [(k, (f.table[k] + 1) % 3), (j, (f.table[j] + 1) % 3), (k, (f.table[k] + 2) % 3)]
+        got = counter.apply(moves)
+        moved = PFunction(3, 3, tuple(counter.table))
+        assert counter.table[k] == (f.table[k] + 2) % 3
+        assert got == spectral.FailingTupleCounter(moved, m).count
+        counter.undo()
+        fresh = spectral.FailingTupleCounter(f, m)
+        assert tuple(counter.table) == f.table
+        assert counter._counts == fresh._counts
+        assert counter._squares == fresh._squares == squares
+        assert counter.count == count
 
 
 def test_failing_tuple_counter_edges():
