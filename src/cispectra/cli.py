@@ -36,6 +36,7 @@ from .ptable import (
     VariableTuple,
     _check_p_n,
     _exceeds,
+    _random_table,
     all_functions,
     is_balanced,
     is_symmetric,
@@ -264,10 +265,7 @@ def cmd_crosscheck(args) -> int:
             )
         seed = args.seed if args.seed is not None else DEFAULT_SEED
         rng = random.Random(seed)
-        funcs = (
-            PFunction(p, n, tuple(rng.randrange(p) for _ in range(size)))
-            for _ in range(args.random)
-        )
+        funcs = (_random_table(rng, p, n) for _ in range(args.random))
     ci_counts = {name: 0 for name in reference.METHOD_NAMES}
     checked = 0
     disagreements = 0
@@ -315,12 +313,11 @@ def cmd_crosscheck(args) -> int:
 
 
 def _search_start(rng: random.Random, p: int, n: int, resilient: bool) -> PFunction:
-    size = p**n
-    if resilient:
-        values = [v for v in range(p) for _ in range(size // p)]
-        rng.shuffle(values)
-        return PFunction(p, n, tuple(values))
-    return PFunction(p, n, tuple(rng.randrange(p) for _ in range(size)))
+    if not resilient:
+        return _random_table(rng, p, n)
+    values = [v for v in range(p) for _ in range(p ** (n - 1))]
+    rng.shuffle(values)
+    return PFunction(p, n, tuple(values))
 
 
 def _search_mutate(
@@ -337,6 +334,14 @@ def _search_mutate(
                 return [(i, table[j]), (j, table[i])]
     i = rng.randrange(len(table))
     return [(i, (table[i] + rng.randrange(1, p)) % p)]
+
+
+def _better(best, climb):
+    """best as (cost, table), replaced by the ended climb's if that costs
+    less.  A climb accepts only lower costs, so its last table is its best."""
+    if climb is None or (best is not None and best[0] <= climb.cost):
+        return best
+    return climb.cost, tuple(climb.table)
 
 
 def cmd_search(args) -> int:
@@ -364,39 +369,36 @@ def cmd_search(args) -> int:
             print(f"seed = {seed}")
             print(f"infeasible: {infeasible}")
         return EXIT_UNMET
-    # the climb's counter holds the joint counts of every target-subset and
-    # of every (target-1)-subset
-    cells = math.comb(n, target) * p ** (target + 1)
-    if target:
-        cells += math.comb(n, target - 1) * p**target
+    # the climb's cost holds the joint counts of every target-subset and the
+    # output histogram
+    cells = math.comb(n, target) * p ** (target + 1) + p
     if cells > limit:
         raise SizeLimitError(
             f"--target-ci {target} at p = {p}, n = {n} keeps {cells} joint counts "
-            f"over its {target}- and {target - 1}-variable subsets, above the size limit {limit}"
+            f"over its {target}-variable subsets and outputs, above the size limit {limit}"
         )
 
     rng = random.Random(seed)
     stall_limit = 8 * p**n
     evals = 0
-    best: tuple[int, tuple[int, ...]] | None = None
+    best = climb = None
     stall = stall_limit  # the first pass starts a climb
-    while evals < args.budget and (best is None or best[0] > 0):
+    while evals < args.budget and (climb is None or climb.cost > 0):
         if stall == stall_limit:
-            # a resilient start is balanced and swaps keep it so; the cost
-            # is the failing-tuple count alone
-            f = _search_start(rng, p, n, args.resilient)
-            counter = spectral.FailingTupleCounter(f, target)
-            cost, stall = counter.count, 0
+            best = _better(best, climb)
+            # a resilient start is balanced and swaps keep it so, so the cost
+            # charges no imbalance
+            climb = spectral.ParsevalCost(_search_start(rng, p, n, args.resilient), target)
+            stall = 0
         else:
-            c2 = counter.apply(_search_mutate(rng, counter.table, p, args.resilient))
-            if c2 < cost:
-                cost, stall = c2, 0
+            cost = climb.cost
+            if climb.apply(_search_mutate(rng, climb.table, p, args.resilient)) < cost:
+                stall = 0
             else:
-                counter.undo()
+                climb.undo()
                 stall += 1
         evals += 1
-        if best is None or cost < best[0]:
-            best = (cost, tuple(counter.table))
+    best = _better(best, climb)
 
     result = PFunction(p, n, best[1])
     # the claim must survive the full library tests, not just the cost function;

@@ -490,7 +490,11 @@ def random_function(p: int, n: int, seed: int) -> PFunction:
     on every platform.
     """
     _check_p_n(p, n, MAX_TABLE_ENTRIES)
-    rng = random.Random(seed)
+    return _random_table(random.Random(seed), p, n)
+
+
+def _random_table(rng: random.Random, p: int, n: int) -> PFunction:
+    """A table of p^n draws rng.randrange(p), in table order."""
     return PFunction(p, n, tuple(rng.randrange(p) for _ in range(p**n)))
 
 

@@ -31,11 +31,10 @@ lives on the frequency stratum gcd(j, N) = p^(n-m):
     Every ordering of S passes iff all rows of those counts are equal
     (_rows_equal), so is_ci and ci_order read each of the C(n, m) subsets
     once, and first_failing_tuple (the witness of the consensus "spectral"
-    method) reads each at most once.  The number of failing ordered tuples
-    is (m-1)! times the number of failing (subset, axis) pairs, which
-    FailingTupleCounter keeps current for the search climb from square
-    sums alone: the axis of x in S fails iff p * SS(S) != SS(S - {x}), SS
-    being the sum of squared joint counts.  These collapses and the orbit
+    method) reads each at most once.  The search climb scores a table by
+    ParsevalCost, p^m * sum over m-subsets S of SS(S) - C(n, m) * SS(empty
+    set), SS being the sum of squared joint counts; it is zero exactly when
+    every m-subset has equal rows.  These collapses and the orbit
     criterion are validated in the test suite against an ordered scan of
     the exact values and the counting oracles;
   * for a symmetric f every tuple gives the same values, so one subset per
@@ -63,7 +62,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
-from math import factorial
 
 import numpy as np
 
@@ -212,20 +210,20 @@ def first_failing_tuple(f: PFunction, m: int) -> VariableTuple | None:
     return None
 
 
-class FailingTupleCounter:
-    """Number of failing ordered m-tuples, kept current while entries change.
+class ParsevalCost:
+    """The search climb's cost p^m * sum_S SS(S) - C(n, m) * SS(empty set),
+    kept current while entries change.
 
-    An ordered tuple fails iff the joint counts over its variable set change
-    along its top variable, and the other m-1 variables can be ordered in
-    (m-1)! ways, so the count is (m-1)! times the number of failing
-    (subset, axis) pairs.  The only state is counts: the joint counts of
-    the C(n, m) m-subsets and of the C(n, m-1) (m-1)-subsets, and for each
-    subset T the sum of squares SS(T) = sum cm_T^2.  The axis of x in S
-    fails iff p * SS(S) != SS(S - {x}): on each line of p counts a_d along
-    x, p * sum a_d^2 >= (sum a_d)^2 with equality iff all a_d are equal
-    (Cauchy-Schwarz), and the line sums are the counts over S - {x}.  A move
-    costs C(n, m) + C(n, m-1) cell pairs, each moving its SS by O(1), and
-    C(n, m) * m integer comparisons.  m = 0 counts no tuples.
+    S runs over the m-subsets, SS(T) is the sum of the squared joint counts
+    cm_T of (x_T, f(x)), and the empty set's counts are the histogram.  The
+    state is those C(n, m) + 1 count lists and the running cost.  The cost
+    is >= 0 and is 0 iff f is m-CI: over the p^m rows w of cm_S,
+    p^m * sum_w cm_S[w, v]^2 >= hist[v]^2 (Cauchy-Schwarz), with equality iff
+    column v is constant.  By Parseval over x_S it equals the sum over v and
+    over c with 1 <= wt(c) <= m of
+    C(n - wt(c), m - wt(c)) * |sum_{x : f(x) = v} omega^(c.x)|^2.
+    A changed entry moves one cell pair in each of the C(n, m) + 1 count
+    lists, and so each SS by O(1).  m = 0 gives cost 0.
 
     `table` is the current table as a list; change it only through apply
     and undo.
@@ -235,54 +233,46 @@ class FailingTupleCounter:
         if not 0 <= m <= f.n:
             raise ValueError(f"m must be in 0..{f.n}, got {m}")
         p = f.p
-        self.p = p
         self.table = list(f.table)
         self._rows = digit_rows(p, f.n)
-        variables = range(1, f.n + 1)
-        subsets = list(combinations(variables, m))
-        every = subsets + (list(combinations(variables, m - 1)) if m else [])
-        at = {sub: i for i, sub in enumerate(every)}
-        # (S, S without its r-th variable) for every axis r of every m-subset S
-        self._axes = [(i, at[s[:r] + s[r + 1 :]]) for i, s in enumerate(subsets) for r in range(m)]
+        # the m-subsets, then the empty set (the histogram)
+        tracked = list(combinations(range(1, f.n + 1), m))
+        self._weights = [p**m] * len(tracked) + [-len(tracked)]
+        tracked.append(())
         # in the counts of a subset whose r-th variable is s, digit x_s of a
         # point has stride p^(r+1) and the output value has stride 1
-        self._strides = [[(s - 1, p ** (r + 1)) for r, s in enumerate(sub)] for sub in every]
-        self._counts = [_joint_counts(f, sub) for sub in every]
-        self._squares = [sum([c * c for c in cm]) for cm in self._counts]
-        self._orderings = factorial(m - 1) if m else 0
+        self._strides = [[(s - 1, p ** (r + 1)) for r, s in enumerate(sub)] for sub in tracked]
+        self._counts = [_joint_counts(f, sub) for sub in tracked]
+        self.cost = sum(w * sum([c * c for c in cm]) for w, cm in zip(self._weights, self._counts))
         self._undo: list[tuple[int, int]] | None = None
 
-    @property
-    def count(self) -> int:
-        p, ss = self.p, self._squares
-        return self._orderings * sum([p * ss[i] != ss[j] for i, j in self._axes])
-
     def _move(self, k: int, v: int):
-        """Set table[k] = v, moving one joint count and its SS per subset."""
+        """Set table[k] = v, moving one joint count pair per count list."""
         old = self.table[k]
         if old == v:
             return  # the SS update below needs two distinct cells
         digits = [row[k] for row in self._rows]
-        ss = self._squares
-        for i, (strides, cm) in enumerate(zip(self._strides, self._counts)):
+        delta = 0
+        for strides, cm, weight in zip(self._strides, self._counts, self._weights):
             base = 0
             for j, stride in strides:
                 base += digits[j] * stride
             # (a-1)^2 + (b+1)^2 - a^2 - b^2 for a = cm[base+old], b = cm[base+v]
-            ss[i] += 2 * (cm[base + v] - cm[base + old] + 1)
+            delta += weight * (cm[base + v] - cm[base + old] + 1)
             cm[base + old] -= 1
             cm[base + v] += 1
+        self.cost += 2 * delta
         self.table[k] = v
 
     def apply(self, changes) -> int:
-        """Set table[k] = v for each (k, v) in order; return the new count.
+        """Set table[k] = v for each (k, v) in order; return the new cost.
 
         undo reverts the last apply.
         """
         self._undo = [(k, self.table[k]) for k, _ in changes]
         for k, v in changes:
             self._move(k, v)
-        return self.count
+        return self.cost
 
     def undo(self):
         """Revert the last apply by replaying the values it overwrote."""

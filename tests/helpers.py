@@ -93,6 +93,20 @@ def ci_by_fractions(f: PFunction, m: int) -> bool:
     return True
 
 
+def parseval_cost_points(f: PFunction, m: int) -> int:
+    """p^m * sum over m-subsets S of sum cm_S^2 - C(n, m) * sum hist^2, with
+    the joint counts cm_S of (x_S, f(x)) and the histogram tallied over
+    enumerated points."""
+    pts = _point_list(f.p, f.n)
+    subsets = list(combinations(range(f.n), m))
+    hist = Counter(f.table)
+    total = -len(subsets) * sum(c * c for c in hist.values())
+    for s in subsets:
+        cm = Counter((tuple(x[i] for i in s), v) for x, v in zip(pts, f.table))
+        total += f.p**m * sum(c * c for c in cm.values())
+    return total
+
+
 def walsh_coeff(f: PFunction, c) -> int:
     """Classical Walsh-Hadamard sum sum_x (-1)^(f(x) + c.x), p = 2 only."""
     assert f.p == 2
@@ -179,8 +193,8 @@ def is_symmetric_loop(f: PFunction) -> bool:
 
 
 def failing_tuples_scan(f: PFunction, m: int) -> list[tuple[int, ...]]:
-    """Ordered-scan reference for spectral.first_failing_tuple and
-    FailingTupleCounter: every ordered m-tuple, in lexicographic order, at
+    """Ordered-scan reference for spectral.first_failing_tuple and for the
+    zeros of ParsevalCost: every ordered m-tuple, in lexicographic order, at
     which some exact critical-stratum value is nonzero (the paper's
     criterion, evaluated tuple by tuple)."""
     return [

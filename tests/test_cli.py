@@ -12,6 +12,7 @@ import pytest
 
 from cispectra import (
     PFunction,
+    consensus,
     is_balanced,
     parse_polynomial,
     random_function,
@@ -30,7 +31,7 @@ from cispectra.cli import (
     main,
 )
 from cispectra import spectral
-from cispectra.spectral import FailingTupleCounter, ci_order, resiliency_order
+from cispectra.spectral import ParsevalCost, ci_order, resiliency_order
 
 import helpers
 
@@ -415,14 +416,16 @@ def test_search_unmet_within_budget_reports_best(capsys):
 
 
 @pytest.mark.parametrize("p,n,text", [(2, 4, "x1 + x2 + x3*x4"), (3, 3, "x1 + x2*x3")])
-def test_search_cost_counts_failing_tuples(p, n, text):
-    # the climb's cost is FailingTupleCounter.count
+def test_search_cost_vanishes_exactly_at_ci_orders(p, n, text):
+    # the climb's cost is ParsevalCost.cost; it is zero iff no ordered tuple
+    # has a nonzero critical-stratum value
     subjects = [parse_polynomial(text, p, n)] + [random_function(p, n, seed=s) for s in range(3)]
     for f in subjects:
-        assert FailingTupleCounter(f, 0).count == 0
+        assert ParsevalCost(f, 0).cost == 0
         for target in range(1, n + 1):
-            failing = len(helpers.failing_tuples_scan(f, target))
-            assert FailingTupleCounter(f, target).count == failing
+            cost = ParsevalCost(f, target).cost
+            assert cost >= 0
+            assert (cost == 0) == (helpers.failing_tuples_scan(f, target) == [])
 
 
 @pytest.mark.parametrize("p,n", [(2, 3), (2, 6), (3, 4), (5, 2), (7, 2)])
@@ -434,40 +437,45 @@ def test_resilient_search_start_is_balanced(p, n):
 
 
 # SHA-256 of the whole `search --json` stdout: found and unmet targets,
-# resilient or not, p in {2, 3, 5, 7}, target 0 and target n.  The cost
-# values and rng draws fix every trajectory, so these bytes may not move
-# when the climb is made faster.
+# resilient or not, p in {2, 3, 5, 7}, target 0 and target n.  The
+# ParsevalCost values and the rng draws fix every trajectory, so these
+# bytes may not move when the climb is made faster.
 PINNED_SEARCHES = [
     ("--p 2 --n 3 --target-ci 1 --resilient", EXIT_OK,
-     "9b121c051c4a1edafed7f406a6bc16905bdf5c8cc9acf672f9d9713c5027e999"),
+     "91d3b9a91464e0da71fbe7f4ea21af854af406f31d38c671332ad47a27b979ea"),
     ("--p 2 --n 4 --target-ci 1 --seed 3 --budget 2000", EXIT_OK,
-     "a518343e0205280a0aa2e419d613d6c6c69191e5d7629078d015a3c58d64992c"),
-    ("--p 2 --n 4 --target-ci 2 --seed 7 --budget 1000", EXIT_UNMET,
-     "a10984c6f95e9ea983bd5fbf74503cb0a46c02327d72ca32ec85b4cb8caa7ba2"),
+     "a26198aa26e4018d470a6833dfc47e3cbf526636d07f053aab1f85b537fecfe1"),
+    ("--p 2 --n 4 --target-ci 2 --seed 7 --budget 1000", EXIT_OK,
+     "a29b156ad476b3265b9edbffe51287d1336273ca931ae7e86abaaa38e6d8967a"),
     ("--p 2 --n 5 --target-ci 1 --resilient --seed 11 --budget 2000", EXIT_OK,
-     "c70c1da9fa166774a71eb08b54c2380eccd50508921ab08b19b1c0153b4fb69e"),
+     "4115a4ff7f01d53bc3b0516271e64a6a030123772ea15ce92d38a9a0da0e9682"),
     ("--p 2 --n 6 --target-ci 2 --resilient --seed 5 --budget 300", EXIT_UNMET,
-     "0de88e744788a0c2fc00f3ca145cd831082368d06d887591255445aeeaf9037d"),
+     "09012ecf9e9ba43a016a1b9b1d6a1db657beac8c9c969f19a39cb8af4c108a20"),
     ("--p 2 --n 3 --target-ci 2 --resilient --seed 2 --budget 500", EXIT_OK,
-     "601532e4b67371458003041fcf940f5d553a8c50ff6d8b68c03ecdea2320a236"),
+     "025c6129830ea751933d934ab55e972fe42a6bda4cf4963fa2593bbfea1cdd98"),
     ("--p 3 --n 2 --target-ci 1 --seed 5 --budget 500", EXIT_OK,
      "7807a1e09d8d72d6268bb26ce25fc841b46c03ecdc1d881ff5b9f39794641f31"),
     ("--p 3 --n 3 --target-ci 1 --resilient --seed 5 --budget 3000", EXIT_OK,
-     "499db725bd30c7136d2a96f9d7496a845a8c8d65d28497a4b3ce75ea8835f68c"),
+     "e961765920621dc46cdf96c501696f1b97d1f87a362126a34615d0fbd153f583"),
     ("--p 3 --n 4 --target-ci 1 --resilient --seed 8 --budget 800", EXIT_UNMET,
-     "aae0b2f7755b90cef43a0e38eee78aed82770e61305bb8cd12e35a51f133fa76"),
-    ("--p 5 --n 2 --target-ci 1 --seed 6 --budget 1500", EXIT_UNMET,
-     "9142b856987cec919f6badd419c1607ee49f8cbd26a6b017cdb0f0b2447d106c"),
-    ("--p 5 --n 2 --target-ci 1 --resilient --seed 6 --budget 1500", EXIT_UNMET,
-     "568082f83b6585cf7c4b93281bce2df1611ee5ad361d5fadb4932b28ad6bece2"),
+     "36ef8d8234ca1a17623b299927a95b98ac4ceb0f6f3f0094d9df39e3b2be0e2c"),
+    ("--p 5 --n 2 --target-ci 1 --seed 6 --budget 1500", EXIT_OK,
+     "99721e23cc1e0cb1e10a469b150040d008418909f7ae1a53ae9ed43f19e69441"),
+    ("--p 5 --n 2 --target-ci 1 --resilient --seed 6 --budget 1500", EXIT_OK,
+     "cb88a6f1487ff51d56e714b33bfad30c025228fca04c6a54414b3fc9f24cc9a1"),
     ("--p 3 --n 2 --target-ci 0", EXIT_OK,
      "91e6c577eca617ca35f985d1ff30da8b2d8feba29b3bddfbb45c193055029391"),
     ("--p 2 --n 2 --target-ci 2 --seed 1 --budget 200", EXIT_OK,
-     "fc56be3e52267c7d92063253c936d0802090a055c6ed34c76bfc8d898cd81efc"),
-    ("--p 3 --n 2 --target-ci 2 --seed 1 --budget 100", EXIT_UNMET,
-     "59eb45365995f45f95e3fa8d6dea1921c8cdf6caca16287702558edac3cd8cbc"),
+     "20f64005d928b0ffa635a098c4bea5f719f194f51b905c2ae7aa35be2e83f95c"),
+    ("--p 3 --n 2 --target-ci 2 --seed 1 --budget 100", EXIT_OK,
+     "5da0de57f9a3d4f42070e7fe48942eda59b287a328b2a45b11b9a681d7ac0039"),
     ("--p 7 --n 2 --target-ci 1 --resilient --seed 9 --budget 500", EXIT_UNMET,
-     "0d6d3c4266117725f2abef75244c3c9d042d668627c030e90ab7ab141e5eb551"),
+     "0adf634439e5370db47f25cb8ef7c8ccc5d85a6f13d8b1a34d1b99a2eecd2336"),
+    # unmet, with climbs that end on the same cost: the first one is reported
+    ("--p 5 --n 2 --target-ci 2 --seed 26 --budget 1000", EXIT_UNMET,
+     "cb77cad9405c0729143b7faef351b34ac1a4a42967e511d82da3ebfc3dfaffe7"),
+    ("--p 2 --n 4 --target-ci 2 --resilient --seed 2 --budget 300", EXIT_UNMET,
+     "1a8468acf1737c1e5302263f79e0ac0402a7d1da88b9d3624c18ce2385058258"),
 ]
 
 
@@ -476,6 +484,32 @@ def test_search_output_is_pinned(capsys, args, code, digest):
     got_code, out = run(capsys, "search", "--json", *args.split())
     assert got_code == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_pinned_found_tables_pass_the_six_method_consensus(capsys):
+    met = 0
+    for args, _, _ in PINNED_SEARCHES:
+        code, out = run(capsys, "search", "--json", *args.split())
+        obj = json.loads(out)
+        if not obj["found"]:
+            continue
+        met += 1
+        f = read_table(obj["table"])
+        if obj["target_ci"]:
+            rep = consensus(f, obj["target_ci"])
+            assert rep.consensus and len(rep.verdicts) == 6 and all(rep.verdicts.values())
+        if obj["resilient"]:
+            assert is_balanced(f)
+    assert met >= 12
+
+
+def test_search_finds_the_first_order_resilient_ternary_4_variable_case(capsys):
+    # missed at the default budget by the failing-tuple cost
+    start = time.perf_counter()
+    code, out = run(capsys, "search", "--p", "3", "--n", "4", "--target-ci", "1", "--resilient")
+    assert time.perf_counter() - start < 2.0
+    assert code == EXIT_OK
+    assert "found = true" in out
 
 
 @pytest.mark.parametrize(
@@ -498,15 +532,16 @@ def test_search_evaluations_do_not_rescan_ordered_tuples(capsys, args, evaluatio
 @pytest.mark.parametrize(
     "args,env,code",
     [
-        # C(19, 9) * 2^10 + C(19, 8) * 2^9 = 133.3M joint counts
+        # C(19, 9) * 2^10 + 2 = 94,595,074 joint counts
         ("--p 2 --n 19 --target-ci 9 --budget 1", None, EXIT_LIMIT),
-        # 97^3 + 2 * 97^2 = 931,491 and 101^3 + 2 * 101^2 = 1,050,703
+        # 97^3 + 97 = 912,770 and 101^3 + 101 = 1,030,402
         ("--p 97 --n 2 --target-ci 2 --budget 1", None, EXIT_UNMET),
         ("--p 101 --n 2 --target-ci 2 --budget 1", None, EXIT_LIMIT),
         ("--p 101 --n 2 --target-ci 2 --budget 1", "2000000", EXIT_UNMET),
-        # the 2 * 97^2 counts of the 1-subsets tip 97^3 over this limit
-        ("--p 97 --n 2 --target-ci 2 --budget 1", "920000", EXIT_LIMIT),
-        # C(10, 5) * 2^6 + C(10, 4) * 2^5 = 22,848
+        # the boundary: the limit must hold every count, the histogram's too
+        ("--p 97 --n 2 --target-ci 2 --budget 1", "912769", EXIT_LIMIT),
+        ("--p 97 --n 2 --target-ci 2 --budget 1", "912770", EXIT_UNMET),
+        # C(10, 5) * 2^6 + 2 = 16,130
         ("--p 2 --n 10 --target-ci 5 --budget 1", "10000", EXIT_LIMIT),
     ],
 )
@@ -531,7 +566,7 @@ def test_search_climb_reads_only_counts(capsys, monkeypatch, args, code, digest)
 
 
 def test_search_move_is_constant_time_in_the_counts(capsys):
-    # 2,000 moves over 931,491 joint counts: a move must not scan them
+    # 2,000 moves over 912,770 joint counts: a move must not scan them
     start = time.perf_counter()
     code, out = run(capsys, "search", "--json", "--p", "97", "--n", "2", "--target-ci", "2",
                     "--budget", "2000")

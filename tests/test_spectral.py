@@ -348,7 +348,7 @@ def test_first_failing_tuple_is_not_factorial(p, n, m):
 
 
 # ---------------------------------------------------------------------------
-# FailingTupleCounter against the ordered tuple scan
+# ParsevalCost against fresh counts, the counting definition and Parseval
 # ---------------------------------------------------------------------------
 
 def _random_move(rng, table, p):
@@ -362,102 +362,128 @@ def _random_move(rng, table, p):
     return [(i, (table[i] + rng.randrange(1, p)) % p)]
 
 
-def _check_counter(counter_cls, p, n, m, seed, steps=25):
-    rng = random.Random(seed)
-    f = random_function(p, n, seed=seed)
-    counter = counter_cls(f, m)
-    assert counter.count == len(helpers.failing_tuples_scan(f, m))
+def _assert_fresh(cost, f, m):
+    """cost's counts and running total equal a fresh count of its table."""
+    fresh = spectral.ParsevalCost(PFunction(f.p, f.n, tuple(cost.table)), m)
+    assert cost._counts == fresh._counts
+    assert cost.cost == fresh.cost
+
+
+def _check_counter(cost_cls, f, m, rng, steps) -> int:
+    """Walk `steps` random moves from f, comparing with a fresh count after
+    every apply and every undo; about half of the moves are undone.
+    Returns the cost of f."""
+    cost = cost_cls(f, m)
+    first = cost.cost
     for _ in range(steps):
-        before = tuple(counter.table)
-        got = counter.apply(_random_move(rng, counter.table, p))
-        g = PFunction(p, n, tuple(counter.table))
-        assert got == counter.count == len(helpers.failing_tuples_scan(g, m))
+        before = tuple(cost.table)
+        got = cost.apply(_random_move(rng, cost.table, f.p))
+        assert got == cost.cost
+        _assert_fresh(cost, f, m)
         if rng.random() < 0.5:
-            counter.undo()
-            assert tuple(counter.table) == before
-            fresh = counter_cls(PFunction(p, n, before), m)
-            assert counter._counts == fresh._counts
-            assert counter._squares == fresh._squares
-            assert counter.count == fresh.count
-
-
-@pytest.mark.parametrize("p,n", [(2, 4), (2, 6), (3, 3), (3, 4), (5, 2), (7, 2)])
-def test_failing_tuple_counter_tracks_the_tuple_scan(p, n):
-    for m in range(1, n + 1):
-        _check_counter(spectral.FailingTupleCounter, p, n, m, seed=10 * n + m)
-
-
-class _TopAxisOnly(spectral.FailingTupleCounter):
-    """Mutant: keeps only the top axis of each subset."""
-
-    def __init__(self, f, m):
-        super().__init__(f, m)
-        self._axes = self._axes[m - 1 :: m]
-
-
-def test_failing_tuple_counter_check_catches_a_top_axis_mutant():
-    with pytest.raises(AssertionError):
-        _check_counter(_TopAxisOnly, 2, 4, 2, seed=1)
-
-
-def _failing_axis_count(f, m):
-    """(m-1)! times the (subset, axis) pairs along which the joint counts
-    change, read with _axis_changes."""
-    pairs = sum(
-        spectral._axis_changes(spectral._joint_counts(f, s), f.p, r)
-        for s in combinations(range(1, f.n + 1), m)
-        for r in range(m)
-    )
-    return math.factorial(m - 1) * pairs if m else 0
+            cost.undo()
+            assert tuple(cost.table) == before
+            _assert_fresh(cost, f, m)
+    return first
 
 
 @pytest.mark.parametrize("p,n", [(2, 3), (3, 2)])
-def test_failing_tuple_counter_matches_axis_changes_exhaustive(p, n):
-    # p * SS(S) == SS(S - {x}) decides each axis exactly as _axis_changes
+def test_parseval_cost_exhaustive(p, n):
+    # cost >= 0 and cost == 0 iff m-CI by literal conditional probabilities,
+    # on every table and order; one move and one undo each against fresh counts
     start = time.perf_counter()
     rng = random.Random(p * n)
-    for m in range(n + 1):
-        want = {f.table: _failing_axis_count(f, m) for f in all_functions(p, n)}
-        for table, count in want.items():
-            counter = spectral.FailingTupleCounter(PFunction(p, n, table), m)
-            assert counter.count == count
-            assert counter.apply(_random_move(rng, counter.table, p)) == want[tuple(counter.table)]
-            counter.undo()
-            assert tuple(counter.table) == table
-            assert counter.count == count
-    assert time.perf_counter() - start < 5.0
+    for f in all_functions(p, n):
+        for m in range(n + 1):
+            cost = _check_counter(spectral.ParsevalCost, f, m, rng, steps=1)
+            assert cost >= 0
+            assert (cost == 0) == helpers.ci_by_fractions(f, m)
+    assert time.perf_counter() - start < 20.0
 
 
-def test_failing_tuple_counter_same_value_and_repeated_index():
+@pytest.mark.parametrize("p,n", [(2, 4), (2, 6), (3, 3), (3, 4), (5, 2), (7, 2)])
+def test_parseval_cost_matches_a_point_recount(p, n):
+    rng = random.Random(10 * p + n)
+    for seed in range(5):
+        f = random_function(p, n, seed=seed)
+        for m in range(n + 1):
+            cost = spectral.ParsevalCost(f, m)
+            assert cost.cost == helpers.parseval_cost_points(f, m)
+            for _ in range(5):
+                got = cost.apply(_random_move(rng, cost.table, p))
+                assert got == helpers.parseval_cost_points(PFunction(p, n, tuple(cost.table)), m)
+
+
+def _level_set_spectrum_cost(f, m):
+    """sum over outputs v and over c with 1 <= wt(c) <= m of
+    C(n - wt(c), m - wt(c)) * |sum_{x : f(x) = v} omega^(c.x)|^2, in floats."""
+    omega = np.exp(2j * np.pi / f.p)
+    pts = list(helpers.points(f.p, f.n))
+    total = 0.0
+    for c in product(range(f.p), repeat=f.n):
+        wt = sum(ci != 0 for ci in c)
+        if not 1 <= wt <= m:
+            continue
+        sums = [0j] * f.p
+        for x, v in zip(pts, f.table):
+            sums[v] += omega ** (sum(ci * xi for ci, xi in zip(c, x)) % f.p)
+        total += math.comb(f.n - wt, m - wt) * sum(abs(z) ** 2 for z in sums)
+    return total
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 2)])
+def test_parseval_cost_is_a_level_set_spectrum(p, n):
+    rng = random.Random(p + n)
+    subjects = [random_function(p, n, seed=s) for s in range(10)]
+    subjects += [_balanced_table(rng, p, n), parse_polynomial("x1 + x2", p, n)]
+    for f in subjects:
+        for m in range(n + 1):
+            want = _level_set_spectrum_cost(f, m)
+            assert abs(spectral.ParsevalCost(f, m).cost - want) < 1e-9 * max(1.0, want)
+
+
+class _NoHistogram(spectral.ParsevalCost):
+    """Mutant: a move updates the m-subset counts but not the histogram."""
+
+    def __init__(self, f, m):
+        super().__init__(f, m)
+        self._strides = self._strides[:-1]
+
+
+def test_parseval_cost_check_catches_a_histogram_mutant():
+    with pytest.raises(AssertionError):
+        for f in all_functions(2, 3):
+            _check_counter(_NoHistogram, f, 1, random.Random(1), steps=1)
+
+
+def test_parseval_cost_same_value_and_repeated_index():
     f = random_function(3, 3, seed=5)
     k, j = 7, 20
     for m in range(f.n + 1):
-        counter = spectral.FailingTupleCounter(f, m)
-        count, squares = counter.count, list(counter._squares)
+        counter = spectral.ParsevalCost(f, m)
+        cost, counts = counter.cost, [list(cm) for cm in counter._counts]
         # a change to the value already there is a no-op
-        assert counter.apply([(k, f.table[k])]) == count
-        assert counter._squares == squares
+        assert counter.apply([(k, f.table[k])]) == cost
+        assert counter._counts == counts
         counter.undo()
-        assert counter._squares == squares
+        assert counter._counts == counts
         moves = [(k, (f.table[k] + 1) % 3), (j, (f.table[j] + 1) % 3), (k, (f.table[k] + 2) % 3)]
         got = counter.apply(moves)
         moved = PFunction(3, 3, tuple(counter.table))
         assert counter.table[k] == (f.table[k] + 2) % 3
-        assert got == spectral.FailingTupleCounter(moved, m).count
+        assert got == spectral.ParsevalCost(moved, m).cost
         counter.undo()
-        fresh = spectral.FailingTupleCounter(f, m)
         assert tuple(counter.table) == f.table
-        assert counter._counts == fresh._counts
-        assert counter._squares == fresh._squares == squares
-        assert counter.count == count
+        assert counter._counts == counts
+        assert counter.cost == cost
 
 
-def test_failing_tuple_counter_edges():
+def test_parseval_cost_edges():
     f = random_function(3, 2, seed=4)
     with pytest.raises(ValueError):
-        spectral.FailingTupleCounter(f, 3)
-    zero = spectral.FailingTupleCounter(f, 0)
-    assert zero.count == 0
+        spectral.ParsevalCost(f, 3)
+    zero = spectral.ParsevalCost(f, 0)
+    assert zero.cost == 0
     assert zero.apply([(0, (f.table[0] + 1) % 3)]) == 0
     zero.undo()
     assert tuple(zero.table) == f.table
@@ -485,16 +511,16 @@ def test_ci_order_consistent_with_is_ci():
 
 
 def _assert_subset_verdicts_match_tuple_scan(f):
-    """is_ci, the witness first_failing_tuple and FailingTupleCounter (all
-    per unordered subset) against the ordered scan of exact values, and the
-    derived resiliency_order against the definitional is_resilient."""
+    """is_ci, the witness first_failing_tuple (both per unordered subset) and
+    the zeros of ParsevalCost against the ordered scan of exact values, and
+    the derived resiliency_order against the definitional is_resilient."""
     assert is_ci(f, 0)
     for m in range(1, f.n + 1):
         want = helpers.failing_tuples_scan(f, m)
         first = first_failing_tuple(f, m)
         assert (first is None) if not want else first.indices == want[0]
         assert is_ci(f, m) == (not want)
-        assert spectral.FailingTupleCounter(f, m).count == len(want)
+        assert (spectral.ParsevalCost(f, m).cost == 0) == (want == [])
     res = [m for m in range(f.n + 1) if is_resilient(f, m)]
     assert resiliency_order(f) == (max(res) if res else -1)
 
