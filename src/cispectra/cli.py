@@ -10,7 +10,7 @@ Exit codes: 0 success, 1 cross-check disagreement, 2 parse/usage error,
 
 Functions come either from a truth-table file ('-' reads stdin) or from
 --poly with --p/--n.  The desk-scale size limit is p^n <= 10^6 by default;
-the CI_SPECTRA_MAX_N environment variable (a plain integer, the maximum
+the CI_SPECTRA_MAX_N environment variable (a positive integer, the maximum
 table size) raises or lowers it.  Every randomized subcommand accepts
 --seed and otherwise uses a fixed default seed that is printed with the
 results, so all output is reproducible.
@@ -24,9 +24,9 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass
 
 from . import reference, spectral
+from .cyclotomic import CycloElement
 from .ptable import (
     DEFAULT_SIZE_LIMIT,
     MAX_TABLE_ENTRIES,
@@ -37,6 +37,7 @@ from .ptable import (
     _check_p_n,
     _exceeds,
     _random_table,
+    _table_header,
     all_functions,
     is_balanced,
     is_symmetric,
@@ -62,10 +63,13 @@ def _size_limit() -> int:
     if raw is None:
         return DEFAULT_SIZE_LIMIT
     try:
-        # no table may pass the hard cap, so primality tests stay below it too
-        return min(int(raw), MAX_TABLE_ENTRIES)
+        limit = int(raw)
     except ValueError:
-        raise ParseError(f"CI_SPECTRA_MAX_N must be an integer, got {raw!r}") from None
+        limit = 0
+    if limit < 1:
+        raise ParseError(f"CI_SPECTRA_MAX_N must be a positive integer, got {raw!r}")
+    # no table may pass the hard cap, so primality tests stay below it too
+    return min(limit, MAX_TABLE_ENTRIES)
 
 
 def _load_function(args, limit: int) -> PFunction:
@@ -83,55 +87,41 @@ def _load_function(args, limit: int) -> PFunction:
     else:
         with open(args.table) as fh:
             text = fh.read()
-    f = read_table(text)
-    _check_p_n(f.p, f.n, limit)
-    return f
+    # the header alone decides the size limit, before the body is parsed
+    p, n, _ = _table_header(text)
+    _check_p_n(p, n, limit)
+    return read_table(text)
 
 
-def _bool(v: bool) -> str:
-    return "true" if v else "false"
+def _emit(args, record: dict, text) -> None:
+    """Print record as one JSON line under --json, else the lines text(record)."""
+    print(json.dumps(record) if args.json else "\n".join(text(record)))
 
 
-@dataclass
-class AnalysisResult:
-    """Everything cmd_analyze reports for one function."""
-
-    p: int
-    n: int
-    balanced: bool
-    symmetric: bool
-    ci_order: int
-    resiliency_order: int
-    reports: list | None = None
-
-    def to_json(self) -> str:
-        obj = {
-            "p": self.p,
-            "n": self.n,
-            "balanced": self.balanced,
-            "symmetric": self.symmetric,
-            "ci_order": self.ci_order,
-            "resiliency_order": self.resiliency_order,
-        }
-        if self.reports is not None:
-            obj["reports"] = [json.loads(r.to_json()) for r in self.reports]
-        return json.dumps(obj)
+def _report_record(rep: reference.MethodReport) -> dict:
+    return json.loads(rep.to_json())
 
 
-def analyze_function(f: PFunction, reports: bool = False) -> AnalysisResult:
+def analyze_function(f: PFunction, reports: bool = False) -> dict:
+    """The analyze record of f: p, n, balanced, symmetric, ci_order,
+    resiliency_order and, when asked, the consensus report of every order."""
     symmetric = is_symmetric(f)
     ci = spectral.ci_order_symmetric(f) if symmetric else spectral.ci_order(f)
     balanced = is_balanced(f)
+    record = {"p": f.p, "n": f.n, "balanced": balanced, "symmetric": symmetric, "ci_order": ci}
     # m-resilient iff balanced and m-CI; a balanced f is never n-CI
-    return AnalysisResult(
-        p=f.p,
-        n=f.n,
-        balanced=balanced,
-        symmetric=symmetric,
-        ci_order=ci,
-        resiliency_order=ci if balanced else -1,
-        reports=[reference.consensus(f, m) for m in range(1, f.n + 1)] if reports else None,
-    )
+    record["resiliency_order"] = ci if balanced else -1
+    if reports:
+        record["reports"] = [_report_record(reference.consensus(f, m)) for m in range(1, f.n + 1)]
+    return record
+
+
+def _analyze_text(record: dict) -> list[str]:
+    lines = [f"{k} = {json.dumps(v)}" for k, v in record.items() if k != "reports"]
+    for rep in record.get("reports", ()):
+        verdicts = " ".join(f"{k}={json.dumps(v)}" for k, v in rep["verdicts"].items())
+        lines.append(f"m={rep['m']} consensus={json.dumps(rep['consensus'])} {verdicts}")
+    return lines
 
 
 def _reports_work(p: int, n: int) -> int:
@@ -151,20 +141,7 @@ def cmd_analyze(args) -> int:
             f"--reports at p = {f.p}, n = {f.n} takes {work} steps, "
             f"above the size limit {limit}"
         )
-    res = analyze_function(f, reports=args.reports)
-    if args.json:
-        print(res.to_json())
-        return EXIT_OK
-    print(f"p = {res.p}")
-    print(f"n = {res.n}")
-    print(f"balanced = {_bool(res.balanced)}")
-    print(f"symmetric = {_bool(res.symmetric)}")
-    print(f"ci_order = {res.ci_order}")
-    print(f"resiliency_order = {res.resiliency_order}")
-    if res.reports:
-        for rep in res.reports:
-            verdicts = " ".join(f"{k}={_bool(v)}" for k, v in rep.verdicts.items())
-            print(f"m={rep.m} consensus={_bool(rep.consensus)} {verdicts}")
+    _emit(args, analyze_function(f, reports=args.reports), _analyze_text)
     return EXIT_OK
 
 
@@ -207,38 +184,35 @@ def cmd_spectrum(args) -> int:
     # the whole orbit (indices a*p^(n-m), a = 1..p-1).  A repeated tuple is
     # evaluated once.
     orbits = {t: spectral.exact_spectrum_conjugates(f, m, t) for t in dict.fromkeys(tuples)}
-    results = [(t, orbits[t]) for t in tuples]
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "p": f.p,
-                    "n": f.n,
-                    "m": m,
-                    "critical_index": spectral.critical_index(f, m),
-                    "results": [
-                        {
-                            "tuple": list(t.indices),
-                            "coeffs": list(orbit[0].coeffs),
-                            "zero": orbit[0].is_zero(),
-                            "orbit_zero": all(v.is_zero() for v in orbit),
-                        }
-                        for t, orbit in results
-                    ],
-                }
-            )
-        )
-        return EXIT_OK
-    print(f"critical index p^(n-m) = {spectral.critical_index(f, m)}")
-    for t, orbit in results:
-        label = ",".join(str(i) for i in t.indices)
-        primary = orbit[0]
-        orbit_zero = all(v.is_zero() for v in orbit)
-        print(
-            f"tuple ({label}): {primary.to_text()}  "
-            f"zero={_bool(primary.is_zero())} orbit_zero={_bool(orbit_zero)}"
-        )
+    record = {
+        "p": f.p,
+        "n": f.n,
+        "m": m,
+        "critical_index": spectral.critical_index(f, m),
+        "results": [
+            {
+                "tuple": list(t.indices),
+                "coeffs": list(orbits[t][0].coeffs),
+                "zero": orbits[t][0].is_zero(),
+                "orbit_zero": all(v.is_zero() for v in orbits[t]),
+            }
+            for t in tuples
+        ],
+    }
+    _emit(args, record, _spectrum_text)
     return EXIT_OK
+
+
+def _spectrum_text(record: dict) -> list[str]:
+    lines = [f"critical index p^(n-m) = {record['critical_index']}"]
+    for r in record["results"]:
+        label = ",".join(map(str, r["tuple"]))
+        value = CycloElement(record["p"], record["m"], r["coeffs"]).to_text()
+        lines.append(
+            f"tuple ({label}): {value}  "
+            f"zero={json.dumps(r['zero'])} orbit_zero={json.dumps(r['orbit_zero'])}"
+        )
+    return lines
 
 
 def cmd_crosscheck(args) -> int:
@@ -279,37 +253,36 @@ def cmd_crosscheck(args) -> int:
         if not rep.consensus:
             disagreements += 1
             if first_bad is None:
-                first_bad = (f, rep)
-    if args.json:
-        obj = {
-            "p": p,
-            "n": n,
-            "m": m,
-            "mode": "exhaustive" if args.exhaustive else "random",
-            "checked": checked,
-            "ci_counts": ci_counts,
-            "disagreements": disagreements,
-        }
-        if seed is not None:
-            obj["seed"] = seed
-        if first_bad is not None:
-            obj["first_disagreement"] = {
-                "table": write_table(first_bad[0]),
-                "report": json.loads(first_bad[1].to_json()),
-            }
-        print(json.dumps(obj))
-    else:
-        if seed is not None:
-            print(f"seed = {seed}")
-        print(f"checked = {checked} functions (p={p}, n={n}, m={m})")
-        for name in reference.METHOD_NAMES:
-            print(f"ci_count[{name}] = {ci_counts[name]}")
-        print(f"disagreements = {disagreements}")
-        if first_bad is not None:
-            print("first disagreement:")
-            print(write_table(first_bad[0]), end="")
-            print(first_bad[1].to_json())
+                first_bad = {"table": write_table(f), "report": _report_record(rep)}
+    record = {
+        "p": p,
+        "n": n,
+        "m": m,
+        "mode": "exhaustive" if args.exhaustive else "random",
+        "checked": checked,
+        "ci_counts": ci_counts,
+        "disagreements": disagreements,
+    }
+    if seed is not None:
+        record["seed"] = seed
+    if first_bad is not None:
+        record["first_disagreement"] = first_bad
+    _emit(args, record, _crosscheck_text)
     return EXIT_DISAGREEMENT if disagreements else EXIT_OK
+
+
+def _crosscheck_text(record: dict) -> list[str]:
+    lines = [f"seed = {record['seed']}"] if "seed" in record else []
+    lines.append(
+        f"checked = {record['checked']} functions "
+        f"(p={record['p']}, n={record['n']}, m={record['m']})"
+    )
+    lines += [f"ci_count[{k}] = {v}" for k, v in record["ci_counts"].items()]
+    lines.append(f"disagreements = {record['disagreements']}")
+    if "first_disagreement" in record:
+        bad = record["first_disagreement"]
+        lines += ["first disagreement:", bad["table"].rstrip("\n"), json.dumps(bad["report"])]
+    return lines
 
 
 def _search_start(rng: random.Random, p: int, n: int, resilient: bool) -> PFunction:
@@ -363,11 +336,7 @@ def cmd_search(args) -> int:
             f"fixing {target} >= n variables leaves nothing to balance"
         )
     if infeasible is not None:
-        if args.json:
-            print(json.dumps({"seed": seed, "found": False, "infeasible": infeasible}))
-        else:
-            print(f"seed = {seed}")
-            print(f"infeasible: {infeasible}")
+        _emit(args, {"seed": seed, "found": False, "infeasible": infeasible}, _search_text)
         return EXIT_UNMET
     # the climb's cost holds the joint counts of every target-subset and the
     # output histogram
@@ -406,36 +375,39 @@ def cmd_search(args) -> int:
     analysis = analyze_function(result)
     met = (
         best[0] == 0
-        and analysis.ci_order >= target
-        and (not args.resilient or analysis.resiliency_order >= target)
+        and analysis["ci_order"] >= target
+        and (not args.resilient or analysis["resiliency_order"] >= target)
     )
-    table_text = write_table(result)
+    record = {
+        "seed": seed,
+        "target_ci": target,
+        "resilient": args.resilient,
+        "found": met,
+        "evaluations": evals,
+        "table": write_table(result),
+        "analysis": analysis,
+    }
     if args.output:
         with open(args.output, "w") as fh:
-            fh.write(table_text)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "seed": seed,
-                    "target_ci": target,
-                    "resilient": args.resilient,
-                    "found": met,
-                    "evaluations": evals,
-                    "table": table_text,
-                    "analysis": json.loads(analysis.to_json()),
-                }
-            )
-        )
-    else:
-        print(f"seed = {seed}")
-        print(f"target: ci_order >= {target}" + (", resilient" if args.resilient else ""))
-        print(f"evaluations = {evals}")
-        print(f"found = {_bool(met)}")
-        print(table_text, end="")
-        print(f"ci_order = {analysis.ci_order}")
-        print(f"resiliency_order = {analysis.resiliency_order}")
+            fh.write(record["table"])
+    _emit(args, record, _search_text)
     return EXIT_OK if met else EXIT_UNMET
+
+
+def _search_text(record: dict) -> list[str]:
+    lines = [f"seed = {record['seed']}"]
+    if "infeasible" in record:
+        return lines + [f"infeasible: {record['infeasible']}"]
+    target = f"target: ci_order >= {record['target_ci']}"
+    analysis = record["analysis"]
+    return lines + [
+        target + (", resilient" if record["resilient"] else ""),
+        f"evaluations = {record['evaluations']}",
+        f"found = {json.dumps(record['found'])}",
+        record["table"].rstrip("\n"),
+        f"ci_order = {analysis['ci_order']}",
+        f"resiliency_order = {analysis['resiliency_order']}",
+    ]
 
 
 def build_parser() -> argparse.ArgumentParser:

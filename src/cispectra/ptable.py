@@ -504,8 +504,8 @@ def all_functions(p: int, n: int) -> Iterator[PFunction]:
         yield PFunction(p, n, table)
 
 
-def read_table(text: str) -> PFunction:
-    """Parse the two-line truth-table format."""
+def _table_header(text: str) -> tuple[int, int, str]:
+    """p, n and the unparsed body of the two-line truth-table format."""
     lines = text.strip().split("\n", 1)
     head = lines[0].split()
     if len(head) != 2:
@@ -514,10 +514,15 @@ def read_table(text: str) -> PFunction:
         p, n = int(head[0]), int(head[1])
     except ValueError:
         raise ParseError(f"first line must hold two integers, got {lines[0]!r}", 0) from None
+    return p, n, lines[1] if len(lines) > 1 else ""
+
+
+def read_table(text: str) -> PFunction:
+    """Parse the two-line truth-table format."""
     # After strip() a body is empty or ends in a token; numpy would read a
     # blank body as [0].  Overlong digit strings saturate to 2^63 - 1 and
     # fail the range check of PFunction.
-    body = lines[1] if len(lines) > 1 else ""
+    p, n, body = _table_header(text)
     try:
         values = np.fromstring(body, dtype=np.int64, sep=" ")
     except ValueError:

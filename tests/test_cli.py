@@ -30,7 +30,7 @@ from cispectra.cli import (
     analyze_function,
     main,
 )
-from cispectra import spectral
+from cispectra import cli, spectral
 from cispectra.spectral import ParsevalCost, ci_order, resiliency_order
 
 import helpers
@@ -57,6 +57,17 @@ def test_analyze_large_table_file_is_fast(capsys, tmp_path):
     obj = json.loads(out)
     assert (obj["p"], obj["n"], obj["symmetric"], obj["ci_order"]) == (2, 19, False, 0)
     assert obj["balanced"] is is_balanced(f)
+
+
+@pytest.mark.parametrize("head,entries", [("2 23", 2**23), ("2 21", 3)])
+def test_oversized_table_file_is_refused_before_its_body_is_parsed(
+    capsys, monkeypatch, tmp_path, head, entries
+):
+    # the header's p^n is over the limit, whether or not the body matches it
+    path = tmp_path / "big.tbl"
+    path.write_text(f"{head}\n" + "0 " * entries)
+    monkeypatch.setattr(cli, "read_table", lambda text: pytest.fail("the body was parsed"))
+    assert run(capsys, "analyze", str(path))[0] == EXIT_LIMIT
 
 
 def test_analyze_constant_zero(capsys, tmp_path):
@@ -622,9 +633,10 @@ def test_size_env_var(capsys, monkeypatch):
     monkeypatch.setenv("CI_SPECTRA_MAX_N", "9")
     code, _ = run(capsys, "analyze", "--poly", "x1", "--p", "3", "--n", "2")
     assert code == EXIT_OK
-    monkeypatch.setenv("CI_SPECTRA_MAX_N", "lots")
-    code, _ = run(capsys, "analyze", "--poly", "x1", "--p", "3", "--n", "2")
-    assert code == EXIT_PARSE
+    for raw in ("lots", "0", "-5"):
+        monkeypatch.setenv("CI_SPECTRA_MAX_N", raw)
+        code, _ = run(capsys, "analyze", "--poly", "x1", "--p", "3", "--n", "2")
+        assert code == EXIT_PARSE
 
 
 @pytest.mark.parametrize(
@@ -733,10 +745,73 @@ def test_analyze_function_result_invariants():
     for seed in range(30):
         f = random_function(3, 3, seed=seed)
         res = analyze_function(f)
-        if res.resiliency_order >= 0:
-            assert res.balanced
-            assert res.resiliency_order <= res.ci_order
+        if res["resiliency_order"] >= 0:
+            assert res["balanced"]
+            assert res["resiliency_order"] <= res["ci_order"]
         else:
-            assert not res.balanced
-        obj = json.loads(res.to_json())
-        assert obj["p"] == 3 and obj["n"] == 3
+            assert not res["balanced"]
+        assert list(res) == ["p", "n", "balanced", "symmetric", "ci_order", "resiliency_order"]
+        assert res["p"] == 3 and res["n"] == 3
+
+
+# ---------------------------------------------------------------------------
+# pinned output of every subcommand
+# ---------------------------------------------------------------------------
+
+# (argv, whether the spectral method is made to wrongly accept every table,
+# exit code, sha256 of stdout).  The lying spectral method is the only way to
+# reach crosscheck's disagreement report.  PINNED_SEARCHES pins `search
+# --json` when the climb runs, so only its text form is pinned here.
+PINNED_OUTPUTS = [
+    ("analyze --poly x1*x2+x3 --p 3 --n 3", False, EXIT_OK,
+     "b2e0b0e45b17259ce6b33fd0b16e16455a7110c5845923d3b8f9276b8229cc19"),
+    ("analyze --poly x1*x2+x3 --p 3 --n 3 --json", False, EXIT_OK,
+     "f63e6853e54409a29a8fb4a95995f751d68e850b2bca790bf6232bf94a7aa8cd"),
+    ("analyze --poly x1*x2+x3 --p 3 --n 3 --reports", False, EXIT_OK,
+     "43782abbbcc56b119a8da5982e6816bcf5245240d6d22856bb909311d6eb3e2d"),
+    ("analyze --poly x1*x2+x3 --p 3 --n 3 --reports --json", False, EXIT_OK,
+     "0b19ef3e9afec8476baf448204bafa3cebcea9b2e3581f27c0c0d6b555d4e23d"),
+    ("analyze --poly x1+x2+x3 --p 2 --n 3 --reports", False, EXIT_OK,
+     "ebc599cdc10976f4cd8a64a0cb1179264de6d54cfcc217112a1b0af0946a5de2"),
+    ("spectrum --poly x1*x2+x3 --p 3 --n 3 --exact-at 2 --tuple 1,2 --tuple 2,3", False, EXIT_OK,
+     "14a08e5bd4d11ef00850faa3291da63556bbf1e39868264c58ff409241e5edf5"),
+    ("spectrum --poly x1*x2+x3 --p 3 --n 3 --exact-at 2 --tuple 1,2 --tuple 2,3 --json", False, EXIT_OK,
+     "c127413e900cab009d5f112d150b9715f7d5f9d50bdaa59c25a6f37598acd6e3"),
+    ("spectrum --poly x1*x2+x3 --p 3 --n 3 --exact-at 2 --tuple 1,3 --tuple 3,1 --tuple 1,3", False, EXIT_OK,
+     "7a758f16a2f31dcc027ce844df5509320d219343ea637d40222d884cb49a2c7f"),
+    ("spectrum --poly x1*x2+x3 --p 3 --n 3 --exact-at 2 --tuple 1,3 --tuple 3,1 --tuple 1,3 --json", False, EXIT_OK,
+     "156f305f44372b3944afeecc30bfb33f99c45a34b18d0248cf868f0ea44a26c3"),
+    ("spectrum --poly x1+x2 --p 5 --n 2 --exact-at 1", False, EXIT_OK,
+     "d27326165aec001583e5d1f90fd07abca6bc76c2ef9e4f89f32885b4a37344ff"),
+    ("crosscheck --p 2 --n 2 --m 1 --exhaustive", False, EXIT_OK,
+     "5567d7c8e027e8d6a0c49e57b3c63602242c1dbb7a3a07131299e87ae895b0d1"),
+    ("crosscheck --p 2 --n 2 --m 1 --exhaustive --json", False, EXIT_OK,
+     "513efe8e10c2f5604e8d7601a735e81952f14d7c37fd3bbe41c4cf71a93a7b6b"),
+    ("crosscheck --p 3 --n 2 --m 1 --random 25", False, EXIT_OK,
+     "07ee1a3bacd152dbd4f409bf7795bdbd0ad317b32b03ec72688a3676db7cb844"),
+    ("crosscheck --p 3 --n 2 --m 1 --random 25 --seed 4 --json", False, EXIT_OK,
+     "2fe0174b847d70919c1cada69081b4fde2b9b8f1448c4aca643265c77f7d174b"),
+    ("crosscheck --p 2 --n 2 --m 1 --exhaustive", True, EXIT_DISAGREEMENT,
+     "cbdef47698e033f8a7cfccb928078c313bb20132e7c08acdc5f272643ad0cfe9"),
+    ("crosscheck --p 3 --n 2 --m 1 --random 5 --json", True, EXIT_DISAGREEMENT,
+     "6b9a99d3ea4c758940a52045adf69ce1e7368c3b0d0be5c45452127b5dbc9df5"),
+    ("search --p 3 --n 2 --target-ci 1 --seed 5 --budget 500", False, EXIT_OK,
+     "38b23e2d683e33b2c12450804fe8498c23998fb24b5db768b1214b7e64c31d58"),
+    ("search --p 2 --n 6 --target-ci 2 --resilient --seed 5 --budget 300", False, EXIT_UNMET,
+     "d975bb4bdaaf8016c3915833f7574ade7ab1252eef9bad96965cc24170026bbe"),
+    ("search --p 2 --n 3 --target-ci 3 --resilient", False, EXIT_UNMET,
+     "1919d1dadda1f9cb2f7e48082bbd650efd8bda01b584ec3d13b97f06b237a406"),
+    ("search --p 2 --n 3 --target-ci 3 --resilient --json", False, EXIT_UNMET,
+     "5028df0c98ba7aee0242de60c03b935d1181df3db023b7cf3519c0e30ee7e48e"),
+    ("search --p 2 --n 3 --target-ci 4 --json", False, EXIT_UNMET,
+     "d93fb46bdf170c8b115320239a5aab347ca3db2e055a612587dfc02be9615040"),
+]
+
+
+@pytest.mark.parametrize("args,lie,code,digest", PINNED_OUTPUTS)
+def test_output_is_pinned(capsys, monkeypatch, args, lie, code, digest):
+    if lie:
+        monkeypatch.setattr(spectral, "first_failing_tuple", lambda f, m: None)
+    got_code, out = run(capsys, *args.split())
+    assert got_code == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -220,7 +220,7 @@ def test_symmetric_shortcut_needs_the_whole_orbit_for_odd_p():
     assert [v.to_text() for v in orbit] == ["3 1 : 0 0", "3 1 : 3 0"]
     assert orbit[0].is_zero() and not orbit[1].is_zero()
     assert not is_ci_symmetric(f, 1)
-    assert analyze_function(f).ci_order == 0
+    assert analyze_function(f)["ci_order"] == 0
     verdicts = consensus(f, 1).verdicts
     assert len(verdicts) == 6 and not any(verdicts.values())
 
