@@ -98,10 +98,6 @@ def _emit(args, record: dict, text) -> None:
     print(json.dumps(record) if args.json else "\n".join(text(record)))
 
 
-def _report_record(rep: reference.MethodReport) -> dict:
-    return json.loads(rep.to_json())
-
-
 def analyze_function(f: PFunction, reports: bool = False) -> dict:
     """The analyze record of f: p, n, balanced, symmetric, ci_order,
     resiliency_order and, when asked, the consensus report of every order."""
@@ -112,7 +108,7 @@ def analyze_function(f: PFunction, reports: bool = False) -> dict:
     # m-resilient iff balanced and m-CI; a balanced f is never n-CI
     record["resiliency_order"] = ci if balanced else -1
     if reports:
-        record["reports"] = [_report_record(reference.consensus(f, m)) for m in range(1, f.n + 1)]
+        record["reports"] = [reference.consensus(f, m).record() for m in range(1, f.n + 1)]
     return record
 
 
@@ -253,7 +249,7 @@ def cmd_crosscheck(args) -> int:
         if not rep.consensus:
             disagreements += 1
             if first_bad is None:
-                first_bad = {"table": write_table(f), "report": _report_record(rep)}
+                first_bad = {"table": write_table(f), "report": rep.record()}
     record = {
         "p": p,
         "n": n,

@@ -15,8 +15,10 @@ Text formats
 Truth table:  first line "p n", then the p^n values in index order,
 separated by ASCII whitespace (the usual form puts them on one line).  Polynomial: terms joined by "+" / "-", each term an optional
 integer coefficient and "*"-joined factors "xI" or "xI^E" (I in 1..n); bare
-integer literals are allowed as terms; whitespace is insignificant; all
-arithmetic is mod p.
+integer literals are allowed as terms; all arithmetic is mod p.  Numbers
+are runs of Unicode decimal digits (so U+0663 is 3, but a superscript 2 is
+an unexpected character), whitespace (str.isspace) is skipped, and the
+error reported is the leftmost one the parse reaches.
 
 Joint counts
 ------------
@@ -92,6 +94,12 @@ def _check_p_n(p: int, n: int, limit: int) -> None:
         raise SizeLimitError(f"p^n for p = {p}, n = {n} exceeds the size limit {limit}")
     if not _is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
+
+
+def _check_order(f: PFunction, m: int, low: int) -> None:
+    """Reject an order m outside low..n."""
+    if not low <= m <= f.n:
+        raise ValueError(f"m must be in {low}..{f.n}, got {m}")
 
 
 def _is_prime(p: int) -> bool:
@@ -356,130 +364,95 @@ class Term:
     powers: tuple[tuple[int, int], ...]
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        """Next token as (kind, value, position) without consuming, or None at end."""
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            return None
-        start = self.pos
-        ch = self.text[start]
-        if ch in "+-*^":
-            return ("op", ch, start)
-        if ch.isdigit():
-            j = start
-            while j < len(self.text) and self.text[j].isdigit():
-                j += 1
-            return ("int", self.text[start:j], start)
-        if ch == "x":
-            j = start + 1
-            while j < len(self.text) and self.text[j].isdigit():
-                j += 1
-            if j == start + 1:
-                raise ParseError("'x' must be followed by a variable index", start)
-            return ("var", self.text[start + 1 : j], start)
-        raise ParseError(f"unexpected character {ch!r}", start)
-
-    def take(self):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", len(self.text))
-        self.pos = tok[2] + (len(tok[1]) + 1 if tok[0] == "var" else len(tok[1]))
-        return tok
+# One token per match, after optional whitespace; a character that starts no
+# token is a one-character "bad" token, which the parse raises on only when
+# it gets there.
+_TOKEN = re.compile(r"\s*(?:(?P<op>[-+*^])|(?P<int>\d+)|x(?P<var>\d+)|(?P<bad>\S))")
 
 
 def parse_terms(text: str, p: int, n: int) -> tuple[Term, ...]:
     """Parse a polynomial into its term list without evaluating it."""
     if not _is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    tk = _Tokenizer(text)
-    terms: list[Term] = []
-    sign = 1
-    first = tk.peek()
-    if first is None:
+    # Stripping keeps finditer from rescanning a trailing blank run per start.
+    tokens = [
+        (m.lastgroup, m[m.lastgroup], m.start(m.lastgroup) - (m.lastgroup == "var"))
+        for m in _TOKEN.finditer(text.rstrip())
+    ] + [("end", "", len(text))]
+    if tokens[0][0] == "end":
         raise ParseError("empty polynomial", 0)
-    if first[0] == "op" and first[1] in "+-":
-        tk.take()
-        sign = -1 if first[1] == "-" else 1
-    while True:
-        terms.append(_parse_term(tk, sign, p, n))
-        tok = tk.peek()
-        if tok is None:
-            break
-        if tok[0] == "op" and tok[1] in "+-":
-            tk.take()
-            sign = -1 if tok[1] == "-" else 1
-            continue
-        raise ParseError(f"expected '+' or '-' between terms, got {tok[1]!r}", tok[2])
-    return tuple(terms)
+    if tokens[0][1] not in ("+", "-"):
+        tokens.insert(0, ("op", "+", 0))  # every term opens with a sign
+    terms: list[list] = []  # [coeff, {variable: exponent}] per term
+    # after: after a factor or before the first sign; factor: a coefficient
+    # or variable is due; power: after a variable; exp: after '^'
+    state = "after"
+    for kind, value, pos in tokens:
+        if kind == "bad":
+            if value == "x":
+                raise ParseError("'x' must be followed by a variable index", pos)
+            raise ParseError(f"unexpected character {value!r}", pos)
+        if kind == "end" and state in ("factor", "exp"):
+            raise ParseError("unexpected end of input", pos)
+        if state == "exp":
+            if kind != "int":
+                raise ParseError("exponent must be an integer", pos)
+            term[1][var] += int(value) - 1  # the variable already counted 1
+            state = "after"
+        elif state == "factor":
+            if kind == "int":
+                term[0] = term[0] * (int(value) % p) % p
+                state = "after"
+            elif kind == "var":
+                var = int(value)
+                if not 1 <= var <= n:
+                    raise ParseError(f"variable index x{var} is outside 1..{n}", pos)
+                term[1][var] = term[1].get(var, 0) + 1
+                state = "power"
+            else:
+                raise ParseError(f"expected a coefficient or variable, got {value!r}", pos)
+        elif value == "^" and state == "power":
+            state = "exp"
+        elif value == "*":
+            state = "factor"
+        elif value in ("+", "-"):
+            term = [-1 % p if value == "-" else 1, {}]
+            terms.append(term)
+            state = "factor"
+        elif kind != "end":
+            raise ParseError(f"expected '+' or '-' between terms, got {value!r}", pos)
+    return tuple(Term(c, tuple(sorted(powers.items()))) for c, powers in terms)
 
 
-def _parse_term(tk: _Tokenizer, sign: int, p: int, n: int) -> Term:
-    coeff = sign % p
-    powers: dict[int, int] = {}
-    while True:
-        kind, value, pos = tk.take()
-        if kind == "int":
-            coeff = coeff * (int(value) % p) % p
-        elif kind == "var":
-            idx = int(value)
-            if not 1 <= idx <= n:
-                raise ParseError(f"variable index x{idx} is outside 1..{n}", pos)
-            exp = 1
-            nxt = tk.peek()
-            if nxt is not None and nxt[0] == "op" and nxt[1] == "^":
-                tk.take()
-                ekind, evalue, epos = tk.take()
-                if ekind != "int":
-                    raise ParseError("exponent must be an integer", epos)
-                exp = int(evalue)
-            powers[idx] = powers.get(idx, 0) + exp
-        else:
-            raise ParseError(f"expected a coefficient or variable, got {value!r}", pos)
-        nxt = tk.peek()
-        if nxt is not None and nxt[0] == "op" and nxt[1] == "*":
-            tk.take()
-            continue
-        break
-    return Term(coeff, tuple(sorted(powers.items())))
-
-
-def evaluate_terms(terms: Sequence[Term], p: int, x: Sequence[int]) -> int:
-    """Evaluate a term list at one point, mod p."""
-    total = 0
-    for t in terms:
-        v = t.coeff
-        for i, e in t.powers:
-            v = v * pow(x[i - 1], e, p) % p
-        total += v
-    return total % p
+def _power_column(p: int, e: int) -> np.ndarray:
+    """v^e mod p for v = 0..p-1 (0^0 = 1), by squaring with e reduced by
+    Fermat: v^e = v^(1 + (e-1) mod (p-1)) for e >= 1."""
+    e = e and 1 + (e - 1) % (p - 1)
+    base, out = np.arange(p, dtype=np.int64), np.ones(p, dtype=np.int64)
+    while e:
+        if e & 1:
+            out = out * base % p
+        base = base * base % p
+        e >>= 1
+    return out
 
 
 def parse_polynomial(text: str, p: int, n: int) -> PFunction:
-    """Parse a polynomial and tabulate it over all of F_p^n."""
+    """Parse a polynomial and tabulate it over all of F_p^n, each term as an
+    int64 product broadcast over the array view's axes (x_i on axis n-i),
+    reduced mod p after every product: residues < 2^31, products < 2^62."""
     terms = parse_terms(text, p, n)
-    rows = digit_rows(p, n)
-    size = p**n
-    table = [0] * size
+    _check_p_n(p, n, MAX_TABLE_ENTRIES)
+    table = np.zeros((p,) * n, dtype=np.int64)
     for t in terms:
         if t.coeff == 0:
             continue
-        # Per-variable lookup digit -> digit^e mod p keeps the point loop cheap.
-        lookups = [(rows[i - 1], tuple(pow(v, e, p) for v in range(p))) for i, e in t.powers]
-        for k in range(size):
-            v = t.coeff
-            for row, tab in lookups:
-                v = v * tab[row[k]]
-            table[k] += v
-    return PFunction(p, n, tuple(v % p for v in table))
+        v = np.int64(t.coeff)
+        for i, e in t.powers:
+            v = v * _power_column(p, e).reshape((p,) + (1,) * (i - 1)) % p
+        table += v
+        table %= p
+    return PFunction(p, n, table.ravel().tolist())
 
 
 def random_function(p: int, n: int, seed: int) -> PFunction:

@@ -49,6 +49,7 @@ from .cyclotomic import CycloElement
 from .ptable import (
     PFunction,
     VariableTuple,
+    _check_order,
     _joint_counts,
     _packed_digits,
     _weighted_digits,
@@ -64,11 +65,6 @@ METHOD_NAMES = (
     "matrix",
     "orthogonal_array",
 )
-
-
-def _check_order(f: PFunction, m: int, low: int):
-    if not low <= m <= f.n:
-        raise ValueError(f"m must be in {low}..{f.n}, got {m}")
 
 
 def _weighted_vectors(p: int, n: int, m: int):
@@ -279,21 +275,22 @@ class MethodReport:
         values = set(self.verdicts.values())
         return len(values) == 1
 
-    def to_json(self) -> str:
+    def record(self) -> dict:
+        """The JSON object of the schema above, which to_json prints."""
         obj = {"m": self.m, "verdicts": self.verdicts, "consensus": self.consensus}
         if self.witnesses:
-            obj["witnesses"] = self.witnesses
-        return json.dumps(obj, default=_witness_json)
+            witnesses = {}
+            for name, w in self.witnesses.items():
+                if isinstance(w, VariableTuple):
+                    w = list(w.indices)
+                elif isinstance(w, CountMatrix):
+                    w = {"c": list(w.c), "entries": [list(r) for r in w.entries]}
+                witnesses[name] = w
+            obj["witnesses"] = witnesses
+        return obj
 
-
-def _witness_json(obj):
-    if isinstance(obj, VariableTuple):
-        return list(obj.indices)
-    if isinstance(obj, CountMatrix):
-        return {"c": list(obj.c), "entries": [list(r) for r in obj.entries]}
-    if isinstance(obj, tuple):
-        return list(obj)
-    raise TypeError(f"cannot serialize witness {obj!r}")
+    def to_json(self) -> str:
+        return json.dumps(self.record())
 
 
 def consensus(f: PFunction, m: int) -> MethodReport:

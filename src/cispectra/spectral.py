@@ -72,6 +72,7 @@ from .ptable import (
     PFunction,
     SizeLimitError,
     VariableTuple,
+    _check_order,
     _joint_counts,
     digit_rows,
     digits_of,
@@ -89,16 +90,14 @@ FLOAT_ZERO_FACTOR = 1e-6
 def critical_index(f: PFunction, m: int) -> int:
     """Base index p^(n-m) of the critical stratum; the full order-m test
     looks at its multiples a * p^(n-m), a = 1 .. p-1."""
-    if not 1 <= m <= f.n:
-        raise ValueError(f"m must be in 1..{f.n}, got {m}")
+    _check_order(f, m, 1)
     return f.p ** (f.n - m)
 
 
 def _validated_tuple(f: PFunction, m: int, t) -> VariableTuple:
     if not isinstance(t, VariableTuple):
         t = VariableTuple(tuple(t))
-    if not 1 <= m <= f.n:
-        raise ValueError(f"m must be in 1..{f.n}, got {m}")
+    _check_order(f, m, 1)
     if len(t) != m:
         raise ValueError(f"tuple has length {len(t)}, expected m = {m}")
     for i in t.indices:
@@ -190,8 +189,7 @@ def first_failing_tuple(f: PFunction, m: int) -> VariableTuple | None:
     followed by a top variable.  Prefixes and then tops are tried in
     increasing order, and each subset's counts are read at most once.
     """
-    if not 1 <= m <= f.n:
-        raise ValueError(f"m must be in 1..{f.n}, got {m}")
+    _check_order(f, m, 1)
     p = f.p
     # subset -> the variables along which its counts change (failing tops)
     failing: dict[tuple[int, ...], list[int]] = {}
@@ -230,8 +228,7 @@ class ParsevalCost:
     """
 
     def __init__(self, f: PFunction, m: int):
-        if not 0 <= m <= f.n:
-            raise ValueError(f"m must be in 0..{f.n}, got {m}")
+        _check_order(f, m, 0)
         p = f.p
         self.table = list(f.table)
         self._rows = digit_rows(p, f.n)
@@ -303,8 +300,7 @@ def is_ci(f: PFunction, m: int) -> bool:
     spectral values zero, which is decided once per unordered m-subset by
     _rows_equal.  m = 0 is vacuously true: its only subset is empty.
     """
-    if not 0 <= m <= f.n:
-        raise ValueError(f"m must be in 0..{f.n}, got {m}")
+    _check_order(f, m, 0)
     return all(_rows_equal(f, s) for s in combinations(range(1, f.n + 1), m))
 
 
@@ -329,8 +325,7 @@ def is_ci_symmetric(f: PFunction, m: int) -> bool:
     input rather than silently answering the wrong question."""
     if not is_symmetric(f):
         raise ValueError("f is not symmetric; use is_ci")
-    if not 1 <= m <= f.n:
-        raise ValueError(f"m must be in 1..{f.n}, got {m}")
+    _check_order(f, m, 1)
     return _rows_equal(f, tuple(range(1, m + 1)))
 
 
@@ -352,8 +347,7 @@ def first_unbalanced_restriction(f: PFunction, m: int):
     first restriction whose p output counts are not all equal.  m = 0 tests
     f itself for balance.
     """
-    if not 0 <= m <= f.n:
-        raise ValueError(f"m must be in 0..{f.n}, got {m}")
+    _check_order(f, m, 0)
     p = f.p
     for subset in combinations(range(1, f.n + 1), m):
         cm = _joint_counts(f, subset)

@@ -1,9 +1,11 @@
 """Tables, indexing, permutations, and the polynomial front end."""
 
+import json
 import random
 import time
 from collections import Counter
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from cispectra import (
     shift_output,
     write_table,
 )
-from cispectra.ptable import _joint_counts, _weighted_digits, digit_rows, evaluate_terms
+from cispectra.ptable import _joint_counts, _weighted_digits, digit_rows
 
 import helpers
 
@@ -406,32 +408,137 @@ def test_parse_terms_shape():
     assert terms[0].powers == ((1, 1), (3, 2))
     assert terms[1].coeff == 4  # -1 mod 5
     assert terms[1].powers == ((2, 1),)
-    assert evaluate_terms(terms, 5, (1, 1, 2)) == (2 * 1 * 4 - 1) % 5
+    assert parse_polynomial("2*x1*x3^2 - x2", 5, 3).evaluate((1, 1, 2)) == (2 * 1 * 4 - 1) % 5
 
 
-@pytest.mark.parametrize(
-    "text,position",
-    [
-        ("x", 0),
-        ("x0 + x1", 0),
-        ("x3", 0),
-        ("x1 + ", 5),
-        ("", 0),
-        ("x1 ? x2", 3),
-        ("x1 x2", 3),
-        ("x1^x2", 3),
-        ("* x1", 0),
-    ],
-)
+_POSITION_CASES = [
+    ("x", 0),
+    ("x0 + x1", 0),
+    ("x3", 0),
+    ("x1 + ", 5),
+    ("", 0),
+    ("x1 ? x2", 3),
+    ("x1 x2", 3),
+    ("x1^x2", 3),
+    ("* x1", 0),
+]
+
+
+@pytest.mark.parametrize("text,position", _POSITION_CASES)
 def test_parse_errors_carry_positions(text, position):
     with pytest.raises(ParseError) as exc:
         parse_polynomial(text, 2, 2)
     assert exc.value.position == position
 
 
+# Pieces of the generated parser corpus: lexically good and bad, including
+# a leading-zero literal, tabs and a non-ASCII decimal digit (U+0663).
+_CORPUS_PIECES = (
+    ["x", *(f"x{i}" for i in range(10)), *"0123456789", "07"]
+    + ["+", "-", "*", "^", " ", "\t", "?", "y", "\u0663"]
+)
+_CORPUS_FILE = Path(__file__).with_name("parse_corpus.json")
+
+
+def parse_corpus() -> list[str]:
+    """The position-test strings, then seeded near-valid polynomials in x1..x3
+    with a few random pieces spliced in, then random piece strings."""
+    rng = random.Random(20261018)
+    texts = [text for text, _ in _POSITION_CASES]
+    blank = [" ", "\t", ""]
+    literal = ["2", "07", "\u0663", "10"]
+    for _ in range(300):
+        factors = []
+        for _ in range(rng.randrange(1, 4)):
+            if rng.random() < 0.3:
+                factors.append(rng.choice(literal))
+            else:
+                power = "^" + rng.choice(literal) if rng.random() < 0.4 else ""
+                factors.append(f"x{rng.randrange(1, 4)}{power}")
+        pieces = [rng.choice(["", "-", "+"])]
+        for f in factors:
+            pieces += [f, rng.choice(blank), rng.choice(["*", "+", "-"])]
+        # one text in ten ends in an operator
+        pieces[-1] = rng.choice(blank) if rng.random() < 0.9 else rng.choice("*+-^")
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            k = rng.randrange(len(pieces) + 1)
+            if rng.random() < 0.5 and k < len(pieces):
+                pieces[k] = rng.choice(_CORPUS_PIECES)
+            else:
+                pieces.insert(k, rng.choice(_CORPUS_PIECES))
+        texts.append("".join(pieces))
+    for _ in range(200):
+        texts.append("".join(rng.choice(_CORPUS_PIECES) for _ in range(rng.randrange(1, 9))))
+    return texts
+
+
+def parse_outcome(text: str, p: int = 3, n: int = 3):
+    """The table as a digit string, or [exception type, message, position]."""
+    try:
+        return "".join(map(str, parse_polynomial(text, p, n).table))
+    except ValueError as e:
+        return [type(e).__name__, str(e), getattr(e, "position", None)]
+
+
+def test_parse_outcomes_match_pinned_corpus():
+    # Outcomes recorded from the hand-written tokenizer that the regex one
+    # replaced; every table, message and position must stay the same.
+    pinned = json.loads(_CORPUS_FILE.read_text(encoding="utf-8"))
+    assert [text for text, _ in pinned] == parse_corpus()
+    for text, outcome in pinned:
+        assert parse_outcome(text) == outcome, text
+
+
 def test_parse_rejects_nonprime_modulus():
     with pytest.raises(ValueError):
         parse_polynomial("x1", 4, 2)
+
+
+@pytest.mark.parametrize("p,n", [(257, 2), (7, 4), (65537, 1), (3, 7)])
+def test_tabulation_matches_ast_with_big_coefficients(p, n):
+    rng = random.Random(p * 10 + n)
+    terms = []
+    for _ in range(6):
+        factors = [str(rng.randrange(10**12))]
+        for i in rng.sample(range(1, n + 1), rng.randrange(n + 1)):
+            factors.append(f"x{i}^{rng.randrange(40)}")
+        terms.append("*".join(factors))
+    text = " - ".join(terms)
+    f = parse_polynomial(text, p, n)
+    pts = [(0,) * n, (p - 1,) * n] + [
+        tuple(rng.randrange(p) for _ in range(n)) for _ in range(300)
+    ]
+    for x in pts:
+        assert f.evaluate(x) == helpers.poly_eval_ast(text, p, x), (text, x)
+
+
+def test_huge_exponent_reduces_by_fermat():
+    # poly_eval_ast would compute x**e unreduced, so check against pow(x, e, p)
+    # and against the text with the Fermat exponent 1 + (e-1) mod (p-1)
+    p, e = 257, 10**30 + 7
+    f = parse_polynomial(f"3*x2^{e} + x1", p, 2)
+    assert f.table == tuple(
+        (3 * pow(x[1], e, p) + x[0]) % p for x in helpers.points(p, 2)
+    )
+    reduced = 1 + (e - 1) % (p - 1)
+    assert f.table == parse_polynomial(f"3*x2^{reduced} + x1", p, 2).table
+
+
+@pytest.mark.parametrize(
+    "text,message,position",
+    [
+        ("\u00b2", "unexpected character", 0),
+        ("x1 + \u00b2", "unexpected character", 5),
+        ("x1\u00b2", "unexpected character", 2),
+        ("x\u00b2", "'x' must be followed by a variable index", 0),
+    ],
+)
+def test_non_decimal_digits_are_parse_errors(text, message, position):
+    # str.isdigit accepts superscripts that int() rejects; only Unicode
+    # decimal digits (such as U+0663) make numbers
+    with pytest.raises(ParseError, match=message) as exc:
+        parse_polynomial(text, 3, 2)
+    assert exc.value.position == position
 
 
 # ---------------------------------------------------------------------------
