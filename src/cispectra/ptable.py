@@ -27,7 +27,9 @@ joint counts of (x_S, f(x)) over an ordered variable tuple S = indices.  The
 digits of k over S pack into w = x_{indices[0]} + x_{indices[1]} * p + ...,
 indices[0] least significant as for k, and _joint_counts(f, indices) is the
 flat list cm[w*p + v] = #{k : k packs to w, f(k) = v}; indices = () gives
-the output histogram cm[v].
+the output histogram cm[v].  Packed digits are built on demand from x_1 up
+(_weighted_digits): one comprehension per weighted variable, p^j long for the
+highest weighted x_j, then list repetition up to p^n.
 
 Array view
 ----------
@@ -36,9 +38,10 @@ order.  Axis j holds x_(n-j), so x_1 is the last, fastest-varying axis and
 array.ravel() is the table in index order.  It is built on first use only:
 the many tiny tables of search and crosscheck never need it.
 
-Everything here is an immutable value and every function is pure.  The one
-cache on an object, PFunction.array, is written once with a value derived
-from the table, so objects can be shared freely across threads.
+Everything here is an immutable value and every function is pure; no
+module-level state remains.  The one cache on an object, PFunction.array,
+is written once with a value derived from the table, so objects can be
+shared freely across threads.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import product
 from typing import Iterator, Sequence
 
@@ -257,49 +260,21 @@ def digits_of(k: int, p: int, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-# One size only: the rows of a 2^19 table take 10 MB and rebuild in a few
-# ms, far less than one pass of the count loops that read them.
-@lru_cache(maxsize=1)
-def digit_rows(p: int, n: int) -> tuple[Sequence[int], ...]:
-    """Row i-1 holds digit x_i of every index k = 0..p^n-1.
-
-    Rows are bytes for p <= 256 and tuples otherwise; both index to plain ints.
-    """
-    size = p**n
-    if size > MAX_TABLE_ENTRIES:
-        raise SizeLimitError(f"p^n = {size} exceeds {MAX_TABLE_ENTRIES}")
-    rows = []
-    step = 1
-    for _ in range(n):
-        if p <= 256:
-            block = b"".join(bytes([v]) * step for v in range(p))
-        else:
-            block = tuple(v for v in range(p) for _ in range(step))
-        rows.append(block * (size // (step * p)))
-        step *= p
-    return tuple(rows)
-
-
-def _weighted_digits(p: int, n: int, weights) -> list[int]:
-    """out[k] = sum_i w * x_i(k) over the (i, w) pairs of weights, i 1-based,
-    for every index k; zero weights are skipped."""
-    rows = digit_rows(p, n)
-    out = None
-    for i, w in weights:
-        if w == 0:
-            continue
-        row = rows[i - 1]
-        if out is None:
-            out = list(row) if w == 1 else [d * w for d in row]
-        else:
-            out = [s + d * w for s, d in zip(out, row)]
-    return [0] * p**n if out is None else out
+def _weighted_digits(p: int, weights) -> list[int]:
+    """out[k] = sum_i weights[i-1] * x_i(k) for every index k, n = len(weights).
+    From x_1 up, a digit of weight w makes p copies of the sums so far, shifted
+    by 0, w, ..., (p-1)*w, and a zero-weight digit repeats them."""
+    out = [0]
+    for w in weights:
+        out = [s + d for d in range(0, w * p, w) for s in out] if w else out * p
+    return out
 
 
 def _packed_digits(p: int, n: int, indices) -> list[int]:
     """packed[k] = sum_r x_{indices[r]}(k) * p^r, the base-p packing of the
     selected digits of every index k."""
-    return _weighted_digits(p, n, [(i, p**r) for r, i in enumerate(indices)])
+    place = {i: p**r for r, i in enumerate(indices)}
+    return _weighted_digits(p, [place.get(i, 0) for i in range(1, n + 1)])
 
 
 def _joint_counts(f: PFunction, indices) -> list[int]:
@@ -370,6 +345,14 @@ class Term:
 _TOKEN = re.compile(r"\s*(?:(?P<op>[-+*^])|(?P<int>\d+)|x(?P<var>\d+)|(?P<bad>\S))")
 
 
+def _literal(value: str, pos: int) -> int:
+    """int(value); a ParseError past Python's int-string digit limit."""
+    try:
+        return int(value)
+    except ValueError:
+        raise ParseError(f"integer literal of {len(value)} digits is too long", pos) from None
+
+
 def parse_terms(text: str, p: int, n: int) -> tuple[Term, ...]:
     """Parse a polynomial into its term list without evaluating it."""
     if not _is_prime(p):
@@ -397,14 +380,14 @@ def parse_terms(text: str, p: int, n: int) -> tuple[Term, ...]:
         if state == "exp":
             if kind != "int":
                 raise ParseError("exponent must be an integer", pos)
-            term[1][var] += int(value) - 1  # the variable already counted 1
+            term[1][var] += _literal(value, pos) - 1  # the variable already counted 1
             state = "after"
         elif state == "factor":
             if kind == "int":
-                term[0] = term[0] * (int(value) % p) % p
+                term[0] = term[0] * (_literal(value, pos) % p) % p
                 state = "after"
             elif kind == "var":
-                var = int(value)
+                var = _literal(value, pos)
                 if not 1 <= var <= n:
                     raise ParseError(f"variable index x{var} is outside 1..{n}", pos)
                 term[1][var] = term[1].get(var, 0) + 1

@@ -131,7 +131,7 @@ def count_matrix(f: PFunction, c) -> CountMatrix:
     p = f.p
     c = tuple([int(v) % p for v in c])
     flat = [0] * (p * p)
-    for d, v in zip(_weighted_digits(p, f.n, enumerate(c, 1)), f.table):
+    for d, v in zip(_weighted_digits(p, c), f.table):
         flat[d % p * p + v] += 1
     return CountMatrix(c, tuple([tuple(flat[i : i + p]) for i in range(0, p * p, p)]))
 

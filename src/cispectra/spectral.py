@@ -38,10 +38,13 @@ lives on the frequency stratum gcd(j, N) = p^(n-m):
     criterion are validated in the test suite against an ordered scan of
     the exact values and the counting oracles;
   * for a symmetric f every tuple gives the same values, so one subset per
-    order decides (is_ci_symmetric, ci_order_symmetric).  One *location*
-    decides only at p = 2; for p > 2 the whole conjugate orbit at that
-    tuple must vanish.  The symmetric table (0,0,0,0,2,0,0,0,1) over F_3^2
-    has dft[3] = 0 exactly but dft[6] != 0, and is not 1-CI.
+    order decides (is_ci_symmetric, ci_order_symmetric): f is m-CI iff, for
+    every c in 1..p-1, the DFT of c*f vanishes at the one index p^(n-m).
+    Proof: sigma_a (zeta -> zeta^a) sends omega^(f/a) zeta^(-k) to omega^f
+    zeta^(-a*k), so it maps the value of f/a at p^(n-m) to that of f at
+    a*p^(n-m); c = 1/a mod p gives the whole orbit a = 1..p-1.  One location
+    of f alone decides only at p = 2: the symmetric (0,0,0,0,2,0,0,0,1) over
+    F_3^2 has dft[3] = 0 but dft[6] != 0 and is not 1-CI.
 
 f is m-resilient iff fixing any m variables to any values leaves a balanced
 restriction; is_resilient checks exactly that by counting, over unordered
@@ -74,7 +77,6 @@ from .ptable import (
     VariableTuple,
     _check_order,
     _joint_counts,
-    digit_rows,
     digits_of,
     is_balanced,
     is_symmetric,
@@ -231,7 +233,7 @@ class ParsevalCost:
         _check_order(f, m, 0)
         p = f.p
         self.table = list(f.table)
-        self._rows = digit_rows(p, f.n)
+        self._p, self._places = p, [p**i for i in range(f.n)]
         # the m-subsets, then the empty set (the histogram)
         tracked = list(combinations(range(1, f.n + 1), m))
         self._weights = [p**m] * len(tracked) + [-len(tracked)]
@@ -248,7 +250,7 @@ class ParsevalCost:
         old = self.table[k]
         if old == v:
             return  # the SS update below needs two distinct cells
-        digits = [row[k] for row in self._rows]
+        digits = [k // place % self._p for place in self._places]
         delta = 0
         for strides, cm, weight in zip(self._strides, self._counts, self._weights):
             base = 0

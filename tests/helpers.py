@@ -17,7 +17,6 @@ from itertools import combinations, permutations, product
 from operator import mul
 
 from cispectra import CycloElement, Permutation, PFunction, exact_spectrum_conjugates
-from cispectra.ptable import digit_rows
 
 # Elementary symmetric polynomials in four variables, the fixed symmetric
 # test subjects over F_3.  e2 is first-order correlation-immune; e2 + e3
@@ -173,13 +172,11 @@ def random_symmetric_function(p: int, n: int, seed: int) -> PFunction:
 
 
 def apply_permutation_loop(f: PFunction, pi: Permutation) -> PFunction:
-    """Loop reference for ptable.apply_permutation: for every index k of g,
-    look f up at the point (x_pi(1), ..., x_pi(n)) built from k's digits."""
-    rows = digit_rows(f.p, f.n)
-    src = [rows[pi(i) - 1] for i in range(1, f.n + 1)]
-    weights = [f.p**i for i in range(f.n)]
-    table = f.table
-    new = tuple(table[sum(d * w for d, w in zip(digs, weights))] for digs in zip(*src))
+    """Loop reference for ptable.apply_permutation: for every point x of g,
+    in table order, look f up at the point (x_pi(1), ..., x_pi(n))."""
+    new = tuple(
+        f.evaluate(tuple(x[pi(i) - 1] for i in range(1, f.n + 1))) for x in points(f.p, f.n)
+    )
     return PFunction(f.p, f.n, new)
 
 

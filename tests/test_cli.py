@@ -691,6 +691,11 @@ def test_raised_size_limit_still_bounds_primality_work(capsys, monkeypatch):
         ],
         (["crosscheck", "--p", "2", "--n", "2", "--m", "1", "--random", "-3"],
          "--random must be >= 0"),
+        # literals past Python's 4,300-digit int conversion limit
+        (["analyze", "--poly", "1" * 5000 + " + x1", "--p", "3", "--n", "2"],
+         "5000 digits is too long (at position 0)"),
+        (["analyze", "--poly", "x1^" + "1" * 5000, "--p", "3", "--n", "2"],
+         "5000 digits is too long (at position 3)"),
     ],
 )
 def test_bad_arguments_exit_2_before_any_work(capsys, argv, message):

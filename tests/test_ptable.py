@@ -1,5 +1,6 @@
 """Tables, indexing, permutations, and the polynomial front end."""
 
+import ast
 import json
 import random
 import time
@@ -30,7 +31,7 @@ from cispectra import (
     shift_output,
     write_table,
 )
-from cispectra.ptable import _joint_counts, _weighted_digits, digit_rows
+from cispectra.ptable import _joint_counts, _weighted_digits
 
 import helpers
 
@@ -72,14 +73,6 @@ def test_index_digits_rejects_bad_input():
         digits_of(9, 3, 2)
     with pytest.raises(ValueError):
         digits_of(-1, 3, 2)
-
-
-def test_digit_rows_match_digits_of():
-    rows = digit_rows(3, 3)
-    for k in range(27):
-        x = digits_of(k, 3, 3)
-        for i in range(3):
-            assert rows[i][k] == x[i]
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +265,15 @@ def test_array_paths_match_loop_references(p, n):
             assert apply_permutation(f, pi).table == helpers.apply_permutation_loop(f, pi).table
 
 
+def test_helpers_import_only_the_top_level_package():
+    # the loop references in helpers reimplement the library's machinery, so
+    # they may use its public names but none of its modules' internals
+    tree = ast.parse(Path(helpers.__file__).read_text())
+    modules = [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    modules += [a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names]
+    assert [m for m in modules if m.split(".")[0] == "cispectra"] == ["cispectra"]
+
+
 @pytest.mark.parametrize("p,n,dtype", [(3, 4, np.uint8), (257, 2, np.int64)])
 def test_array_view_is_lazy_read_only_and_in_index_order(p, n, dtype):
     f = random_function(p, n, seed=p + n)
@@ -318,6 +320,7 @@ def test_is_balanced():
         (2, 4, [(), (1,), (3, 1), (2, 4, 1), (4, 3, 2, 1)]),
         (3, 3, [(), (2,), (3, 1), (1, 2, 3)]),
         (5, 2, [(), (1,), (2, 1)]),
+        (257, 2, [(), (1,), (2,)]),
     ],
 )
 def test_joint_counts_match_brute_force(p, n, tuples):
@@ -336,16 +339,22 @@ def test_joint_counts_match_brute_force(p, n, tuples):
 @pytest.mark.parametrize(
     "p,n,weights",
     [
-        (2, 4, [(3, 1), (1, 2), (4, 0), (2, 1)]),
-        (3, 3, [(1, 2), (2, 2), (3, 2)]),
-        (5, 2, [(2, 25), (1, 7)]),
-        (3, 2, [(1, 0), (2, 0)]),
-        (3, 2, []),
+        (2, 4, [2, 1, 1, 0]),
+        (3, 3, [2, 2, 2]),
+        (5, 2, [7, 25]),
+        (3, 2, [0, 0]),
+        (3, 2, [0, 1]),
+        (3, 4, [0, 0, 1, 2]),
+        (2, 5, [1, 3, 0, 0, 0]),
+        (257, 2, [1, 257]),
+        (257, 2, [0, 5]),
     ],
 )
 def test_weighted_digits_match_point_sums(p, n, weights):
-    want = [sum(w * x[i - 1] for i, w in weights) for x in helpers.points(p, n)]
-    assert _weighted_digits(p, n, weights) == want
+    # one weight per variable; leading, trailing and all-zero weights repeat
+    # the list instead of shifting it
+    want = [sum(w * xi for w, xi in zip(weights, x)) for x in helpers.points(p, n)]
+    assert _weighted_digits(p, weights) == want
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +531,20 @@ def test_huge_exponent_reduces_by_fermat():
     )
     reduced = 1 + (e - 1) % (p - 1)
     assert f.table == parse_polynomial(f"3*x2^{reduced} + x1", p, 2).table
+
+
+@pytest.mark.parametrize(
+    "text,position",
+    [
+        ("1" * 5000 + " + x1", 0),
+        ("x1 + x2^" + "1" * 5000, 8),
+    ],
+)
+def test_overlong_literals_are_parse_errors(text, position):
+    # past Python's 4,300-digit int conversion limit
+    with pytest.raises(ParseError, match="5000 digits is too long") as exc:
+        parse_terms(text, 3, 2)
+    assert exc.value.position == position
 
 
 @pytest.mark.parametrize(

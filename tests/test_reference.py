@@ -305,7 +305,7 @@ def test_fourier_oracles_make_one_digit_pass_per_c(monkeypatch):
     weighted_digits = reference._weighted_digits
     monkeypatch.setattr(
         reference, "_weighted_digits",
-        lambda p, n, weights: passes.append(1) or weighted_digits(p, n, weights))
+        lambda p, weights: passes.append(1) or weighted_digits(p, weights))
     builds = []
     post_init = PFunction.__post_init__
     monkeypatch.setattr(

@@ -401,7 +401,7 @@ def test_parseval_cost_exhaustive(p, n):
     assert time.perf_counter() - start < 20.0
 
 
-@pytest.mark.parametrize("p,n", [(2, 4), (2, 6), (3, 3), (3, 4), (5, 2), (7, 2)])
+@pytest.mark.parametrize("p,n", [(2, 4), (2, 6), (3, 3), (3, 4), (5, 2), (7, 2), (257, 1)])
 def test_parseval_cost_matches_a_point_recount(p, n):
     rng = random.Random(10 * p + n)
     for seed in range(5):
@@ -587,6 +587,45 @@ def test_symmetric_shortcut_random_ternary():
         for m in range(1, 5):
             assert is_ci_symmetric(f, m) == is_ci(f, m)
         assert ci_order_symmetric(f) == ci_order(f)
+
+
+def _vanishes_for_every_multiple(f, m):
+    """The symmetric theorem's test: for every c in 1..p-1 the exact DFT of
+    c*f vanishes at the one index p^(n-m)."""
+    return all(
+        exact_spectrum_at_critical(
+            PFunction(f.p, f.n, tuple(c * v % f.p for v in f.table)), m, range(1, m + 1)
+        ).is_zero()
+        for c in range(1, f.p)
+    )
+
+
+def test_symmetric_theorem_matches_is_ci(e2):
+    # a symmetric f is m-CI iff the DFT of c*f vanishes at p^(n-m) for every
+    # c = 1..p-1 (spectral module docstring)
+    trap = PFunction(3, 2, helpers.SYMMETRIC_TRAP_TABLE)
+    fixed = [
+        (e2, [True, False, False, False]),
+        (trap, [False, False]),
+        (parse_polynomial("x1 + x2 + x3 + x4", 3, 4), [True, True, True, False]),
+        (parse_polynomial("x1 + x2 + x3", 5, 3), [True, True, False]),
+    ]
+    for f, want in fixed:
+        assert [_vanishes_for_every_multiple(f, m) for m in range(1, f.n + 1)] == want
+    # c = 1 alone passes the trap, and 63 (function, order) pairs at (3,2)
+    assert exact_spectrum_at_critical(trap, 1, (1,)).is_zero()
+    lone_zeros = 0
+    for f in helpers.all_symmetric_functions(3, 2):
+        for m in (1, 2):
+            ci = is_ci(f, m)
+            assert _vanishes_for_every_multiple(f, m) == ci
+            lone_zeros += exact_spectrum_at_critical(f, m, range(1, m + 1)).is_zero() and not ci
+    assert lone_zeros == 63
+    for seed in range(100):
+        for p, n in [(5, 2), (3, 4)]:
+            f = helpers.random_symmetric_function(p, n, seed)
+            for m in range(1, n + 1):
+                assert _vanishes_for_every_multiple(f, m) == is_ci(f, m)
 
 
 def test_symmetric_shortcut_rejects_asymmetric_input():
