@@ -58,7 +58,7 @@ DEFAULT_BUDGET = 20000
 MAX_EXHAUSTIVE = 1_000_000
 
 
-def _size_limit() -> int:
+def _env_limit() -> int:
     raw = os.environ.get("CI_SPECTRA_MAX_N")
     if raw is None:
         return DEFAULT_SIZE_LIMIT
@@ -129,7 +129,7 @@ def _reports_work(p: int, n: int) -> int:
 
 
 def cmd_analyze(args) -> int:
-    limit = _size_limit()
+    limit = _env_limit()
     f = _load_function(args, limit)
     work = _reports_work(f.p, f.n) if args.reports else 0
     if work > limit:
@@ -161,10 +161,10 @@ def _parse_tuples(args, m: int, n: int) -> list[VariableTuple]:
 def cmd_spectrum(args) -> int:
     if args.tuple and args.exact_at is None:
         raise ParseError("--tuple requires --exact-at")
-    limit = _size_limit()
+    limit = _env_limit()
     f = _load_function(args, limit)
     if args.full:
-        print(spectral.SpectrumDump.compute(f, limit).to_json())
+        print(spectral.SpectrumDump.compute(f).to_json())
         return EXIT_OK
     m = args.exact_at
     if not 1 <= m <= f.n:
@@ -212,7 +212,7 @@ def _spectrum_text(record: dict) -> list[str]:
 
 
 def cmd_crosscheck(args) -> int:
-    limit = _size_limit()
+    limit = _env_limit()
     p, n, m = args.p, args.n, args.m
     _check_p_n(p, n, limit)
     if not 1 <= m <= n:
@@ -314,7 +314,7 @@ def _better(best, climb):
 
 
 def cmd_search(args) -> int:
-    limit = _size_limit()
+    limit = _env_limit()
     p, n, target = args.p, args.n, args.target_ci
     _check_p_n(p, n, limit)
     if args.budget < 1:
@@ -342,6 +342,10 @@ def cmd_search(args) -> int:
             f"--target-ci {target} at p = {p}, n = {n} keeps {cells} joint counts "
             f"over its {target}-variable subsets and outputs, above the size limit {limit}"
         )
+
+    if args.output:
+        # refuse an unwritable path before the climb, not after it
+        open(args.output, "a").close()
 
     rng = random.Random(seed)
     stall_limit = 8 * p**n

@@ -15,7 +15,8 @@ Only addition and negation are provided.  The spectral tests never multiply
 two generic elements, and leaving multiplication out keeps the class honest
 about what has been verified.
 
-Debug text format: "p m : c0 c1 ... c_(phi-1)".
+to_text writes the debug text "p m : c0 c1 ... c_(phi-1)"; it is output
+only, and nothing reads it back.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import cmath
 from dataclasses import dataclass
 from typing import Sequence
 
-from .ptable import ParseError, _is_prime
+from .ptable import _is_prime
 
 
 def _phi(p: int, m: int) -> int:
@@ -100,24 +101,6 @@ class CycloElement:
 
     def to_text(self) -> str:
         return f"{self.p} {self.m} : {' '.join(str(c) for c in self.coeffs)}"
-
-    @classmethod
-    def from_text(cls, text: str) -> "CycloElement":
-        head, sep, body = text.partition(":")
-        if not sep:
-            raise ParseError(f"missing ':' in {text!r}")
-        parts = head.split()
-        if len(parts) != 2:
-            raise ParseError(f"header must be 'p m', got {head.strip()!r}")
-        try:
-            p, m = int(parts[0]), int(parts[1])
-            coeffs = tuple(int(c) for c in body.split())
-        except ValueError as e:
-            raise ParseError(f"bad integer in {text!r}: {e}") from None
-        try:
-            return cls(p, m, coeffs)
-        except ValueError as e:
-            raise ParseError(str(e)) from None
 
 
 def root_power(p: int, m: int, e: int) -> CycloElement:

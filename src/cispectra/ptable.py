@@ -57,8 +57,8 @@ import numpy as np
 
 # Tables larger than this are rejected outright at construction.
 MAX_TABLE_ENTRIES = 2**31
-# Default ceiling for the expensive whole-table transforms; the CLI lets the
-# CI_SPECTRA_MAX_N environment variable raise it.
+# The CLI's default size limit on tables and on the work of a request; the
+# CI_SPECTRA_MAX_N environment variable raises or lowers it.
 DEFAULT_SIZE_LIMIT = 10**6
 
 

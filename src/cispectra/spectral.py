@@ -52,12 +52,11 @@ subsets (order of the fixed variables cannot matter for balancedness).
 Equivalently f is balanced and m-CI, which is how resiliency_order derives
 the order from ci_order instead of scanning again.
 
-Float results (dft_float, autocorrelation) are for inspection and
-cross-checking only.  Both are computed from their definitions up to
-N = _DIRECT_DFT_MAX and by FFT above it (autocorrelation by
-Wiener-Khinchin); the tests compare the two paths.  The reporting threshold
-for calling a float value zero is FLOAT_ZERO_FACTOR * N; exact verdicts
-never consult it.
+Float results (dft_float, autocorrelation) are for inspection only.  Both
+are numpy FFTs at every size (autocorrelation by Wiener-Khinchin); the tests
+compare them with direct per-frequency and per-shift sums.  The reporting
+threshold for calling a float value zero is FLOAT_ZERO_FACTOR * N; exact
+verdicts never consult it.
 """
 
 from __future__ import annotations
@@ -70,10 +69,7 @@ import numpy as np
 
 from .cyclotomic import CycloElement
 from .ptable import (
-    DEFAULT_SIZE_LIMIT,
-    ParseError,
     PFunction,
-    SizeLimitError,
     VariableTuple,
     _check_order,
     _joint_counts,
@@ -82,9 +78,6 @@ from .ptable import (
     is_symmetric,
 )
 
-# Above this length dft_float and autocorrelation switch from direct O(N^2)
-# summation to FFT.
-_DIRECT_DFT_MAX = 4096
 # Reporting-only threshold scale for float zero classification.
 FLOAT_ZERO_FACTOR = 1e-6
 
@@ -381,59 +374,20 @@ def resiliency_order(f: PFunction) -> int:
 # Floating-point transforms
 # --------------------------------------------------------------------------
 
-def _check_size(f: PFunction, size_limit):
-    if size_limit is not None and f.size > size_limit:
-        raise SizeLimitError(
-            f"p^n = {f.size} exceeds the size limit {size_limit}"
-        )
-
-
 def _omega_sequence(f: PFunction) -> np.ndarray:
     return np.exp(2j * np.pi / f.p * np.asarray(f.table, dtype=np.float64))
 
 
-def dft_float(f: PFunction, size_limit: int | None = DEFAULT_SIZE_LIMIT) -> np.ndarray:
-    """dft[j] = sum_k omega^f(k) * exp(-2*pi*i*k*j/N), j = 0..N-1.
-
-    Direct per-frequency summation up to N = 4096 (each twiddle computed
-    from the exact residue k*j mod N); numpy's FFT above that, as a
-    performance path cross-checked against the direct sum in tests.
-    """
-    _check_size(f, size_limit)
-    w = _omega_sequence(f)
-    N = f.size
-    if N <= _DIRECT_DFT_MAX:
-        k = np.arange(N, dtype=np.int64)
-        root = np.exp(-2j * np.pi / N * np.arange(N, dtype=np.float64))
-        out = np.empty(N, dtype=np.complex128)
-        for j in range(N):
-            out[j] = w @ root[(k * j) % N]
-        return out
-    return np.fft.fft(w)
+def dft_float(f: PFunction) -> np.ndarray:
+    """dft[j] = sum_k omega^f(k) * exp(-2*pi*i*k*j/N), j = 0..N-1, by
+    numpy's FFT."""
+    return np.fft.fft(_omega_sequence(f))
 
 
-def inverse_dft_float(spectrum) -> np.ndarray:
-    """Inverse of dft_float: recovers the sequence omega^f(k)."""
-    return np.fft.ifft(np.asarray(spectrum, dtype=np.complex128))
-
-
-def autocorrelation(f: PFunction, size_limit: int | None = DEFAULT_SIZE_LIMIT) -> np.ndarray:
-    """C[t] = sum_k omega^(f(k+t) - f(k)), index addition mod N.
-
-    Computed straight from the definition up to N = 4096, so that the
-    DFT-pair identity |dft[j]|^2 = DFT(C)[j] stays an actual test there;
-    above that by Wiener-Khinchin, C = ifft(|fft(omega^f)|^2), in
-    O(N log N) instead of O(N^2).  C[0] = N always.
-    """
-    _check_size(f, size_limit)
-    w = _omega_sequence(f)
-    N = f.size
-    if N > _DIRECT_DFT_MAX:
-        return np.fft.ifft(np.abs(np.fft.fft(w)) ** 2)
-    out = np.empty(N, dtype=np.complex128)
-    for t in range(N):
-        out[t] = np.vdot(w, np.roll(w, -t))
-    return out
+def autocorrelation(f: PFunction) -> np.ndarray:
+    """C[t] = sum_k omega^(f(k+t) - f(k)), index addition mod N, by
+    Wiener-Khinchin: C = ifft(|fft(omega^f)|^2).  C[0] = N always."""
+    return np.fft.ifft(np.abs(np.fft.fft(_omega_sequence(f))) ** 2)
 
 
 def float_is_zero(value: complex, size: int) -> bool:
@@ -456,12 +410,12 @@ class SpectrumDump:
     autocorrelation: tuple[complex, ...]
 
     @classmethod
-    def compute(cls, f: PFunction, size_limit: int | None = DEFAULT_SIZE_LIMIT) -> "SpectrumDump":
+    def compute(cls, f: PFunction) -> "SpectrumDump":
         return cls(
             f.p,
             f.n,
-            tuple(complex(z) for z in dft_float(f, size_limit)),
-            tuple(complex(z) for z in autocorrelation(f, size_limit)),
+            tuple(complex(z) for z in dft_float(f)),
+            tuple(complex(z) for z in autocorrelation(f)),
         )
 
     def to_json(self) -> str:
@@ -473,19 +427,3 @@ class SpectrumDump:
                 "autocorrelation": [[z.real, z.imag] for z in self.autocorrelation],
             }
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "SpectrumDump":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"bad spectrum JSON: {e}") from None
-        try:
-            return cls(
-                int(obj["p"]),
-                int(obj["n"]),
-                tuple(complex(re, im) for re, im in obj["dft"]),
-                tuple(complex(re, im) for re, im in obj["autocorrelation"]),
-            )
-        except (KeyError, TypeError, ValueError) as e:
-            raise ParseError(f"bad spectrum JSON structure: {e!r}") from None

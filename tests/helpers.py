@@ -2,7 +2,8 @@
 
 Everything here deliberately reimplements the mathematics with different
 machinery than the library (Fraction probabilities over enumerated points,
-plus-minus-one Walsh sums, Python ast evaluation of polynomials), so that
+plus-minus-one Walsh sums, Python ast evaluation of polynomials, and the
+O(N^2) per-frequency and per-shift sums behind the library's FFTs), so that
 agreement between suite and library is evidence rather than tautology.
 """
 
@@ -15,6 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from operator import mul
+
+import numpy as np
 
 from cispectra import CycloElement, Permutation, PFunction, exact_spectrum_conjugates
 
@@ -198,3 +201,29 @@ def failing_tuples_scan(f: PFunction, m: int) -> list[tuple[int, ...]]:
         t for t in permutations(range(1, f.n + 1), m)
         if not all(v.is_zero() for v in exact_spectrum_conjugates(f, m, t))
     ]
+
+
+def dft_direct(f: PFunction) -> np.ndarray:
+    """Reference for spectral.dft_float, one frequency at a time:
+    dft[j] = sum_k omega^f(k) * xi^(-k*j), xi = exp(2*pi*i/N).  Each term is
+    xi^(f(k)*N/p - k*j), so its exponent is taken mod N in integers and the
+    terms are tallied per root of unity before one float dot product."""
+    N = f.size
+    k = np.arange(N, dtype=np.int64)
+    lifted = np.asarray(f.table, dtype=np.int64) * (N // f.p)
+    roots = np.exp(2j * np.pi / N * np.arange(N))
+    return np.array([
+        np.bincount((lifted - k * j) % N, minlength=N) @ roots for j in range(N)
+    ])
+
+
+def autocorrelation_direct(f: PFunction) -> np.ndarray:
+    """Reference for spectral.autocorrelation, one shift at a time:
+    C[t] = sum_k omega^(f(k+t) - f(k)), index addition mod N, with the
+    output differences counted mod p in integers."""
+    table = np.asarray(f.table, dtype=np.int64)
+    omegas = np.exp(2j * np.pi / f.p * np.arange(f.p))
+    return np.array([
+        np.bincount((np.roll(table, -t) - table) % f.p, minlength=f.p) @ omegas
+        for t in range(f.size)
+    ])

@@ -185,16 +185,14 @@ def test_analyze_reports_work_is_bounded(capsys, poly, p, n, answers):
 # ---------------------------------------------------------------------------
 
 def test_spectrum_full_roundtrip(capsys, tmp_path):
-    from cispectra.spectral import SpectrumDump
-
     f = parse_polynomial("x1*x2", 2, 2)
     path = tmp_path / "f.tbl"
     path.write_text(write_table(f))
     code, out = run(capsys, "spectrum", str(path), "--full")
     assert code == EXIT_OK
-    dump = SpectrumDump.from_json(out)
-    assert dump.p == 2 and dump.n == 2
-    assert abs(dump.autocorrelation[0] - 4) < 1e-9
+    obj = json.loads(out)
+    assert obj["p"] == 2 and obj["n"] == 2
+    assert abs(complex(*obj["autocorrelation"][0]) - 4) < 1e-9
 
 
 def test_spectrum_exact_at_identity_tuple(capsys):
@@ -602,6 +600,21 @@ def test_search_output_file(capsys, tmp_path):
     assert code == EXIT_OK
     f = read_table(path.read_text())
     assert ci_order(f) >= 1
+
+
+def test_search_output_unwritable_exits_2_before_climbing(capsys, tmp_path, monkeypatch):
+    def no_climb(*args):
+        raise AssertionError("the climb started")
+
+    monkeypatch.setattr(spectral, "ParsevalCost", no_climb)
+    code = main([
+        "search", "--p", "2", "--n", "8", "--target-ci", "3",
+        "--output", str(tmp_path / "no-such-dir" / "x"),
+    ])
+    captured = capsys.readouterr()
+    assert code == EXIT_PARSE
+    assert captured.out == ""
+    assert "No such file or directory" in captured.err
 
 
 # ---------------------------------------------------------------------------

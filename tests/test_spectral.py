@@ -7,6 +7,7 @@ a * p^(n-m) with gcd(a, p) = 1), and the p-1 values for a = 1..p-1 form one
 Galois orbit.  A single evaluation at p^(n-m) is enough only when p = 2.
 """
 
+import json
 import math
 import random
 import time
@@ -18,7 +19,6 @@ import pytest
 from cispectra import (
     PFunction,
     Permutation,
-    SizeLimitError,
     VariableTuple,
     all_functions,
     apply_permutation,
@@ -44,7 +44,6 @@ from cispectra.spectral import (
     first_failing_tuple,
     first_unbalanced_restriction,
     float_is_zero,
-    inverse_dft_float,
     is_ci,
     is_ci_symmetric,
     is_resilient,
@@ -750,22 +749,12 @@ def test_dft_zero_bin_is_the_omega_sum():
         assert abs(dft_float(f)[0] - want) < 1e-9
 
 
-def test_direct_and_fft_paths_agree(monkeypatch):
-    f = random_function(3, 4, seed=12)
-    direct = dft_float(f)
-    monkeypatch.setattr(spectral, "_DIRECT_DFT_MAX", 1)
-    via_fft = dft_float(f)
-    assert np.max(np.abs(direct - via_fft)) < 1e-9
-
-
-def test_inverse_dft_roundtrip():
-    rng = random.Random(89)
-    for _ in range(10):
-        p, n = rng.choice([(2, 5), (3, 3), (5, 2)])
-        f = random_function(p, n, seed=rng.randrange(10**6))
-        omega_seq = np.exp(2j * np.pi / p * np.asarray(f.table))
-        back = inverse_dft_float(dft_float(f))
-        assert np.max(np.abs(back - omega_seq)) < 1e-9
+def test_direct_and_fft_paths_agree():
+    # N = 81, 625, 4096, 6561
+    for p, n in [(3, 4), (5, 4), (2, 12), (3, 8)]:
+        f = random_function(p, n, seed=p * n)
+        err = np.max(np.abs(dft_float(f) - helpers.dft_direct(f)))
+        assert err < 1e-9 * f.size, (p, n, err)
 
 
 def test_autocorrelation_zero_shift_is_the_point_count():
@@ -784,19 +773,20 @@ def test_wiener_khinchin_and_parseval():
         f = random_function(p, n, seed=rng.randrange(10**6))
         spec = dft_float(f)
         power = np.abs(spec) ** 2
-        # DFT of the cyclic autocorrelation is the power spectrum
-        assert np.max(np.abs(np.fft.fft(autocorrelation(f)) - power)) < 1e-6 * f.size
+        # DFT of the cyclic autocorrelation is the power spectrum; the
+        # autocorrelation is the direct sum, since the library's is
+        # ifft(power) and would pass by construction
+        pair = np.fft.fft(helpers.autocorrelation_direct(f))
+        assert np.max(np.abs(pair - power)) < 1e-6 * f.size
         # Parseval: total power is N^2
         assert abs(power.sum() - f.size**2) < 1e-6 * f.size**2
 
 
-@pytest.mark.parametrize("p,n", [(3, 4), (3, 5), (5, 4)])
-def test_autocorrelation_direct_and_fft_paths_agree(monkeypatch, p, n):
+@pytest.mark.parametrize("p,n", [(3, 4), (3, 5), (5, 4), (2, 12), (3, 8)])
+def test_autocorrelation_direct_and_fft_paths_agree(p, n):
     f = random_function(p, n, seed=p * n)
-    direct = autocorrelation(f)
-    monkeypatch.setattr(spectral, "_DIRECT_DFT_MAX", 1)
-    via_fft = autocorrelation(f)
-    assert np.max(np.abs(direct - via_fft)) < 1e-9 * f.size
+    err = np.max(np.abs(autocorrelation(f) - helpers.autocorrelation_direct(f)))
+    assert err < 1e-9 * f.size
 
 
 def test_autocorrelation_is_fast_on_large_tables():
@@ -816,17 +806,6 @@ def test_float_is_zero_threshold_scales_with_size():
     assert not float_is_zero(1e-3, 81)
 
 
-def test_size_limits_are_enforced():
-    f = random_function(3, 3, seed=1)
-    with pytest.raises(SizeLimitError):
-        dft_float(f, size_limit=26)
-    with pytest.raises(SizeLimitError):
-        autocorrelation(f, size_limit=26)
-    with pytest.raises(SizeLimitError):
-        SpectrumDump.compute(f, size_limit=26)
-    assert dft_float(f, size_limit=None).shape == (27,)
-
-
 # ---------------------------------------------------------------------------
 # SpectrumDump JSON
 # ---------------------------------------------------------------------------
@@ -834,24 +813,9 @@ def test_size_limits_are_enforced():
 def test_spectrum_dump_roundtrip_is_bit_exact():
     f = random_function(3, 3, seed=21)
     dump = SpectrumDump.compute(f)
-    back = SpectrumDump.from_json(dump.to_json())
-    assert back.p == dump.p and back.n == dump.n
-    assert back.dft == dump.dft
-    assert back.autocorrelation == dump.autocorrelation
+    obj = json.loads(dump.to_json())
+    assert (obj["p"], obj["n"]) == (dump.p, dump.n)
+    assert tuple(complex(re, im) for re, im in obj["dft"]) == dump.dft
+    assert tuple(complex(re, im) for re, im in obj["autocorrelation"]) == dump.autocorrelation
     assert abs(dump.dft[0] - sum(np.exp(2j * np.pi * v / 3) for v in f.table)) < 1e-9
     assert abs(dump.autocorrelation[0] - 27) < 1e-9
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "not json",
-        '{"p": 2, "n": 1}',
-        '{"p": 2, "n": 1, "dft": [[0, 0]], "autocorrelation": [0]}',
-    ],
-)
-def test_spectrum_dump_rejects_malformed_json(text):
-    from cispectra import ParseError
-
-    with pytest.raises(ParseError):
-        SpectrumDump.from_json(text)
