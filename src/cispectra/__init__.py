@@ -11,7 +11,7 @@ Truth tables index the point (x_1, ..., x_n) by k = sum_i x_i * p^(i-1),
 with x_1 the LEAST significant base-p digit of k.
 """
 
-from .cyclotomic import CycloElement, embed_omega, root_power
+from .cyclotomic import CycloElement
 from .ptable import (
     DEFAULT_SIZE_LIMIT,
     MAX_TABLE_ENTRIES,
@@ -38,13 +38,10 @@ from .reference import (
     MethodReport,
     chrestenson_cyclic,
     chrestenson_linear,
-    ci_oracle_chrestenson_cyclic,
-    ci_oracle_chrestenson_linear,
     ci_oracle_definition,
     consensus,
     count_matrix,
     matrix_test,
-    orthogonal_array_test,
 )
 from .spectral import (
     SpectrumDump,
@@ -82,8 +79,6 @@ __all__ = [
     "autocorrelation",
     "chrestenson_cyclic",
     "chrestenson_linear",
-    "ci_oracle_chrestenson_cyclic",
-    "ci_oracle_chrestenson_linear",
     "ci_oracle_definition",
     "ci_order",
     "ci_order_symmetric",
@@ -92,7 +87,6 @@ __all__ = [
     "critical_index",
     "dft_float",
     "digits_of",
-    "embed_omega",
     "exact_spectrum_at_critical",
     "exact_spectrum_conjugates",
     "first_failing_tuple",
@@ -104,13 +98,11 @@ __all__ = [
     "is_resilient",
     "is_symmetric",
     "matrix_test",
-    "orthogonal_array_test",
     "parse_polynomial",
     "parse_terms",
     "random_function",
     "read_table",
     "resiliency_order",
-    "root_power",
     "shift_output",
     "write_table",
 ]

@@ -120,12 +120,15 @@ def _analyze_text(record: dict) -> list[str]:
     return lines
 
 
+def _oracle_work(p: int, n: int, m: int) -> int:
+    """Steps of one consensus at order m: one pass over the p^n table per
+    c-vector of weight 1..m."""
+    return sum(math.comb(n, w) * (p - 1) ** w for w in range(1, m + 1)) * p**n
+
+
 def _reports_work(p: int, n: int) -> int:
-    """Steps of --reports: one pass over the p^n table per c-vector per
-    order, where a c of weight w is evaluated at the n + 1 - w orders m >= w."""
-    return sum(
-        math.comb(n, w) * (p - 1) ** w * (n + 1 - w) for w in range(1, n + 1)
-    ) * p**n
+    """Steps of --reports: one consensus at each order m = 1..n."""
+    return sum(_oracle_work(p, n, m) for m in range(1, n + 1))
 
 
 def cmd_analyze(args) -> int:
@@ -219,6 +222,13 @@ def cmd_crosscheck(args) -> int:
         raise ParseError(f"--m must be in 1..{n}, got {m}")
     if args.random is not None and args.random < 0:
         raise ParseError(f"--random must be >= 0, got {args.random}")
+    # checked per function, and only when some function is built
+    work = _oracle_work(p, n, m)
+    if (args.exhaustive or args.random) and work > limit:
+        raise SizeLimitError(
+            f"consensus at p = {p}, n = {n}, m = {m} takes {work} steps per function, "
+            f"above the size limit {limit}"
+        )
     size = p**n
     seed = None
     if args.exhaustive:

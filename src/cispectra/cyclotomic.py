@@ -11,9 +11,10 @@ unique, so a sum of roots of unity is zero exactly when every stored
 coordinate is zero.  No floating point is involved anywhere; to_complex is a
 one-way debugging aid.
 
-Only addition and negation are provided.  The spectral tests never multiply
-two generic elements, and leaving multiplication out keeps the class honest
-about what has been verified.
+No ring arithmetic is provided.  Elements are built by from_root_counts
+(or from stored coordinates) and are only tested for zero, printed or
+evaluated; the spectral tests never combine two elements, and leaving the
+arithmetic out keeps the class honest about what has been verified.
 
 to_text writes the debug text "p m : c0 c1 ... c_(phi-1)"; it is output
 only, and nothing reads it back.
@@ -53,10 +54,6 @@ class CycloElement:
             )
 
     @classmethod
-    def zero(cls, p: int, m: int) -> "CycloElement":
-        return cls(p, m, (0,) * _phi(p, m))
-
-    @classmethod
     def from_root_counts(cls, p: int, m: int, counts: Sequence[int]) -> "CycloElement":
         """Reduce sum_w counts[w] * zeta^w, counts indexed by w = 0..p^m - 1."""
         order = p**m
@@ -74,19 +71,6 @@ class CycloElement:
                 coeffs[j * block + r] -= c
         return cls(p, m, tuple(coeffs))
 
-    def __add__(self, other: "CycloElement") -> "CycloElement":
-        if (self.p, self.m) != (other.p, other.m):
-            raise ValueError("cannot add elements of different rings")
-        return CycloElement(
-            self.p, self.m, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __neg__(self) -> "CycloElement":
-        return CycloElement(self.p, self.m, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "CycloElement") -> "CycloElement":
-        return self + (-other)
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
@@ -102,17 +86,3 @@ class CycloElement:
     def to_text(self) -> str:
         return f"{self.p} {self.m} : {' '.join(str(c) for c in self.coeffs)}"
 
-
-def root_power(p: int, m: int, e: int) -> CycloElement:
-    """zeta^e as an element, e taken mod p^m."""
-    order = p**m
-    counts = [0] * order
-    counts[e % order] = 1
-    return CycloElement.from_root_counts(p, m, counts)
-
-
-def embed_omega(p: int, m: int, a: int) -> CycloElement:
-    """omega^a for omega = zeta^(p^(m-1)), the canonical p-th root inside the ring."""
-    if not 0 <= a < p:
-        raise ValueError(f"a must be in 0..{p - 1}, got {a}")
-    return root_power(p, m, a * p ** (m - 1))

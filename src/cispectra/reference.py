@@ -36,7 +36,8 @@ integers keeps the oracle exact.
 Witnesses: every test reports the lexicographically first failing object
 (c-vector, (subset, assignment, output), or (value, subset, pattern)),
 scanning c-vectors in plain tuple order and subsets/patterns in the order
-itertools emits them.
+itertools emits them.  consensus keeps each witness as its oracle returns
+it; MethodReport.record converts them to JSON.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from itertools import combinations, product
 from .cyclotomic import CycloElement
 from .ptable import (
     PFunction,
-    VariableTuple,
     _check_order,
     _joint_counts,
     _packed_digits,
@@ -170,11 +170,6 @@ def chrestenson_cyclic_witness(f: PFunction, m: int):
     return None
 
 
-def ci_oracle_chrestenson_cyclic(f: PFunction, m: int) -> bool:
-    """CI iff the cyclic spectrum vanishes on every c with 1 <= wt(c) <= m."""
-    return chrestenson_cyclic_witness(f, m) is None
-
-
 def chrestenson_linear_witness(f: PFunction, m: int):
     """First failing (c, shift); all p output shifts of f must have vanishing
     linear spectrum on every c with 1 <= wt(c) <= m.  Every shift is folded
@@ -186,10 +181,6 @@ def chrestenson_linear_witness(f: PFunction, m: int):
             if not _linear_fold(cm, a).is_zero():
                 return (c, a)
     return None
-
-
-def ci_oracle_chrestenson_linear(f: PFunction, m: int) -> bool:
-    return chrestenson_linear_witness(f, m) is None
 
 
 def matrix_test(f: PFunction, m: int):
@@ -246,24 +237,29 @@ def orthogonal_array_witness(f: PFunction, m: int):
     return None
 
 
-def orthogonal_array_test(f: PFunction, m: int) -> bool:
-    """True iff every level set of f is an orthogonal array of strength m
-    (each m-column pattern equally frequent within each level set)."""
-    return orthogonal_array_witness(f, m) is None
-
-
 # --------------------------------------------------------------------------
 # Consensus across all methods
 # --------------------------------------------------------------------------
 
+# The JSON value of each method's raw witness.
+_WITNESS_JSON = {
+    "spectral": lambda t: list(t.indices),
+    "definition": lambda w: {"subset": w[0], "assignment": w[1], "output": w[2]},
+    "chrestenson_cyclic": lambda c: {"c": c},
+    "chrestenson_linear": lambda w: {"c": w[0], "shift": w[1]},
+    "matrix": lambda cm: {"c": list(cm.c), "entries": [list(r) for r in cm.entries]},
+    "orthogonal_array": lambda w: w,
+}
+
+
 @dataclass
 class MethodReport:
-    """Verdicts of all six methods for one (f, m) query, plus witnesses of
-    the failing ones.
+    """Verdicts of all six methods for one (f, m) query, plus the raw
+    witnesses of the failing ones, as their oracles return them.
 
     JSON schema: {"m": int, "verdicts": {name: bool, ...},
     "consensus": bool, "witnesses": {name: object, ...}} (witnesses key
-    present only when non-empty).
+    present only when non-empty); record() converts each witness.
     """
 
     m: int
@@ -279,14 +275,7 @@ class MethodReport:
         """The JSON object of the schema above, which to_json prints."""
         obj = {"m": self.m, "verdicts": self.verdicts, "consensus": self.consensus}
         if self.witnesses:
-            witnesses = {}
-            for name, w in self.witnesses.items():
-                if isinstance(w, VariableTuple):
-                    w = list(w.indices)
-                elif isinstance(w, CountMatrix):
-                    w = {"c": list(w.c), "entries": [list(r) for r in w.entries]}
-                witnesses[name] = w
-            obj["witnesses"] = witnesses
+            obj["witnesses"] = {k: _WITNESS_JSON[k](w) for k, w in self.witnesses.items()}
         return obj
 
     def to_json(self) -> str:
@@ -297,39 +286,15 @@ def consensus(f: PFunction, m: int) -> MethodReport:
     """Run all six characterizations at order m and collect verdicts and
     failure witnesses."""
     _check_order(f, m, 1)
-    verdicts: dict[str, bool] = {}
-    witnesses: dict[str, object] = {}
-
-    w_spec = spectral.first_failing_tuple(f, m)
-    verdicts["spectral"] = w_spec is None
-    if w_spec is not None:
-        witnesses["spectral"] = w_spec
-
-    w_def = definition_witness(f, m)
-    verdicts["definition"] = w_def is None
-    if w_def is not None:
-        subset, assign, t = w_def
-        witnesses["definition"] = {"subset": subset, "assignment": assign, "output": t}
-
-    w_cyc = chrestenson_cyclic_witness(f, m)
-    verdicts["chrestenson_cyclic"] = w_cyc is None
-    if w_cyc is not None:
-        witnesses["chrestenson_cyclic"] = {"c": w_cyc}
-
-    w_lin = chrestenson_linear_witness(f, m)
-    verdicts["chrestenson_linear"] = w_lin is None
-    if w_lin is not None:
-        c, a = w_lin
-        witnesses["chrestenson_linear"] = {"c": c, "shift": a}
-
-    ok_mat, w_mat = matrix_test(f, m)
-    verdicts["matrix"] = ok_mat
-    if w_mat is not None:
-        witnesses["matrix"] = w_mat
-
-    w_oa = orthogonal_array_witness(f, m)
-    verdicts["orthogonal_array"] = w_oa is None
-    if w_oa is not None:
-        witnesses["orthogonal_array"] = w_oa
-
-    return MethodReport(m=m, verdicts=verdicts, witnesses=witnesses)
+    # each oracle is looked up by name at call time, so one rebound on its
+    # module (a tracer's wrapper, a test's spy) is the one that runs
+    witnesses = {
+        "spectral": spectral.first_failing_tuple(f, m),
+        "definition": definition_witness(f, m),
+        "chrestenson_cyclic": chrestenson_cyclic_witness(f, m),
+        "chrestenson_linear": chrestenson_linear_witness(f, m),
+        "matrix": matrix_test(f, m)[1],
+        "orthogonal_array": orthogonal_array_witness(f, m),
+    }
+    verdicts = {k: w is None for k, w in witnesses.items()}
+    return MethodReport(m, verdicts, {k: w for k, w in witnesses.items() if w is not None})

@@ -283,7 +283,13 @@ def _rows_equal(f: PFunction, indices) -> bool:
     An ordering passes iff the rows do not change when its top variable
     changes; when that holds for every variable of the set, single-coordinate
     changes connect all rows.
+
+    Over all n variables each row holds a single 1, at f(w), so the rows are
+    equal iff f is constant; that case is read off the table without
+    building its p^(n+1) counts.
     """
+    if len(indices) == f.n:
+        return min(f.table) == max(f.table)
     cm = _joint_counts(f, indices)
     return cm == cm[: f.p] * (len(cm) // f.p)
 

@@ -146,6 +146,24 @@ def test_analyze_highly_immune_functions_is_not_factorial(capsys, argv, symmetri
     assert obj["resiliency_order"] == order
 
 
+@pytest.mark.parametrize("poly,p,n,order", [("x1+x2", 997, 2, 1), ("5", 65537, 1, 1)])
+def test_analyze_never_counts_over_all_variables(capsys, monkeypatch, poly, p, n, order):
+    # order n is decided from the table (f constant or not), not from the
+    # p^(n+1) counts over every variable, which ran out of memory here
+    real = spectral._joint_counts
+
+    def spy(f, indices):
+        assert len(indices) < f.n, "joint counts over all n variables"
+        return real(f, indices)
+
+    monkeypatch.setattr(spectral, "_joint_counts", spy)
+    start = time.perf_counter()
+    code, out = run(capsys, "analyze", "--json", "--poly", poly, "--p", str(p), "--n", str(n))
+    assert time.perf_counter() - start < 2.0
+    assert code == EXIT_OK
+    assert json.loads(out)["ci_order"] == order
+
+
 def test_ci_order_scans_every_subset_of_linear_2_10_quickly():
     # the CLI answers the symmetric x1 + ... + x10 by ci_order_symmetric;
     # the full subset scan must meet the same bound on it
@@ -326,8 +344,10 @@ def test_crosscheck_random_zero_functions(capsys):
         (["--random", "600000", "--p", "2", "--n", "1"], None, EXIT_LIMIT),
         (["--random", str(10**15), "--p", "3", "--n", "2"], None, EXIT_LIMIT),
         (["--random", "2", "--p", "2", "--n", "19"], None, EXIT_LIMIT),
-        (["--random", "3", "--p", "2", "--n", "4"], "47", EXIT_LIMIT),
-        (["--random", "3", "--p", "2", "--n", "4"], "48", EXIT_OK),
+        # 48 entries; (2,1) keeps each function's oracle work (2 steps) far
+        # below the limit, so only the entry count decides
+        (["--random", "24", "--p", "2", "--n", "1"], "47", EXIT_LIMIT),
+        (["--random", "24", "--p", "2", "--n", "1"], "48", EXIT_OK),
         (["--random", "0", "--p", "2", "--n", "19"], None, EXIT_OK),
     ],
 )
@@ -337,6 +357,34 @@ def test_crosscheck_random_work_is_bounded(capsys, monkeypatch, argv, env, code)
     start = time.perf_counter()
     assert run(capsys, "crosscheck", "--m", "1", *argv)[0] == code
     assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize(
+    "argv,env,code",
+    [
+        # one function's consensus at order m takes sum over w = 1..m of
+        # C(n, w) * (p-1)^w * p^n steps, checked before any function is built;
+        # (997,2) at m = 2 ran out of memory unbounded
+        (["--p", "997", "--n", "2", "--m", "2", "--random", "1"], None, EXIT_LIMIT),
+        (["--p", "997", "--n", "2", "--m", "1", "--random", "1"], None, EXIT_LIMIT),
+        (["--p", "2", "--n", "19", "--m", "1", "--random", "1"], None, EXIT_LIMIT),
+        # 4 * 2^4 = 64 steps per function and 48 entries in all
+        (["--p", "2", "--n", "4", "--m", "1", "--random", "3"], "48", EXIT_LIMIT),
+        (["--p", "2", "--n", "4", "--m", "1", "--random", "3"], "63", EXIT_LIMIT),
+        (["--p", "2", "--n", "4", "--m", "1", "--random", "3"], "64", EXIT_OK),
+        # (3,2) at m = 2 takes 72 steps per function of the family
+        (["--p", "3", "--n", "2", "--m", "2", "--exhaustive"], "71", EXIT_LIMIT),
+    ],
+)
+def test_crosscheck_oracle_work_is_bounded_per_function(capsys, monkeypatch, argv, env, code):
+    if env is not None:
+        monkeypatch.setenv("CI_SPECTRA_MAX_N", env)
+    start = time.perf_counter()
+    got, out = run(capsys, "crosscheck", *argv)
+    assert time.perf_counter() - start < 0.5
+    assert got == code
+    if code == EXIT_LIMIT:
+        assert out == ""
 
 
 def test_crosscheck_json_schema(capsys):

@@ -271,6 +271,24 @@ def test_is_ci_edge_orders():
         is_ci(f, 4)
 
 
+def test_full_order_immunity_means_constant():
+    # over all n variables each count row holds a single 1, at f(w), so the
+    # rows are equal iff f is constant; the verdict reads the table itself
+    rng = random.Random(67)
+    for _ in range(40):
+        p, n = rng.choice([(2, 3), (2, 4), (3, 2), (5, 2)])
+        f = random_function(p, n, seed=rng.randrange(10**6))
+        v = f.table[0]
+        const = PFunction(p, n, (v,) * p**n)
+        one_off = PFunction(p, n, (v,) * (p**n - 1) + ((v + 1) % p,))
+        for g in (f, const, one_off):
+            want = len(set(g.table)) == 1
+            assert is_ci(g, n) == want == ci_oracle_definition(g, n)
+            if is_symmetric(g):
+                assert is_ci_symmetric(g, n) == want
+                assert ci_order_symmetric(g) == ci_order(g)
+
+
 def test_ci_monotone_in_m():
     rng = random.Random(55)
     for _ in range(60):
