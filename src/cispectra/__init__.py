@@ -16,7 +16,6 @@ from .ptable import (
     DEFAULT_SIZE_LIMIT,
     MAX_TABLE_ENTRIES,
     ParseError,
-    Permutation,
     PFunction,
     SizeLimitError,
     VariableTuple,
@@ -30,7 +29,6 @@ from .ptable import (
     parse_terms,
     random_function,
     read_table,
-    shift_output,
     write_table,
 )
 from .reference import (
@@ -50,13 +48,10 @@ from .spectral import (
     ci_order_symmetric,
     critical_index,
     dft_float,
-    exact_spectrum_at_critical,
     exact_spectrum_conjugates,
     first_failing_tuple,
     first_unbalanced_restriction,
     is_ci,
-    is_ci_symmetric,
-    is_resilient,
     resiliency_order,
 )
 
@@ -69,7 +64,6 @@ __all__ = [
     "MAX_TABLE_ENTRIES",
     "MethodReport",
     "ParseError",
-    "Permutation",
     "PFunction",
     "SizeLimitError",
     "SpectrumDump",
@@ -87,15 +81,12 @@ __all__ = [
     "critical_index",
     "dft_float",
     "digits_of",
-    "exact_spectrum_at_critical",
     "exact_spectrum_conjugates",
     "first_failing_tuple",
     "first_unbalanced_restriction",
     "index_of",
     "is_balanced",
     "is_ci",
-    "is_ci_symmetric",
-    "is_resilient",
     "is_symmetric",
     "matrix_test",
     "parse_polynomial",
@@ -103,6 +94,5 @@ __all__ = [
     "random_function",
     "read_table",
     "resiliency_order",
-    "shift_output",
     "write_table",
 ]

@@ -381,7 +381,7 @@ def cmd_search(args) -> int:
 
     result = PFunction(p, n, best[1])
     # the claim must survive the full library tests, not just the cost function;
-    # target <= n - 1 when resilient, where the order decides is_resilient
+    # target <= n - 1 when resilient, where resiliency_order >= target decides it
     analysis = analyze_function(result)
     met = (
         best[0] == 0

@@ -166,48 +166,6 @@ class PFunction:
 
 
 @dataclass(frozen=True)
-class Permutation:
-    """A bijection pi of {1, ..., n}; mapping[i-1] = pi(i)."""
-
-    mapping: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "mapping", tuple(int(v) for v in self.mapping))
-        n = len(self.mapping)
-        if n == 0 or sorted(self.mapping) != list(range(1, n + 1)):
-            raise ValueError(f"mapping {self.mapping} is not a bijection of 1..{n}")
-
-    @property
-    def n(self) -> int:
-        return len(self.mapping)
-
-    def __call__(self, i: int) -> int:
-        return self.mapping[i - 1]
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
-
-    @classmethod
-    def transposition(cls, n: int, a: int, b: int) -> "Permutation":
-        m = list(range(1, n + 1))
-        m[a - 1], m[b - 1] = m[b - 1], m[a - 1]
-        return cls(tuple(m))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, j in enumerate(self.mapping, start=1):
-            inv[j - 1] = i
-        return Permutation(tuple(inv))
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """(self . other)(i) = self(other(i))."""
-        if self.n != other.n:
-            raise ValueError("cannot compose permutations of different sizes")
-        return Permutation(tuple(self(other(i)) for i in range(1, self.n + 1)))
-
-
-@dataclass(frozen=True)
 class VariableTuple:
     """An ordered tuple of distinct variable indices from {1, ..., n}.
 
@@ -227,12 +185,6 @@ class VariableTuple:
 
     def __len__(self) -> int:
         return len(self.indices)
-
-    @classmethod
-    def from_permutation(cls, pi: Permutation, m: int) -> "VariableTuple":
-        """The variables pi sends to positions 1..m, i.e. (pi^-1(1), ..., pi^-1(m))."""
-        inv = pi.inverse()
-        return cls(tuple(inv(r) for r in range(1, m + 1)))
 
 
 def index_of(x: Sequence[int], p: int) -> int:
@@ -290,16 +242,17 @@ def _joint_counts(f: PFunction, indices) -> list[int]:
     return cm
 
 
-def apply_permutation(f: PFunction, pi: Permutation) -> PFunction:
-    """Permute variables: the result g satisfies g(x_1,...,x_n) = f(x_pi(1),...,x_pi(n))."""
-    if pi.n != f.n:
-        raise ValueError(f"permutation acts on {pi.n} symbols, function has {f.n} variables")
+def apply_permutation(f: PFunction, mapping: Sequence[int]) -> PFunction:
+    """Permute variables by the bijection pi of 1..n with mapping[i-1] = pi(i):
+    the result g satisfies g(x_1,...,x_n) = f(x_pi(1),...,x_pi(n))."""
     n = f.n
+    if sorted(mapping) != list(range(1, n + 1)):
+        raise ValueError(f"mapping {tuple(mapping)} is not a bijection of 1..{n}")
     # f's axis b holds its argument n-b, which g fills with x_pi(n-b); g
     # holds that variable on its axis n - pi(n-b).
     axes = [0] * n
     for b in range(n):
-        axes[n - pi(n - b)] = b
+        axes[n - mapping[n - b - 1]] = b
     return PFunction(f.p, n, tuple(f.array.transpose(axes).ravel().tolist()))
 
 
@@ -314,17 +267,10 @@ def is_symmetric(f: PFunction) -> bool:
     return all(np.array_equal(a, a.swapaxes(j, j + 1)) for j in range(f.n - 1))
 
 
-def shift_output(f: PFunction, a: int) -> PFunction:
-    """Pointwise output shift: the function x -> (f(x) + a) mod p."""
-    a %= f.p
-    if a == 0:
-        return f
-    return PFunction(f.p, f.n, tuple((v + a) % f.p for v in f.table))
-
-
 def is_balanced(f: PFunction) -> bool:
     """True iff every output value occurs exactly p^(n-1) times."""
-    return all(c == f.size // f.p for c in _joint_counts(f, ()))
+    fiber = f.size // f.p
+    return all(c == fiber for c in _joint_counts(f, ()))
 
 
 # --------------------------------------------------------------------------

@@ -16,7 +16,7 @@ lives on the frequency stratum gcd(j, N) = p^(n-m):
     over Z[omega] and vanish together, which cuts the stratum down to the
     p-1 representatives a = 1, ..., p-1 (exact_spectrum_conjugates).  For
     p = 2 the stratum is the single index p^(n-m) and the classical
-    one-evaluation test (exact_spectrum_at_critical) is already complete.
+    one-evaluation test (entry 0 of the orbit) is already complete.
     For p > 2 it is not: the associated polynomial sum_k omega^f(k) z^k has
     coefficients in Z[omega] rather than Z, its reduction mod the p^m-th
     cyclotomic polynomial has p-1 independent components, and vanishing of
@@ -38,8 +38,8 @@ lives on the frequency stratum gcd(j, N) = p^(n-m):
     criterion are validated in the test suite against an ordered scan of
     the exact values and the counting oracles;
   * for a symmetric f every tuple gives the same values, so one subset per
-    order decides (is_ci_symmetric, ci_order_symmetric): f is m-CI iff, for
-    every c in 1..p-1, the DFT of c*f vanishes at the one index p^(n-m).
+    order decides (ci_order_symmetric reads {1, ..., m}): f is m-CI iff,
+    for every c in 1..p-1, the DFT of c*f vanishes at the one index p^(n-m).
     Proof: sigma_a (zeta -> zeta^a) sends omega^(f/a) zeta^(-k) to omega^f
     zeta^(-a*k), so it maps the value of f/a at p^(n-m) to that of f at
     a*p^(n-m); c = 1/a mod p gives the whole orbit a = 1..p-1.  One location
@@ -47,16 +47,16 @@ lives on the frequency stratum gcd(j, N) = p^(n-m):
     F_3^2 has dft[3] = 0 but dft[6] != 0 and is not 1-CI.
 
 f is m-resilient iff fixing any m variables to any values leaves a balanced
-restriction; is_resilient checks exactly that by counting, over unordered
-subsets (order of the fixed variables cannot matter for balancedness).
-Equivalently f is balanced and m-CI, which is how resiliency_order derives
-the order from ci_order instead of scanning again.
+restriction; first_unbalanced_restriction finds the first restriction that
+is not, by counting over unordered subsets (order of the fixed variables
+cannot matter for balancedness).  Equivalently f is balanced and m-CI,
+which is how resiliency_order derives the order from ci_order instead of
+scanning again.
 
-Float results (dft_float, autocorrelation) are for inspection only.  Both
-are numpy FFTs at every size (autocorrelation by Wiener-Khinchin); the tests
-compare them with direct per-frequency and per-shift sums.  The reporting
-threshold for calling a float value zero is FLOAT_ZERO_FACTOR * N; exact
-verdicts never consult it.
+Float results (dft_float, autocorrelation) are for inspection only and
+never decide a verdict.  Both are numpy FFTs at every size (autocorrelation
+by Wiener-Khinchin); the tests compare them with direct per-frequency and
+per-shift sums.
 """
 
 from __future__ import annotations
@@ -78,9 +78,6 @@ from .ptable import (
     is_symmetric,
 )
 
-# Reporting-only threshold scale for float zero classification.
-FLOAT_ZERO_FACTOR = 1e-6
-
 
 def critical_index(f: PFunction, m: int) -> int:
     """Base index p^(n-m) of the critical stratum; the full order-m test
@@ -101,35 +98,20 @@ def _validated_tuple(f: PFunction, m: int, t) -> VariableTuple:
     return t
 
 
-def exact_spectrum_at_critical(f: PFunction, m: int, t) -> CycloElement:
-    """Exact DFT value at p^(n-m) after moving the tuple's variables first.
-
-    For zeta = exp(2*pi*i/p^m) and omega = zeta^(p^(m-1)) this returns
-
-        sum_k omega^f(k) * zeta^(-e(k)),   e(k) = sum_r x_{t[r]}(k) * p^(r-1),
-
-    as an exact element of Z[zeta].  to_complex() of the result equals
-    dft_float(apply_permutation(f, pi))[p^(n-m)] for every permutation pi
-    that sends the variables t[1], ..., t[m] to positions 1, ..., m (i.e.
-    VariableTuple.from_permutation(pi, m) == t); in particular the identity
-    tuple (1, ..., m) gives dft_float(f)[p^(n-m)] itself.
-
-    Zero here is necessary for order-m immunity but sufficient only when
-    p = 2; verdicts use the full orbit (exact_spectrum_conjugates).
-    """
-    return exact_spectrum_conjugates(f, m, t)[0]
-
-
 def exact_spectrum_conjugates(f: PFunction, m: int, t) -> tuple[CycloElement, ...]:
     """Exact DFT values on the whole critical stratum for one ordered tuple.
 
-    Entry a-1 (a = 1 .. p-1) is sum_k omega^f(k) * zeta^(-a*e(k)), the DFT
-    of the tuple-permuted function at index a * p^(n-m).  Values at indices
-    c*a with c = 1 (mod p) are Galois conjugates of entry a-1 and vanish
-    with it, so these p-1 entries decide vanishing at every j with
-    gcd(j, p^n) = p^(n-m).  f is m-CI iff all entries are zero for every
-    ordered m-tuple.  Entry 0 equals exact_spectrum_at_critical(f, m, t);
-    for p = 2 it is the only entry.
+    With zeta = exp(2*pi*i/p^m), omega = zeta^(p^(m-1)) and
+    e(k) = sum_r x_{t[r]}(k) * p^(r-1), entry a-1 (a = 1 .. p-1) is the
+    exact element sum_k omega^f(k) * zeta^(-a*e(k)) of Z[zeta]: the DFT at
+    index a * p^(n-m) of apply_permutation(f, pi) for every pi that sends
+    t[1], ..., t[m] to positions 1, ..., m (the identity tuple (1, ..., m)
+    gives dft_float(f) itself).  Values at indices c*a with c = 1 (mod p)
+    are Galois conjugates of entry a-1 and vanish with it, so these p-1
+    entries decide vanishing at every j with gcd(j, p^n) = p^(n-m).  f is
+    m-CI iff all entries are zero for every ordered m-tuple.  Entry 0, the
+    value at p^(n-m) itself, decides alone only for p = 2, where it is the
+    only entry.
     """
     t = _validated_tuple(f, m, t)
     p = f.p
@@ -318,20 +300,11 @@ def ci_order(f: PFunction) -> int:
     return m
 
 
-def is_ci_symmetric(f: PFunction, m: int) -> bool:
-    """Single-subset shortcut valid for symmetric f: permuting variables
-    fixes f, so the counts over {1, ..., m} stand in for every subset and
-    are invariant under permuting their axes; _rows_equal decides (the
-    conjugate orbit must still vanish in full).  Raises on non-symmetric
-    input rather than silently answering the wrong question."""
-    if not is_symmetric(f):
-        raise ValueError("f is not symmetric; use is_ci")
-    _check_order(f, m, 1)
-    return _rows_equal(f, tuple(range(1, m + 1)))
-
-
 def ci_order_symmetric(f: PFunction) -> int:
-    """ci_order via the symmetric shortcut (one subset per order)."""
+    """ci_order via the symmetric shortcut: permuting variables fixes f, so
+    the counts over {1, ..., m} stand in for every m-subset and _rows_equal
+    decides (the conjugate orbit must still vanish in full).  Raises on
+    non-symmetric input rather than silently answering the wrong question."""
     if not is_symmetric(f):
         raise ValueError("f is not symmetric; use ci_order")
     m = 0
@@ -359,15 +332,8 @@ def first_unbalanced_restriction(f: PFunction, m: int):
     return None
 
 
-def is_resilient(f: PFunction, m: int) -> bool:
-    """True iff every restriction of f fixing m variables is balanced
-    (m = 0: f itself balanced).  Always false at m = n: a single point
-    cannot be balanced over p >= 2 outputs."""
-    return first_unbalanced_restriction(f, m) is None
-
-
 def resiliency_order(f: PFunction) -> int:
-    """Largest m with is_resilient(f, m); -1 when f is not balanced.
+    """Largest m such that f is m-resilient; -1 when f is not balanced.
 
     Derived, not scanned: f is m-resilient iff it is balanced and m-CI, and
     a balanced f is never n-CI (only constants are), so ci_order of a
@@ -396,13 +362,7 @@ def autocorrelation(f: PFunction) -> np.ndarray:
     return np.fft.ifft(np.abs(np.fft.fft(_omega_sequence(f))) ** 2)
 
 
-def float_is_zero(value: complex, size: int) -> bool:
-    """Reporting-only zero classification for float spectra; never feeds a
-    verdict."""
-    return abs(value) <= FLOAT_ZERO_FACTOR * size
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumDump:
     """Full float DFT and autocorrelation of one function, JSON-serializable.
 
@@ -412,24 +372,21 @@ class SpectrumDump:
 
     p: int
     n: int
-    dft: tuple[complex, ...]
-    autocorrelation: tuple[complex, ...]
+    dft: np.ndarray
+    autocorrelation: np.ndarray
 
     @classmethod
     def compute(cls, f: PFunction) -> "SpectrumDump":
-        return cls(
-            f.p,
-            f.n,
-            tuple(complex(z) for z in dft_float(f)),
-            tuple(complex(z) for z in autocorrelation(f)),
-        )
+        return cls(f.p, f.n, dft_float(f), autocorrelation(f))
 
     def to_json(self) -> str:
         return json.dumps(
             {
                 "p": self.p,
                 "n": self.n,
-                "dft": [[z.real, z.imag] for z in self.dft],
-                "autocorrelation": [[z.real, z.imag] for z in self.autocorrelation],
+                "dft": np.column_stack([self.dft.real, self.dft.imag]).tolist(),
+                "autocorrelation": np.column_stack(
+                    [self.autocorrelation.real, self.autocorrelation.imag]
+                ).tolist(),
             }
         )

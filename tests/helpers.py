@@ -19,7 +19,7 @@ from operator import mul
 
 import numpy as np
 
-from cispectra import CycloElement, Permutation, PFunction, exact_spectrum_conjugates
+from cispectra import CycloElement, PFunction, exact_spectrum_conjugates
 
 # Elementary symmetric polynomials in four variables, the fixed symmetric
 # test subjects over F_3.  e2 is first-order correlation-immune; e2 + e3
@@ -174,22 +174,22 @@ def random_symmetric_function(p: int, n: int, seed: int) -> PFunction:
     return symmetric_from_classes(p, n, values)
 
 
-def apply_permutation_loop(f: PFunction, pi: Permutation) -> PFunction:
-    """Loop reference for ptable.apply_permutation: for every point x of g,
-    in table order, look f up at the point (x_pi(1), ..., x_pi(n))."""
-    new = tuple(
-        f.evaluate(tuple(x[pi(i) - 1] for i in range(1, f.n + 1))) for x in points(f.p, f.n)
-    )
+def apply_permutation_loop(f: PFunction, mapping) -> PFunction:
+    """Loop reference for ptable.apply_permutation, mapping[i-1] = pi(i): for
+    every point x of g, in table order, look f up at (x_pi(1), ..., x_pi(n))."""
+    new = tuple(f.evaluate(tuple(x[j - 1] for j in mapping)) for x in points(f.p, f.n))
     return PFunction(f.p, f.n, new)
 
 
 def is_symmetric_loop(f: PFunction) -> bool:
     """Loop reference for ptable.is_symmetric: every adjacent transposition,
     applied point by point, leaves the table unchanged."""
-    return all(
-        apply_permutation_loop(f, Permutation.transposition(f.n, i, i + 1)).table == f.table
-        for i in range(1, f.n)
-    )
+    for i in range(1, f.n):
+        swap = list(range(1, f.n + 1))
+        swap[i - 1], swap[i] = i + 1, i
+        if apply_permutation_loop(f, swap).table != f.table:
+            return False
+    return True
 
 
 def failing_tuples_scan(f: PFunction, m: int) -> list[tuple[int, ...]]:

@@ -14,7 +14,6 @@ from hypothesis import given, strategies as st
 
 from cispectra import (
     ParseError,
-    Permutation,
     PFunction,
     SizeLimitError,
     VariableTuple,
@@ -28,7 +27,6 @@ from cispectra import (
     parse_terms,
     random_function,
     read_table,
-    shift_output,
     write_table,
 )
 from cispectra.ptable import _joint_counts, _weighted_digits
@@ -126,34 +124,8 @@ def test_evaluate_is_table_lookup():
 
 
 # ---------------------------------------------------------------------------
-# Permutation / VariableTuple
+# VariableTuple
 # ---------------------------------------------------------------------------
-
-def test_permutation_basics():
-    pi = Permutation((2, 3, 1))
-    assert pi(1) == 2 and pi(2) == 3 and pi(3) == 1
-    assert pi.n == 3
-    assert Permutation.identity(3).mapping == (1, 2, 3)
-    assert Permutation.transposition(3, 1, 3).mapping == (3, 2, 1)
-    with pytest.raises(ValueError):
-        Permutation((1, 1, 2))
-    with pytest.raises(ValueError):
-        Permutation(())
-    with pytest.raises(ValueError):
-        Permutation((0, 1))
-
-
-@given(st.permutations(list(range(1, 7))))
-def test_permutation_inverse_and_compose(mapping):
-    pi = Permutation(tuple(mapping))
-    ident = Permutation.identity(pi.n)
-    assert pi.compose(pi.inverse()).mapping == ident.mapping
-    assert pi.inverse().compose(pi).mapping == ident.mapping
-    # compose applies the right factor first
-    sigma = Permutation(tuple(reversed(mapping)))
-    for i in range(1, pi.n + 1):
-        assert pi.compose(sigma)(i) == pi(sigma(i))
-
 
 def test_variable_tuple_validation():
     VariableTuple((3, 1))
@@ -163,30 +135,25 @@ def test_variable_tuple_validation():
         VariableTuple((0, 1))
 
 
-def test_from_permutation_lists_preimages_of_leading_positions():
-    pi = Permutation((2, 3, 1))
-    assert VariableTuple.from_permutation(pi, 2).indices == (3, 1)
-    # defining property: pi sends t_r to position r
-    rng = random.Random(11)
-    for _ in range(50):
-        n = rng.randrange(2, 7)
-        m = rng.randrange(1, n + 1)
-        mapping = list(range(1, n + 1))
-        rng.shuffle(mapping)
-        pi = Permutation(tuple(mapping))
-        t = VariableTuple.from_permutation(pi, m)
-        for r, var in enumerate(t.indices, start=1):
-            assert pi(var) == r
-
-
 # ---------------------------------------------------------------------------
-# apply_permutation
+# apply_permutation (a permutation pi of 1..n is its tuple mapping[i-1] = pi(i))
 # ---------------------------------------------------------------------------
+
+def test_permutation_basics():
+    f = random_function(2, 3, seed=9)
+    assert apply_permutation(f, (1, 2, 3)).table == f.table
+    # the transposition of x1 and x3 reverses each index's three digits
+    swapped = apply_permutation(f, (3, 2, 1))
+    assert swapped.table == tuple(f.table[int(f"{k:03b}"[::-1], 2)] for k in range(8))
+    for bad in [(1, 1, 2), (), (0, 1, 2), (1, 2), (1, 2, 3, 4), (2, 3, 4)]:
+        with pytest.raises(ValueError):
+            apply_permutation(f, bad)
+
 
 def test_apply_permutation_pinned_example():
     f = parse_polynomial("x1", 2, 2)
     assert f.table == (0, 1, 0, 1)
-    swapped = apply_permutation(f, Permutation((2, 1)))
+    swapped = apply_permutation(f, (2, 1))
     assert swapped.table == (0, 0, 1, 1)  # now the function x2
 
 
@@ -196,12 +163,11 @@ def test_apply_permutation_pointwise_definition():
         p = rng.choice([2, 3, 5])
         n = rng.randrange(1, 5 if p == 2 else 4)
         f = random_function(p, n, seed=rng.randrange(10**6))
-        mapping = list(range(1, n + 1))
-        rng.shuffle(mapping)
-        pi = Permutation(tuple(mapping))
+        pi = list(range(1, n + 1))
+        rng.shuffle(pi)
         g = apply_permutation(f, pi)
         for x in helpers.points(p, n):
-            assert g.evaluate(x) == f.evaluate(tuple(x[pi(i) - 1] for i in range(1, n + 1)))
+            assert g.evaluate(x) == f.evaluate(tuple(x[pi[i - 1] - 1] for i in range(1, n + 1)))
 
 
 def test_apply_permutation_group_action():
@@ -210,24 +176,25 @@ def test_apply_permutation_group_action():
         p = rng.choice([2, 3])
         n = rng.randrange(2, 5)
         f = random_function(p, n, seed=rng.randrange(10**6))
-        a = list(range(1, n + 1))
-        b = list(range(1, n + 1))
-        rng.shuffle(a)
-        rng.shuffle(b)
-        pi, sigma = Permutation(tuple(a)), Permutation(tuple(b))
-        left = apply_permutation(f, pi.compose(sigma))
+        pi = list(range(1, n + 1))
+        sigma = list(range(1, n + 1))
+        rng.shuffle(pi)
+        rng.shuffle(sigma)
+        composed = [pi[sigma[i] - 1] for i in range(n)]  # i -> pi(sigma(i))
+        left = apply_permutation(f, composed)
         right = apply_permutation(apply_permutation(f, sigma), pi)
         assert left.table == right.table
 
 
 def test_apply_permutation_identity_and_inverse():
     f = random_function(3, 4, seed=5)
-    assert apply_permutation(f, Permutation.identity(4)).table == f.table
-    pi = Permutation((3, 1, 4, 2))
-    roundtrip = apply_permutation(apply_permutation(f, pi), pi.inverse())
+    assert apply_permutation(f, (1, 2, 3, 4)).table == f.table
+    pi = (3, 1, 4, 2)
+    inverse = tuple(pi.index(j) + 1 for j in range(1, 5))
+    roundtrip = apply_permutation(apply_permutation(f, pi), inverse)
     assert roundtrip.table == f.table
     with pytest.raises(ValueError):
-        apply_permutation(f, Permutation((1, 2)))
+        apply_permutation(f, (1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +210,7 @@ def test_is_symmetric(e2e3):
     for _ in range(20):
         mapping = list(range(1, 5))
         rng.shuffle(mapping)
-        assert apply_permutation(e2e3, Permutation(tuple(mapping))).table == e2e3.table
+        assert apply_permutation(e2e3, mapping).table == e2e3.table
 
 
 @pytest.mark.parametrize("p,n", [(2, 5), (3, 4), (5, 3), (7, 2), (257, 2)])
@@ -261,8 +228,10 @@ def test_array_paths_match_loop_references(p, n):
         for _ in range(4):
             mapping = list(range(1, n + 1))
             rng.shuffle(mapping)
-            pi = Permutation(tuple(mapping))
-            assert apply_permutation(f, pi).table == helpers.apply_permutation_loop(f, pi).table
+            assert (
+                apply_permutation(f, mapping).table
+                == helpers.apply_permutation_loop(f, mapping).table
+            )
 
 
 def test_helpers_import_only_the_top_level_package():
@@ -299,19 +268,21 @@ def test_is_symmetric_is_fast_on_large_tables():
     assert time.perf_counter() - start < 0.5
 
 
-def test_shift_output():
-    f = PFunction(3, 1, (0, 1, 2))
-    assert shift_output(f, 1).table == (1, 2, 0)
-    assert shift_output(f, 5).table == shift_output(f, 2).table
-    assert shift_output(f, 0) is f
-    assert shift_output(f, 3).table == f.table
-
-
 def test_is_balanced():
     assert is_balanced(PFunction(2, 2, (0, 1, 1, 0)))
     assert is_balanced(parse_polynomial("x1 + 2*x2", 3, 2))
     assert not is_balanced(PFunction(2, 2, (0, 0, 0, 1)))
     assert not is_balanced(PFunction(3, 2, (0,) * 9))
+
+
+def test_is_balanced_reads_the_size_once(monkeypatch):
+    # p^n is one property read, not one per output value
+    f = PFunction(101, 1, tuple(range(101)))
+    reads = []
+    size = PFunction.size
+    monkeypatch.setattr(PFunction, "size", property(lambda g: reads.append(g) or size.fget(g)))
+    assert is_balanced(f)
+    assert len(reads) == 1
 
 
 @pytest.mark.parametrize(

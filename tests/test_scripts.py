@@ -40,6 +40,16 @@ def test_ci_census_binary_three_variables():
     assert "consensus disagreements: 0" in lines
 
 
+def test_ci_census_binary_four_variables():
+    proc = _run("ci_census.py", "--p", "2", "--n", "4")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert _histogram(lines, "ci_order histogram:") == {0: 64888, 1: 636, 2: 8, 3: 2, 4: 2}
+    assert _histogram(lines, "resiliency_order histogram:") == {
+        -1: 52666, 0: 12648, 1: 212, 2: 8, 3: 2,
+    }
+
+
 def test_worked_example_runs():
     proc = _run("worked_example.py")
     assert proc.returncode == 0, proc.stderr

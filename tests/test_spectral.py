@@ -18,14 +18,12 @@ import pytest
 
 from cispectra import (
     PFunction,
-    Permutation,
     VariableTuple,
     all_functions,
     apply_permutation,
     consensus,
     critical_index,
     dft_float,
-    exact_spectrum_at_critical,
     exact_spectrum_conjugates,
     is_balanced,
     is_symmetric,
@@ -36,31 +34,22 @@ from cispectra import spectral
 from cispectra.cli import analyze_function
 from cispectra.reference import ci_oracle_definition
 from cispectra.spectral import (
-    FLOAT_ZERO_FACTOR,
     SpectrumDump,
     autocorrelation,
     ci_order,
     ci_order_symmetric,
     first_failing_tuple,
     first_unbalanced_restriction,
-    float_is_zero,
     is_ci,
-    is_ci_symmetric,
-    is_resilient,
     resiliency_order,
 )
 
 import helpers
 
 
-def _random_permutation(rng, n):
-    mapping = list(range(1, n + 1))
-    rng.shuffle(mapping)
-    return Permutation(tuple(mapping))
-
-
 def _permutation_placing(rng, t, n):
-    """A random permutation sending variable t[r-1] to position r."""
+    """A random permutation pi of 1..n, as its tuple mapping[i-1] = pi(i),
+    sending variable t[r-1] to position r."""
     mapping = [0] * n
     for r, var in enumerate(t, start=1):
         mapping[var - 1] = r
@@ -70,7 +59,7 @@ def _permutation_placing(rng, t, n):
     for i in range(n):
         if mapping[i] == 0:
             mapping[i] = next(it)
-    return Permutation(tuple(mapping))
+    return tuple(mapping)
 
 
 # ---------------------------------------------------------------------------
@@ -114,32 +103,19 @@ def test_exact_values_of_fixed_cubic_blend(e2e3):
     orbit = exact_spectrum_conjugates(e2e3, 1, (1,))
     assert orbit[0].coeffs == (18, 0)
     assert orbit[1].coeffs == (-9, -9)
-    assert exact_spectrum_at_critical(e2e3, 1, (1,)).coeffs == (18, 0)
-
-
-def test_primary_conjugate_equals_at_critical():
-    rng = random.Random(3)
-    for _ in range(60):
-        p, n = rng.choice([(2, 4), (3, 3), (5, 2)])
-        f = random_function(p, n, seed=rng.randrange(10**6))
-        m = rng.randrange(1, n + 1)
-        t = tuple(rng.sample(range(1, n + 1), m))
-        orbit = exact_spectrum_conjugates(f, m, t)
-        assert len(orbit) == p - 1
-        assert orbit[0].coeffs == exact_spectrum_at_critical(f, m, t).coeffs
 
 
 def test_tuple_argument_forms_are_equivalent():
     f = random_function(3, 3, seed=8)
-    a = exact_spectrum_at_critical(f, 2, (2, 1))
-    b = exact_spectrum_at_critical(f, 2, VariableTuple((2, 1)))
-    assert a.coeffs == b.coeffs
+    a = exact_spectrum_conjugates(f, 2, (2, 1))
+    b = exact_spectrum_conjugates(f, 2, VariableTuple((2, 1)))
+    assert [v.coeffs for v in a] == [v.coeffs for v in b]
     with pytest.raises(ValueError):
-        exact_spectrum_at_critical(f, 2, (1,))  # length mismatch
+        exact_spectrum_conjugates(f, 2, (1,))  # length mismatch
     with pytest.raises(ValueError):
-        exact_spectrum_at_critical(f, 2, (1, 4))  # index out of range
+        exact_spectrum_conjugates(f, 2, (1, 4))  # index out of range
     with pytest.raises(ValueError):
-        exact_spectrum_at_critical(f, 0, ())
+        exact_spectrum_conjugates(f, 0, ())
 
 
 # ---------------------------------------------------------------------------
@@ -169,10 +145,11 @@ def test_permuted_tuple_matches_float_dft():
         m = rng.randrange(1, n + 1)
         t = tuple(rng.sample(range(1, n + 1), m))
         pi = _permutation_placing(rng, t, n)
-        assert VariableTuple.from_permutation(pi, m).indices == t
-        exact = exact_spectrum_at_critical(f, m, t)
+        assert [pi[var - 1] for var in t] == list(range(1, m + 1))
         spec = dft_float(apply_permutation(f, pi))
-        assert abs(exact.to_complex() - spec[critical_index(f, m)]) < 1e-6
+        base = critical_index(f, m)
+        for a, value in enumerate(exact_spectrum_conjugates(f, m, t), start=1):
+            assert abs(value.to_complex() - spec[a * base]) < 1e-6
 
 
 def test_tuple_class_well_defined():
@@ -187,10 +164,11 @@ def test_tuple_class_well_defined():
         pi = _permutation_placing(rng, t, n)
         sigma = _permutation_placing(rng, t, n)
         ident = tuple(range(1, m + 1))
-        via_pi = exact_spectrum_at_critical(apply_permutation(f, pi), m, ident)
-        via_sigma = exact_spectrum_at_critical(apply_permutation(f, sigma), m, ident)
-        direct = exact_spectrum_at_critical(f, m, t)
-        assert via_pi.coeffs == via_sigma.coeffs == direct.coeffs
+        via_pi = exact_spectrum_conjugates(apply_permutation(f, pi), m, ident)
+        via_sigma = exact_spectrum_conjugates(apply_permutation(f, sigma), m, ident)
+        direct = exact_spectrum_conjugates(f, m, t)
+        coeffs = [[v.coeffs for v in orbit] for orbit in (via_pi, via_sigma, direct)]
+        assert coeffs[0] == coeffs[1] == coeffs[2]
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +196,7 @@ def test_symmetric_shortcut_needs_the_whole_orbit_for_odd_p():
     orbit = exact_spectrum_conjugates(f, 1, (1,))
     assert [v.to_text() for v in orbit] == ["3 1 : 0 0", "3 1 : 3 0"]
     assert orbit[0].is_zero() and not orbit[1].is_zero()
-    assert not is_ci_symmetric(f, 1)
+    assert not spectral._rows_equal(f, (1,))
     assert analyze_function(f)["ci_order"] == 0
     verdicts = consensus(f, 1).verdicts
     assert len(verdicts) == 6 and not any(verdicts.values())
@@ -285,7 +263,6 @@ def test_full_order_immunity_means_constant():
             want = len(set(g.table)) == 1
             assert is_ci(g, n) == want == ci_oracle_definition(g, n)
             if is_symmetric(g):
-                assert is_ci_symmetric(g, n) == want
                 assert ci_order_symmetric(g) == ci_order(g)
 
 
@@ -530,7 +507,8 @@ def test_ci_order_consistent_with_is_ci():
 def _assert_subset_verdicts_match_tuple_scan(f):
     """is_ci, the witness first_failing_tuple (both per unordered subset) and
     the zeros of ParsevalCost against the ordered scan of exact values, and
-    the derived resiliency_order against the definitional is_resilient."""
+    the derived resiliency_order against the definitional restriction scan
+    first_unbalanced_restriction."""
     assert is_ci(f, 0)
     for m in range(1, f.n + 1):
         want = helpers.failing_tuples_scan(f, m)
@@ -538,7 +516,7 @@ def _assert_subset_verdicts_match_tuple_scan(f):
         assert (first is None) if not want else first.indices == want[0]
         assert is_ci(f, m) == (not want)
         assert (spectral.ParsevalCost(f, m).cost == 0) == (want == [])
-    res = [m for m in range(f.n + 1) if is_resilient(f, m)]
+    res = [m for m in range(f.n + 1) if first_unbalanced_restriction(f, m) is None]
     assert resiliency_order(f) == (max(res) if res else -1)
 
 
@@ -594,7 +572,7 @@ def test_subset_verdict_matches_tuple_scan_on_immune_families(p, n):
 def test_symmetric_shortcut_exhaustive_binary(n):
     for f in helpers.all_symmetric_functions(2, n):
         for m in range(1, n + 1):
-            assert is_ci_symmetric(f, m) == is_ci(f, m)
+            assert spectral._rows_equal(f, tuple(range(1, m + 1))) == is_ci(f, m)
         assert ci_order_symmetric(f) == ci_order(f)
 
 
@@ -602,7 +580,7 @@ def test_symmetric_shortcut_random_ternary():
     for seed in range(100):
         f = helpers.random_symmetric_function(3, 4, seed)
         for m in range(1, 5):
-            assert is_ci_symmetric(f, m) == is_ci(f, m)
+            assert spectral._rows_equal(f, tuple(range(1, m + 1))) == is_ci(f, m)
         assert ci_order_symmetric(f) == ci_order(f)
 
 
@@ -610,9 +588,9 @@ def _vanishes_for_every_multiple(f, m):
     """The symmetric theorem's test: for every c in 1..p-1 the exact DFT of
     c*f vanishes at the one index p^(n-m)."""
     return all(
-        exact_spectrum_at_critical(
+        exact_spectrum_conjugates(
             PFunction(f.p, f.n, tuple(c * v % f.p for v in f.table)), m, range(1, m + 1)
-        ).is_zero()
+        )[0].is_zero()
         for c in range(1, f.p)
     )
 
@@ -630,13 +608,14 @@ def test_symmetric_theorem_matches_is_ci(e2):
     for f, want in fixed:
         assert [_vanishes_for_every_multiple(f, m) for m in range(1, f.n + 1)] == want
     # c = 1 alone passes the trap, and 63 (function, order) pairs at (3,2)
-    assert exact_spectrum_at_critical(trap, 1, (1,)).is_zero()
+    assert exact_spectrum_conjugates(trap, 1, (1,))[0].is_zero()
     lone_zeros = 0
     for f in helpers.all_symmetric_functions(3, 2):
         for m in (1, 2):
             ci = is_ci(f, m)
             assert _vanishes_for_every_multiple(f, m) == ci
-            lone_zeros += exact_spectrum_at_critical(f, m, range(1, m + 1)).is_zero() and not ci
+            orbit = exact_spectrum_conjugates(f, m, range(1, m + 1))
+            lone_zeros += orbit[0].is_zero() and not ci
     assert lone_zeros == 63
     for seed in range(100):
         for p, n in [(5, 2), (3, 4)]:
@@ -647,8 +626,6 @@ def test_symmetric_theorem_matches_is_ci(e2):
 
 def test_symmetric_shortcut_rejects_asymmetric_input():
     f = parse_polynomial("x1", 2, 2)
-    with pytest.raises(ValueError):
-        is_ci_symmetric(f, 1)
     with pytest.raises(ValueError):
         ci_order_symmetric(f)
 
@@ -664,8 +641,8 @@ def test_resiliency_of_linear_forms():
         text = " + ".join(f"x{i}" for i in range(1, n + 1))
         f = parse_polynomial(text, p, n)
         assert resiliency_order(f) == n - 1
-        assert is_resilient(f, n - 1)
-        assert not is_resilient(f, n)
+        assert first_unbalanced_restriction(f, n - 1) is None
+        assert first_unbalanced_restriction(f, n) is not None
         assert helpers.resilient_by_counting(f, n - 1)
 
 
@@ -680,12 +657,14 @@ def test_resiliency_pinned_values(e2, e2e3):
 
 def test_is_resilient_edge_orders():
     f = parse_polynomial("x1 + x2", 3, 2)
-    assert is_resilient(f, 0) == is_balanced(f)
-    assert not is_resilient(f, f.n)  # single points cannot be balanced
+    # m-resilient iff first_unbalanced_restriction(f, m) is None
+    assert (first_unbalanced_restriction(f, 0) is None) == is_balanced(f)
+    # single points cannot be balanced
+    assert first_unbalanced_restriction(f, f.n) is not None
     g = PFunction(2, 2, (0, 0, 0, 1))
-    assert not is_resilient(g, 0)
+    assert first_unbalanced_restriction(g, 0) is not None
     with pytest.raises(ValueError):
-        is_resilient(f, -1)
+        first_unbalanced_restriction(f, -1)
 
 
 def test_is_resilient_matches_counting_oracle():
@@ -694,7 +673,8 @@ def test_is_resilient_matches_counting_oracle():
         p, n = rng.choice([(2, 4), (3, 3)])
         f = random_function(p, n, seed=rng.randrange(10**6))
         for m in range(n + 1):
-            assert is_resilient(f, m) == helpers.resilient_by_counting(f, m)
+            resilient = first_unbalanced_restriction(f, m) is None
+            assert resilient == helpers.resilient_by_counting(f, m)
 
 
 def test_resilient_implies_immune_and_balanced():
@@ -817,13 +797,6 @@ def test_autocorrelation_is_fast_on_large_tables():
         assert abs(ac[t] - np.vdot(w, np.roll(w, -t))) < 1e-9 * f.size
 
 
-def test_float_is_zero_threshold_scales_with_size():
-    assert float_is_zero(0, 81)
-    assert float_is_zero(FLOAT_ZERO_FACTOR * 81 * 0.99, 81)
-    assert not float_is_zero(FLOAT_ZERO_FACTOR * 81 * 1.01, 81)
-    assert not float_is_zero(1e-3, 81)
-
-
 # ---------------------------------------------------------------------------
 # SpectrumDump JSON
 # ---------------------------------------------------------------------------
@@ -833,7 +806,10 @@ def test_spectrum_dump_roundtrip_is_bit_exact():
     dump = SpectrumDump.compute(f)
     obj = json.loads(dump.to_json())
     assert (obj["p"], obj["n"]) == (dump.p, dump.n)
-    assert tuple(complex(re, im) for re, im in obj["dft"]) == dump.dft
-    assert tuple(complex(re, im) for re, im in obj["autocorrelation"]) == dump.autocorrelation
+    for key, values in [("dft", dump.dft), ("autocorrelation", dump.autocorrelation)]:
+        pairs = np.array(obj[key])
+        assert pairs.shape == (27, 2)
+        assert np.array_equal(pairs[:, 0], values.real)
+        assert np.array_equal(pairs[:, 1], values.imag)
     assert abs(dump.dft[0] - sum(np.exp(2j * np.pi * v / 3) for v in f.table)) < 1e-9
     assert abs(dump.autocorrelation[0] - 27) < 1e-9
