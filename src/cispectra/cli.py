@@ -102,7 +102,7 @@ def analyze_function(f: PFunction, reports: bool = False) -> dict:
     """The analyze record of f: p, n, balanced, symmetric, ci_order,
     resiliency_order and, when asked, the consensus report of every order."""
     symmetric = is_symmetric(f)
-    ci = spectral.ci_order_symmetric(f) if symmetric else spectral.ci_order(f)
+    ci = spectral._symmetric_order(f) if symmetric else spectral.ci_order(f)
     balanced = is_balanced(f)
     record = {"p": f.p, "n": f.n, "balanced": balanced, "symmetric": symmetric, "ci_order": ci}
     # m-resilient iff balanced and m-CI; a balanced f is never n-CI
@@ -121,9 +121,9 @@ def _analyze_text(record: dict) -> list[str]:
 
 
 def _oracle_work(p: int, n: int, m: int) -> int:
-    """Steps of one consensus at order m: one pass over the p^n table per
-    c-vector of weight 1..m."""
-    return sum(math.comb(n, w) * (p - 1) ** w for w in range(1, m + 1)) * p**n
+    """Steps of one consensus at order m: one pass over the p^n table and
+    one p x p count-matrix fold per c-vector of weight 1..m."""
+    return sum(math.comb(n, w) * (p - 1) ** w for w in range(1, m + 1)) * (p**n + p * p)
 
 
 def _reports_work(p: int, n: int) -> int:

@@ -136,11 +136,23 @@ def count_matrix(f: PFunction, c) -> CountMatrix:
     return CountMatrix(c, tuple([tuple(flat[i : i + p]) for i in range(0, p * p, p)]))
 
 
-def _linear_fold(cm: CountMatrix, a: int) -> CycloElement:
-    """sum_x ((f(x) + a) mod p) * omega^(c.x), read off the count matrix."""
-    p = len(cm.entries)
-    counts = [sum((v + a) % p * k for v, k in enumerate(row)) for row in cm.entries]
-    return CycloElement.from_root_counts(p, 1, counts)
+def _shift_folds(rows):
+    """Root counts of sum_x ((f(x) + a) mod p) * omega^(c.x) for a = 0, 1,
+    ..., p-1 in turn, read off the count matrix rows M_c[d][v].
+
+    O(p^2) in all: (v + a) mod p = v + a - p*[v >= p - a], so shift a puts
+    base[d] + a * rowsum[d] - p * wrapped[d] on omega^d, where base is the
+    shift-0 fold sum_v v * M_c[d][v] and wrapped[d] counts the outputs
+    v >= p - a in row d, growing by one column per shift.
+    """
+    p = len(rows)
+    base = [sum(v * k for v, k in enumerate(row)) for row in rows]
+    yield base
+    sums = [sum(row) for row in rows]
+    wrapped = [0] * p
+    for a in range(1, p):
+        wrapped = [w + row[p - a] for w, row in zip(wrapped, rows)]
+        yield [b + a * t - p * w for b, t, w in zip(base, sums, wrapped)]
 
 
 def chrestenson_cyclic(f: PFunction, c) -> CycloElement:
@@ -159,7 +171,7 @@ def chrestenson_cyclic(f: PFunction, c) -> CycloElement:
 def chrestenson_linear(f: PFunction, c) -> CycloElement:
     """Unscaled linear spectrum value sum_x f(x) * omega^(c.x); the output
     enters as an integer multiplier, not as an exponent."""
-    return _linear_fold(count_matrix(f, c), 0)
+    return CycloElement.from_root_counts(f.p, 1, next(_shift_folds(count_matrix(f, c).entries)))
 
 
 def chrestenson_cyclic_witness(f: PFunction, m: int):
@@ -173,12 +185,12 @@ def chrestenson_cyclic_witness(f: PFunction, m: int):
 def chrestenson_linear_witness(f: PFunction, m: int):
     """First failing (c, shift); all p output shifts of f must have vanishing
     linear spectrum on every c with 1 <= wt(c) <= m.  Every shift is folded
-    from one count matrix per c."""
+    from one count matrix per c (_shift_folds)."""
     _check_order(f, m, 1)
-    for c in _weighted_vectors(f.p, f.n, m):
-        cm = count_matrix(f, c)
-        for a in range(f.p):
-            if not _linear_fold(cm, a).is_zero():
+    p = f.p
+    for c in _weighted_vectors(p, f.n, m):
+        for a, counts in enumerate(_shift_folds(count_matrix(f, c).entries)):
+            if not CycloElement.from_root_counts(p, 1, counts).is_zero():
                 return (c, a)
     return None
 

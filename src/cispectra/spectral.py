@@ -37,6 +37,19 @@ lives on the frequency stratum gcd(j, N) = p^(n-m):
     every m-subset has equal rows.  These collapses and the orbit
     criterion are validated in the test suite against an ordered scan of
     the exact values and the counting oracles;
+  * ci_order does not have to scan subsets at all: with
+    T[c, s] = #{x : f(x) + c.x = s}, f is m-CI iff every row T[c, .] with
+    1 <= wt(c) <= m is uniform (Xiao and Massey, IEEE Trans. IT 34(3),
+    1988; Camion, Carlet, Charpin and Sendrier, CRYPTO '91): the value
+    sum_x omega^(a*f(x) + c.x) at a != 0 is sigma_a of the value at a = 1
+    and a^(-1)*c, and a^(-1)*c has the weight of c.  So ci_order is the
+    least weight of a nonzero c with a non-uniform row, minus one.
+    _row_transform builds T exactly in integers, one butterfly per
+    variable, n * p^(n+2) cell additions.  The subset scan stays first,
+    because it stops at the first failing subset; ci_order hands over to
+    the transform once the scan has spent the transform's estimated cost
+    (the rule and its constants are in ci_order's docstring), so its
+    verdict costs at most about twice the cheaper of the two;
   * for a symmetric f every tuple gives the same values, so one subset per
     order decides (ci_order_symmetric reads {1, ..., m}): f is m-CI iff,
     for every c in 1..p-1, the DFT of c*f vanishes at the one index p^(n-m).
@@ -287,15 +300,112 @@ def is_ci(f: PFunction, m: int) -> bool:
     return all(_rows_equal(f, s) for s in combinations(range(1, f.n + 1), m))
 
 
+# The transform's cost in scan steps, one step being what _rows_equal
+# spends per table entry; see ci_order.
+_ADD_CALL_STEPS = 64
+_ADDED_CELLS_PER_STEP = 190
+_TRANSPOSED_CELL_ADDS = 12
+
+
+def _transform_steps(f: PFunction) -> int:
+    """Estimated cost of _row_transform, in subset-scan steps."""
+    p = f.p
+    cells = (p * p + _TRANSPOSED_CELL_ADDS * p) * f.size
+    return f.n * (_ADD_CALL_STEPS * p * p + cells // _ADDED_CELLS_PER_STEP)
+
+
+def _row_transform(f: PFunction) -> np.ndarray:
+    """T[s, c] = #{x : f(x) + c.x = s} as an integer array of shape (p, p^n);
+    the digits of c are laid out like those of the table index, so
+    T[:, k] is the row of the c whose digits are those of k.
+
+    Starts from the one-hot A[s, x] = [f(x) = s] and transforms one
+    variable at a time: new[s, c] = sum_x old[s - c*x, x] along that
+    variable's axis, each term a shift of the output axis s.  The axis
+    being transformed is kept in front of the remaining variables and
+    moved to the back afterwards, so after n rounds the c-axes are back in
+    table order and each shift is a pair of slice additions over
+    contiguous blocks.  Entries never exceed p^n, which int32 holds below
+    MAX_TABLE_ENTRIES.
+    """
+    p = f.p
+    dtype = np.int32 if f.size < 2**31 else np.int64
+    t = (np.arange(p)[:, None] == f.array.reshape(1, -1)).astype(dtype)
+    for _ in range(f.n):
+        old = t.reshape(p, p, -1)  # (s, the variable transformed, the rest)
+        new = np.zeros_like(old)
+        for c in range(p):
+            dst = new[:, c]
+            for x in range(p):
+                src, r = old[:, x], c * x % p
+                dst[r:] += src[: p - r]
+                if r:
+                    dst[:r] += src[p - r :]
+        t = np.ascontiguousarray(new.transpose(0, 2, 1))
+    return t.reshape(p, -1)
+
+
+def _transform_ci_order(f: PFunction) -> int:
+    """ci_order read off _row_transform: the least weight of a nonzero c
+    whose row T[., c] is not uniform, minus one; n when there is none."""
+    p = f.p
+    rows = _row_transform(f)
+    uneven = (rows != rows[:1]).any(axis=0)
+    nonzero = (np.arange(p) != 0).astype(np.int8)
+    weight = nonzero
+    for _ in range(f.n - 1):
+        weight = np.add.outer(weight, nonzero)
+    weight = weight.reshape(-1)
+    failing = weight[uneven & (weight > 0)]
+    return int(failing.min()) - 1 if failing.size else f.n
+
+
 def ci_order(f: PFunction) -> int:
     """Largest m with is_ci(f, m); 0 when not even first-order immune.
 
     Scans m = 1, 2, ... upward, C(n, m) subsets per order; immunity of order
     m implies order m-1 (conditioning on fewer variables averages
-    conditionals on more), so the first failure ends the scan.
+    conditionals on more), so the first failing subset ends the scan.  On
+    an immune f the scan reads about 2^n subsets of p^n steps each, so it
+    is rented, ski-rental style: before each subset p^n is added to the
+    steps spent, and once they pass _transform_steps(f) the order is read
+    off the exact transform instead (_transform_ci_order).  Either way the
+    verdict costs at most about twice the cheaper of scan and transform.
+
+    _transform_steps(f) = n * (64 * p^2 + (p^2 + 12 * p) * p^n // 190)
+    counts each of the transform's n rounds: about p^2 numpy slice
+    additions over p^(n+2) cells, then one transpose of p^(n+1) cells.
+    Its constants are in scan steps, one step being _rows_equal's time per
+    table entry (median 83-121 ns from run to run, over p = 2..13 and
+    p^n = 2^8..2^19).  An addition's fixed cost is 64 steps (6 us); 190
+    int32 cells are added per step; a transposed cell, whose innermost run
+    is only p long, costs as much as 12 added ones.  Against
+    _row_transform's measured time over p = 2..13 and p^n = 2^8..13^5 the
+    estimate came out 1.1 to 2.1 times high, closest at the largest sizes
+    ((2,19) 0.15 s, (7,7) 0.37 s).  All were measured on a 2-CPU x86-64
+    host with Python 3.11 and numpy 2.4; they are a property of the host,
+    and a wrong estimate only moves the handover, never the answer.
+    With them the estimate is at least p^n at every size, so a table that
+    fails on its first subset, as random tables do, never reaches the
+    transform; a table of 16 entries is always scanned; and the transform
+    is never reached at (31, 4) or (97, 3), where it would take seconds
+    and over 300 MB.
     """
+    size, budget, spent = f.size, _transform_steps(f), 0
+    for m in range(1, f.n + 1):
+        for subset in combinations(range(1, f.n + 1), m):
+            spent += size
+            if spent > budget:
+                return _transform_ci_order(f)
+            if not _rows_equal(f, subset):
+                return m - 1
+    return f.n
+
+
+def _symmetric_order(f: PFunction) -> int:
+    """ci_order_symmetric without its symmetry check; f must be symmetric."""
     m = 0
-    while m < f.n and is_ci(f, m + 1):
+    while m < f.n and _rows_equal(f, tuple(range(1, m + 2))):
         m += 1
     return m
 
@@ -307,10 +417,7 @@ def ci_order_symmetric(f: PFunction) -> int:
     non-symmetric input rather than silently answering the wrong question."""
     if not is_symmetric(f):
         raise ValueError("f is not symmetric; use ci_order")
-    m = 0
-    while m < f.n and _rows_equal(f, tuple(range(1, m + 2))):
-        m += 1
-    return m
+    return _symmetric_order(f)
 
 
 def first_unbalanced_restriction(f: PFunction, m: int):

@@ -176,15 +176,16 @@ def test_ci_order_scans_every_subset_of_linear_2_10_quickly():
 @pytest.mark.parametrize(
     "poly,p,n,answers",
     [
-        (helpers.E2_POLY, 3, 4, True),  # 14,904 entries read
-        ("x7*x8 + x1 + x2 + x3 + x4 + x5 + x6", 2, 8, True),  # 325,376
-        ("+".join(f"x{i}" for i in range(1, 10)), 2, 9, False),  # 1,436,672
-        ("+".join(f"x{i}" for i in range(1, 7)), 3, 6, False),  # 1,589,220
-        ("+".join(f"x{i}" for i in range(1, 11)), 2, 10, False),  # 6,280,192
+        (helpers.E2_POLY, 3, 4, True),  # 16,560 steps
+        ("x7*x8 + x1 + x2 + x3 + x4 + x5 + x6", 2, 8, True),  # 330,460
+        ("+".join(f"x{i}" for i in range(1, 10)), 2, 9, False),  # 1,447,896
+        ("+".join(f"x{i}" for i in range(1, 7)), 3, 6, False),  # 1,608,840
+        ("+".join(f"x{i}" for i in range(1, 11)), 2, 10, False),  # 6,304,724
     ],
 )
 def test_analyze_reports_work_is_bounded(capsys, poly, p, n, answers):
-    # the bound counts the c-vector passes of the oracles at orders 1..n
+    # the bound counts the c-vector passes and folds of the oracles at
+    # orders 1..n
     start = time.perf_counter()
     code, out = run(capsys, "analyze", "--json", "--reports", "--poly", poly,
                     "--p", str(p), "--n", str(n))
@@ -344,7 +345,7 @@ def test_crosscheck_random_zero_functions(capsys):
         (["--random", "600000", "--p", "2", "--n", "1"], None, EXIT_LIMIT),
         (["--random", str(10**15), "--p", "3", "--n", "2"], None, EXIT_LIMIT),
         (["--random", "2", "--p", "2", "--n", "19"], None, EXIT_LIMIT),
-        # 48 entries; (2,1) keeps each function's oracle work (2 steps) far
+        # 48 entries; (2,1) keeps each function's oracle work (6 steps) far
         # below the limit, so only the entry count decides
         (["--random", "24", "--p", "2", "--n", "1"], "47", EXIT_LIMIT),
         (["--random", "24", "--p", "2", "--n", "1"], "48", EXIT_OK),
@@ -363,17 +364,17 @@ def test_crosscheck_random_work_is_bounded(capsys, monkeypatch, argv, env, code)
     "argv,env,code",
     [
         # one function's consensus at order m takes sum over w = 1..m of
-        # C(n, w) * (p-1)^w * p^n steps, checked before any function is built;
-        # (997,2) at m = 2 ran out of memory unbounded
+        # C(n, w) * (p-1)^w * (p^n + p^2) steps, checked before any function
+        # is built; (997,2) at m = 2 ran out of memory unbounded
         (["--p", "997", "--n", "2", "--m", "2", "--random", "1"], None, EXIT_LIMIT),
         (["--p", "997", "--n", "2", "--m", "1", "--random", "1"], None, EXIT_LIMIT),
         (["--p", "2", "--n", "19", "--m", "1", "--random", "1"], None, EXIT_LIMIT),
-        # 4 * 2^4 = 64 steps per function and 48 entries in all
+        # 4 * (2^4 + 2^2) = 80 steps per function and 48 entries in all
         (["--p", "2", "--n", "4", "--m", "1", "--random", "3"], "48", EXIT_LIMIT),
-        (["--p", "2", "--n", "4", "--m", "1", "--random", "3"], "63", EXIT_LIMIT),
-        (["--p", "2", "--n", "4", "--m", "1", "--random", "3"], "64", EXIT_OK),
-        # (3,2) at m = 2 takes 72 steps per function of the family
-        (["--p", "3", "--n", "2", "--m", "2", "--exhaustive"], "71", EXIT_LIMIT),
+        (["--p", "2", "--n", "4", "--m", "1", "--random", "3"], "79", EXIT_LIMIT),
+        (["--p", "2", "--n", "4", "--m", "1", "--random", "3"], "80", EXIT_OK),
+        # (3,2) at m = 1 takes 4 * (9 + 9) = 72 steps per function of the family
+        (["--p", "3", "--n", "2", "--m", "1", "--exhaustive"], "71", EXIT_LIMIT),
     ],
 )
 def test_crosscheck_oracle_work_is_bounded_per_function(capsys, monkeypatch, argv, env, code):
@@ -839,6 +840,12 @@ PINNED_OUTPUTS = [
      "0b19ef3e9afec8476baf448204bafa3cebcea9b2e3581f27c0c0d6b555d4e23d"),
     ("analyze --poly x1+x2+x3 --p 2 --n 3 --reports", False, EXIT_OK,
      "ebc599cdc10976f4cd8a64a0cb1179264de6d54cfcc217112a1b0af0946a5de2"),
+    # quad1 is not symmetric and immune up to n - 3, so ci_order reads it
+    # off the transform
+    ("analyze --poly x1*x2+x3+x4+x5+x6+x7+x8+x9+x10+x11+x12 --p 2 --n 12 --json", False, EXIT_OK,
+     "a9b8b1509f9539816cb30c2c944b2a94f9a90b238a7f6e90f5e5dc9f3578ff02"),
+    ("analyze --poly x1*x2+x3+x4+x5+x6+x7+x8+x9 --p 3 --n 9 --json", False, EXIT_OK,
+     "7785cd30c02fbeee3bf1576a3882cdb92198173bc9c94cd9a848217c48254093"),
     ("spectrum --poly x1*x2+x3 --p 3 --n 3 --exact-at 2 --tuple 1,2 --tuple 2,3", False, EXIT_OK,
      "14a08e5bd4d11ef00850faa3291da63556bbf1e39868264c58ff409241e5edf5"),
     ("spectrum --poly x1*x2+x3 --p 3 --n 3 --exact-at 2 --tuple 1,2 --tuple 2,3 --json", False, EXIT_OK,

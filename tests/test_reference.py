@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 from cispectra import (
+    CycloElement,
     PFunction,
     all_functions,
     parse_polynomial,
@@ -25,7 +26,7 @@ from cispectra.reference import (
     definition_witness,
     matrix_test,
     orthogonal_array_witness,
-    _linear_fold,
+    _shift_folds,
     _weighted_vectors,
 )
 from cispectra import is_balanced
@@ -253,7 +254,7 @@ def _check_values(f, shifts):
         assert cm.entries == helpers.count_matrix_points(f, c)
         assert chrestenson_cyclic(f, c) == helpers.cyclic_sum_points(f, c)
         linear = [helpers.linear_sum_points(f, c, a) for a in range(p)]
-        assert [_linear_fold(cm, a) for a in range(p)] == linear
+        assert [CycloElement.from_root_counts(p, 1, k) for k in _shift_folds(cm.entries)] == linear
         for a in shifts:
             assert chrestenson_linear(_shifted(f, a), c) == linear[a]
 

@@ -12,6 +12,7 @@ import math
 import random
 import time
 from itertools import combinations, permutations, product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -502,6 +503,96 @@ def test_ci_order_consistent_with_is_ci():
         assert is_ci(f, k)
         if k < n:
             assert not is_ci(f, k + 1)
+
+
+# ---------------------------------------------------------------------------
+# The exact row transform, and ci_order's handover to it
+# ---------------------------------------------------------------------------
+
+def _scanned_order(f):
+    """max m with is_ci(f, m), subset by subset (is_ci is monotone in m)."""
+    m = 0
+    while m < f.n and is_ci(f, m + 1):
+        m += 1
+    return m
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (3, 3), (5, 2)])
+def test_row_transform_counts_every_shifted_output(p, n):
+    # column k is the c whose digits are those of table index k
+    rng = random.Random(p * 10 + n)
+    for _ in range(5):
+        f = random_function(p, n, seed=rng.randrange(10**6))
+        rows = spectral._row_transform(f)
+        assert rows.shape == (p, p**n)
+        for k, c in enumerate(helpers.points(p, n)):
+            for s in range(p):
+                want = sum(
+                    (f.evaluate(x) + sum(ci * xi for ci, xi in zip(c, x))) % p == s
+                    for x in helpers.points(p, n)
+                )
+                assert rows[s, k] == want
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 2)])
+def test_transform_order_matches_is_ci_exhaustive(p, n):
+    seen = set()
+    for f in all_functions(p, n):
+        order = spectral._transform_ci_order(f)
+        assert order == _scanned_order(f)
+        seen.add(order)
+    assert seen == set(range(n + 1))
+
+
+@pytest.mark.parametrize("p,n", [(2, 6), (3, 4), (5, 3), (7, 2), (2, 10), (3, 6)])
+def test_transform_order_matches_is_ci_on_seeded_families(p, n):
+    rng = random.Random(1000 * p + n)
+    families = [PFunction(p, n, (v,) * p**n) for v in range(p)]  # order n
+    for _ in range(10):
+        families.append(random_function(p, n, seed=rng.randrange(10**6)))  # order 0
+        families.append(_balanced_table(rng, p, n))
+        families.append(_q_plus_linear(rng, p, n)[0])
+    orders = set()
+    for f in families:
+        order = spectral._transform_ci_order(f)
+        assert order == _scanned_order(f)
+        orders.add(order)
+    assert {0, n} <= orders and len(orders) >= 3
+
+
+def test_ci_order_hands_over_to_the_transform(monkeypatch):
+    # quad1 is immune up to n - 3; the scan alone reads 2^14 - 16 subsets
+    f = parse_polynomial("x1*x2 + " + " + ".join(f"x{i}" for i in range(3, 15)), 2, 14)
+    calls = []
+    rows_equal = spectral._rows_equal
+    monkeypatch.setattr(spectral, "_rows_equal", lambda g, s: calls.append(s) or rows_equal(g, s))
+    assert ci_order(f) == 11
+    assert 1 <= len(calls) <= spectral._transform_steps(f) // f.size + 1
+
+
+def test_ci_order_keeps_the_scan_where_it_is_cheaper(monkeypatch):
+    calls = []
+    rows_equal = spectral._rows_equal
+    monkeypatch.setattr(spectral, "_rows_equal", lambda g, s: calls.append(s) or rows_equal(g, s))
+    monkeypatch.setattr(spectral, "_transform_ci_order", lambda g: pytest.fail("transformed"))
+    # a random table fails on its first subset
+    assert ci_order(random_function(2, 12, seed=5)) == 0
+    assert calls == [(1,)]
+    # a table of 16 entries is scanned to the end
+    calls.clear()
+    assert ci_order(PFunction(2, 4, (1,) * 16)) == 4
+    assert len(calls) == 15
+    # the first subset is always within the estimate; at (31,4) and (97,3)
+    # every subset is
+    for p in (2, 3, 5, 7, 11, 13, 31, 97, 997, 65537):
+        n = 1
+        while p**n <= 2**31:
+            size = SimpleNamespace(p=p, n=n, size=p**n)
+            assert spectral._transform_steps(size) >= p**n
+            n += 1
+    for p, n in ((31, 4), (97, 3)):
+        size = SimpleNamespace(p=p, n=n, size=p**n)
+        assert spectral._transform_steps(size) > (2**n - 1) * p**n
 
 
 def _assert_subset_verdicts_match_tuple_scan(f):
