@@ -35,7 +35,7 @@ from cispectra import (
     consensus,
     digits_of,
     exact_spectrum_conjugates,
-    resiliency_order,
+    is_balanced,
 )
 
 # Enumerating beyond this many tables is a typo, not an experiment.
@@ -95,8 +95,10 @@ def main() -> int:
     disagreements = 0
     t0 = time.perf_counter()
     for f in all_functions(args.p, args.n):
-        ci_hist[ci_order(f)] += 1
-        res_hist[resiliency_order(f)] += 1
+        ci = ci_order(f)
+        ci_hist[ci] += 1
+        # m-resilient iff balanced and m-CI
+        res_hist[ci if is_balanced(f) else -1] += 1
         if args.check_consensus:
             for m in range(1, args.n + 1):
                 rep = consensus(f, m)

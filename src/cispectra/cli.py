@@ -102,7 +102,7 @@ def analyze_function(f: PFunction, reports: bool = False) -> dict:
     """The analyze record of f: p, n, balanced, symmetric, ci_order,
     resiliency_order and, when asked, the consensus report of every order."""
     symmetric = is_symmetric(f)
-    ci = spectral._symmetric_order(f) if symmetric else spectral.ci_order(f)
+    ci = spectral.ci_order_symmetric(f) if symmetric else spectral.ci_order(f)
     balanced = is_balanced(f)
     record = {"p": f.p, "n": f.n, "balanced": balanced, "symmetric": symmetric, "ci_order": ci}
     # m-resilient iff balanced and m-CI; a balanced f is never n-CI

@@ -259,12 +259,12 @@ def apply_permutation(f: PFunction, mapping: Sequence[int]) -> PFunction:
 def is_symmetric(f: PFunction) -> bool:
     """True iff f is invariant under every variable permutation.
 
-    Checked on the n-1 adjacent transpositions, which generate the full
-    symmetric group; swapping adjacent axes of f.array swaps adjacent
-    variables.
+    Checked on two generators of the symmetric group S_n: a transposition
+    of two adjacent variables (swapping axes 0 and 1 of f.array) and the
+    n-cycle (moving axis 0 to the back), so at most two array compares.
     """
     a = f.array
-    return all(np.array_equal(a, a.swapaxes(j, j + 1)) for j in range(f.n - 1))
+    return f.n < 2 or all(np.array_equal(a, g) for g in (a.swapaxes(0, 1), np.moveaxis(a, 0, -1)))
 
 
 def is_balanced(f: PFunction) -> bool:
@@ -301,8 +301,7 @@ def _literal(value: str, pos: int) -> int:
 
 def parse_terms(text: str, p: int, n: int) -> tuple[Term, ...]:
     """Parse a polynomial into its term list without evaluating it."""
-    if not _is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    _check_p_n(p, n, MAX_TABLE_ENTRIES)
     # Stripping keeps finditer from rescanning a trailing blank run per start.
     tokens = [
         (m.lastgroup, m[m.lastgroup], m.start(m.lastgroup) - (m.lastgroup == "var"))
@@ -371,7 +370,6 @@ def parse_polynomial(text: str, p: int, n: int) -> PFunction:
     int64 product broadcast over the array view's axes (x_i on axis n-i),
     reduced mod p after every product: residues < 2^31, products < 2^62."""
     terms = parse_terms(text, p, n)
-    _check_p_n(p, n, MAX_TABLE_ENTRIES)
     table = np.zeros((p,) * n, dtype=np.int64)
     for t in terms:
         if t.coeff == 0:

@@ -46,12 +46,12 @@ lives on the frequency stratum gcd(j, N) = p^(n-m):
     least weight of a nonzero c with a non-uniform row, minus one.
     _row_transform builds T exactly in integers, one butterfly per
     variable, n * p^(n+2) cell additions.  The subset scan stays first,
-    because it stops at the first failing subset; ci_order hands over to
-    the transform once the scan has spent the transform's estimated cost
-    (the rule and its constants are in ci_order's docstring), so its
-    verdict costs at most about twice the cheaper of the two;
+    because it stops at the first failing subset; both verdicts hand over
+    to the transform once the scan has spent its estimated cost (the rule
+    and its constants are in ci_order's docstring), so each costs at most
+    about twice the cheaper of the two;
   * for a symmetric f every tuple gives the same values, so one subset per
-    order decides (ci_order_symmetric reads {1, ..., m}): f is m-CI iff,
+    order decides (ci_order_symmetric reads only {1, ..., m}): f is m-CI iff,
     for every c in 1..p-1, the DFT of c*f vanishes at the one index p^(n-m).
     Proof: sigma_a (zeta -> zeta^a) sends omega^(f/a) zeta^(-k) to omega^f
     zeta^(-a*k), so it maps the value of f/a at p^(n-m) to that of f at
@@ -360,6 +360,20 @@ def _transform_ci_order(f: PFunction) -> int:
     return int(failing.min()) - 1 if failing.size else f.n
 
 
+def _order(f: PFunction, symmetric: bool) -> int:
+    """ci_order's rented scan over every m-subset, or over {1, ..., m} only."""
+    size, budget, spent = f.size, _transform_steps(f), 0
+    variables = range(1, f.n + 1)
+    for m in variables:
+        for subset in (tuple(variables[:m]),) if symmetric else combinations(variables, m):
+            spent += size
+            if spent > budget:
+                return _transform_ci_order(f)
+            if not _rows_equal(f, subset):
+                return m - 1
+    return f.n
+
+
 def ci_order(f: PFunction) -> int:
     """Largest m with is_ci(f, m); 0 when not even first-order immune.
 
@@ -371,6 +385,7 @@ def ci_order(f: PFunction) -> int:
     steps spent, and once they pass _transform_steps(f) the order is read
     off the exact transform instead (_transform_ci_order).  Either way the
     verdict costs at most about twice the cheaper of scan and transform.
+    ci_order_symmetric rents its scan of one subset per order the same way.
 
     _transform_steps(f) = n * (64 * p^2 + (p^2 + 12 * p) * p^n // 190)
     counts each of the transform's n rounds: about p^2 numpy slice
@@ -391,33 +406,18 @@ def ci_order(f: PFunction) -> int:
     is never reached at (31, 4) or (97, 3), where it would take seconds
     and over 300 MB.
     """
-    size, budget, spent = f.size, _transform_steps(f), 0
-    for m in range(1, f.n + 1):
-        for subset in combinations(range(1, f.n + 1), m):
-            spent += size
-            if spent > budget:
-                return _transform_ci_order(f)
-            if not _rows_equal(f, subset):
-                return m - 1
-    return f.n
-
-
-def _symmetric_order(f: PFunction) -> int:
-    """ci_order_symmetric without its symmetry check; f must be symmetric."""
-    m = 0
-    while m < f.n and _rows_equal(f, tuple(range(1, m + 2))):
-        m += 1
-    return m
+    return _order(f, False)
 
 
 def ci_order_symmetric(f: PFunction) -> int:
     """ci_order via the symmetric shortcut: permuting variables fixes f, so
     the counts over {1, ..., m} stand in for every m-subset and _rows_equal
-    decides (the conjugate orbit must still vanish in full).  Raises on
-    non-symmetric input rather than silently answering the wrong question."""
+    decides (the conjugate orbit must still vanish in full), in ci_order's
+    rented loop.  Raises on non-symmetric input rather than silently
+    answering the wrong question."""
     if not is_symmetric(f):
         raise ValueError("f is not symmetric; use ci_order")
-    return _symmetric_order(f)
+    return _order(f, True)
 
 
 def first_unbalanced_restriction(f: PFunction, m: int):

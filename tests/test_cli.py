@@ -846,6 +846,10 @@ PINNED_OUTPUTS = [
      "a9b8b1509f9539816cb30c2c944b2a94f9a90b238a7f6e90f5e5dc9f3578ff02"),
     ("analyze --poly x1*x2+x3+x4+x5+x6+x7+x8+x9 --p 3 --n 9 --json", False, EXIT_OK,
      "7785cd30c02fbeee3bf1576a3882cdb92198173bc9c94cd9a848217c48254093"),
+    # parity is symmetric and immune up to n - 1, so ci_order_symmetric
+    # hands over to the transform
+    ("analyze --json --poly x1+x2+x3+x4+x5+x6+x7+x8+x9+x10+x11+x12+x13+x14 --p 2 --n 14", False, EXIT_OK,
+     "79f6bb6aff37d51a7676d6018984d1aa45b3a3411df7dec0fe8780e742565eda"),
     ("spectrum --poly x1*x2+x3 --p 3 --n 3 --exact-at 2 --tuple 1,2 --tuple 2,3", False, EXIT_OK,
      "14a08e5bd4d11ef00850faa3291da63556bbf1e39868264c58ff409241e5edf5"),
     ("spectrum --poly x1*x2+x3 --p 3 --n 3 --exact-at 2 --tuple 1,2 --tuple 2,3 --json", False, EXIT_OK,

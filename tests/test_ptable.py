@@ -108,6 +108,10 @@ def test_size_cap_is_checked_before_big_arithmetic():
             PFunction(p, n, ())
         with pytest.raises(SizeLimitError):
             random_function(p, n, seed=0)
+        with pytest.raises(SizeLimitError):
+            parse_terms("x1", p, n)
+        with pytest.raises(SizeLimitError):
+            parse_polynomial("x1", p, n)
     for p, n in [(1, 10**9), (3, 0), (3, -1)]:
         with pytest.raises(ValueError) as err:
             PFunction(p, n, ())
@@ -264,8 +268,23 @@ def test_is_symmetric_is_fast_on_large_tables():
     parity = PFunction(2, 19, tuple(bin(k).count("1") % 2 for k in range(2**19)))
     start = time.perf_counter()
     assert not is_symmetric(rand)
-    assert is_symmetric(parity)  # every adjacent swap is compared
+    assert is_symmetric(parity)  # both generators are compared
     assert time.perf_counter() - start < 0.5
+
+
+def test_is_symmetric_compares_two_generators(monkeypatch):
+    for p, n in [(2, 3), (3, 2)]:
+        for f in all_functions(p, n):
+            assert is_symmetric(f) == helpers.is_symmetric_loop(f)
+    # fixed by the 4-cycle but not by a transposition; every (2,3) table
+    # fixed by the 3-cycle is symmetric
+    assert not is_symmetric(parse_polynomial("x1*x2 + x2*x3 + x3*x4 + x4*x1", 2, 4))
+    parity = PFunction(2, 10, tuple(bin(k).count("1") % 2 for k in range(2**10)))
+    calls = []
+    array_equal = np.array_equal
+    monkeypatch.setattr(np, "array_equal", lambda a, b: calls.append(1) or array_equal(a, b))
+    assert is_symmetric(parity)
+    assert len(calls) <= 2
 
 
 def test_is_balanced():

@@ -715,6 +715,32 @@ def test_symmetric_theorem_matches_is_ci(e2):
                 assert _vanishes_for_every_multiple(f, m) == is_ci(f, m)
 
 
+def test_symmetric_shortcut_hands_over_to_the_transform(monkeypatch):
+    # parity is immune up to n - 1; the shortcut alone reads all 14 prefixes
+    f = parse_polynomial("+".join(f"x{i}" for i in range(1, 15)), 2, 14)
+    calls, transforms = [], []
+    rows_equal, transform = spectral._rows_equal, spectral._transform_ci_order
+    monkeypatch.setattr(spectral, "_rows_equal", lambda g, s: calls.append(s) or rows_equal(g, s))
+    monkeypatch.setattr(
+        spectral, "_transform_ci_order", lambda g: transforms.append(g) or transform(g)
+    )
+    assert ci_order_symmetric(f) == 13
+    assert 1 <= len(calls) <= spectral._transform_steps(f) // f.size + 1
+    assert calls == [tuple(range(1, m + 1)) for m in range(1, len(calls) + 1)]
+    assert len(transforms) == 1
+
+
+@pytest.mark.parametrize("p,n", [(2, 8), (3, 6), (5, 4), (7, 3)])
+def test_symmetric_shortcut_keeps_the_scan_where_it_is_cheaper(monkeypatch, p, n):
+    f = parse_polynomial("+".join(f"x{i}" for i in range(1, n + 1)), p, n)
+    calls = []
+    rows_equal = spectral._rows_equal
+    monkeypatch.setattr(spectral, "_rows_equal", lambda g, s: calls.append(s) or rows_equal(g, s))
+    monkeypatch.setattr(spectral, "_transform_ci_order", lambda g: pytest.fail("transformed"))
+    assert ci_order_symmetric(f) == n - 1
+    assert calls == [tuple(range(1, m + 1)) for m in range(1, n + 1)]
+
+
 def test_symmetric_shortcut_rejects_asymmetric_input():
     f = parse_polynomial("x1", 2, 2)
     with pytest.raises(ValueError):
