@@ -370,11 +370,11 @@ def cmd_search(args) -> int:
             climb = spectral.ParsevalCost(_search_start(rng, p, n, args.resilient), target)
             stall = 0
         else:
-            cost = climb.cost
-            if climb.apply(_search_mutate(rng, climb.table, p, args.resilient)) < cost:
+            changes = _search_mutate(rng, climb.table, p, args.resilient)
+            if climb.cost_after(changes) < climb.cost:
+                climb.apply(changes)
                 stall = 0
             else:
-                climb.undo()
                 stall += 1
         evals += 1
     best = _better(best, climb)

@@ -43,15 +43,25 @@ class CycloElement:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        if not _is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
-        if len(self.coeffs) != _phi(self.p, self.m):
-            raise ValueError(
-                f"need phi(p^m) = {_phi(self.p, self.m)} coordinates, got {len(self.coeffs)}"
-            )
+        # cheap checks first: p^m and the primality test can both be large work
+        p, m = self.p, self.m
+        if m < 1:
+            raise ValueError(f"m must be >= 1, got {m}")
+        if p < 2:
+            raise ValueError(f"p must be prime, got {p}")
+        object.__setattr__(self, "coeffs", tuple(map(int, self.coeffs)))
+        count = len(self.coeffs)
+        # phi(p^m) = p^(m-1) * (p - 1) >= p^(m-1): the power stops growing
+        # once it passes the count, so no p^m much larger than it is built
+        block = 1
+        for _ in range(m - 1):
+            block *= p
+            if block > count:
+                raise ValueError(f"need phi(p^m) > {count} coordinates, got {count}")
+        if block * (p - 1) != count:
+            raise ValueError(f"need phi(p^m) = {block * (p - 1)} coordinates, got {count}")
+        if not _is_prime(p):
+            raise ValueError(f"p must be prime, got {p}")
 
     @classmethod
     def from_root_counts(cls, p: int, m: int, counts: Sequence[int]) -> "CycloElement":

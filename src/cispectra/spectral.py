@@ -34,7 +34,9 @@ lives on the frequency stratum gcd(j, N) = p^(n-m):
     method) reads each at most once.  The search climb scores a table by
     ParsevalCost, p^m * sum over m-subsets S of SS(S) - C(n, m) * SS(empty
     set), SS being the sum of squared joint counts; it is zero exactly when
-    every m-subset has equal rows.  These collapses and the orbit
+    every m-subset has equal rows.  A move is scored by reading one count
+    pair per count list, two for a swap (cost_after), and written only when
+    the climb keeps it (apply).  These collapses and the orbit
     criterion are validated in the test suite against an ordered scan of
     the exact values and the counting oracles;
   * ci_order does not have to scan subsets at all: with
@@ -213,8 +215,9 @@ class ParsevalCost:
     A changed entry moves one cell pair in each of the C(n, m) + 1 count
     lists, and so each SS by O(1).  m = 0 gives cost 0.
 
-    `table` is the current table as a list; change it only through apply
-    and undo.
+    cost_after scores a move by reading those cell pairs and writes
+    nothing; apply writes a move.  `table` is the current table as a list;
+    change it only through apply.
     """
 
     def __init__(self, f: PFunction, m: int):
@@ -231,7 +234,49 @@ class ParsevalCost:
         self._strides = [[(s - 1, p ** (r + 1)) for r, s in enumerate(sub)] for sub in tracked]
         self._counts = [_joint_counts(f, sub) for sub in tracked]
         self.cost = sum(w * sum([c * c for c in cm]) for w, cm in zip(self._weights, self._counts))
-        self._undo: list[tuple[int, int]] | None = None
+
+    def cost_after(self, changes) -> int:
+        """The cost apply(changes) would give, read off the counts; nothing
+        is written.
+
+        changes is one (k, v), or a swap [(i, table[j]), (j, table[i])].
+        A changed entry moves cm[base + old] - 1 and cm[base + v] + 1 in each
+        count list, which moves SS by 2 * (cm[base + v] - cm[base + old] + 1).
+        A swap of differing values a = table[i] and b = table[j] moves four
+        distinct cells in each list where i and j lie in different rows,
+        and nothing in one where they share a row.  The histogram has one
+        row, so no swap moves it.
+        """
+        table = self.table
+        delta = 0
+        if len(changes) == 1:
+            ((k, v),) = changes
+            old = table[k]
+            if old == v:
+                return self.cost
+            digits = [k // place % self._p for place in self._places]
+            for strides, cm, weight in zip(self._strides, self._counts, self._weights):
+                base = 0
+                for j, stride in strides:
+                    base += digits[j] * stride
+                delta += weight * (cm[base + v] - cm[base + old] + 1)
+            return self.cost + 2 * delta
+        (i, b), (j, a) = changes
+        if (a, b) != (table[i], table[j]):
+            raise ValueError(f"not one change or a swap of two entries: {changes}")
+        if a == b:
+            return self.cost
+        di = [i // place % self._p for place in self._places]
+        dj = [j // place % self._p for place in self._places]
+        for strides, cm, weight in zip(self._strides, self._counts, self._weights):
+            base_i = base_j = 0
+            for x, stride in strides:
+                base_i += di[x] * stride
+                base_j += dj[x] * stride
+            if base_i != base_j:
+                moved = cm[base_i + b] - cm[base_i + a] + cm[base_j + a] - cm[base_j + b]
+                delta += weight * (moved + 2)
+        return self.cost + 2 * delta
 
     def _move(self, k: int, v: int):
         """Set table[k] = v, moving one joint count pair per count list."""
@@ -252,22 +297,10 @@ class ParsevalCost:
         self.table[k] = v
 
     def apply(self, changes) -> int:
-        """Set table[k] = v for each (k, v) in order; return the new cost.
-
-        undo reverts the last apply.
-        """
-        self._undo = [(k, self.table[k]) for k, _ in changes]
+        """Set table[k] = v for each (k, v) in order; return the new cost."""
         for k, v in changes:
             self._move(k, v)
         return self.cost
-
-    def undo(self):
-        """Revert the last apply by replaying the values it overwrote."""
-        if self._undo is None:
-            raise ValueError("nothing to undo")
-        for k, v in self._undo:
-            self._move(k, v)
-        self._undo = None
 
 
 def _rows_equal(f: PFunction, indices) -> bool:

@@ -534,6 +534,11 @@ PINNED_SEARCHES = [
      "cb77cad9405c0729143b7faef351b34ac1a4a42967e511d82da3ebfc3dfaffe7"),
     ("--p 2 --n 4 --target-ci 2 --resilient --seed 2 --budget 300", EXIT_UNMET,
      "1a8468acf1737c1e5302263f79e0ac0402a7d1da88b9d3624c18ce2385058258"),
+    # 56 count lists per move; resilient swaps at (2,6)
+    ("--p 2 --n 8 --target-ci 3 --seed 4 --budget 300", EXIT_UNMET,
+     "e08f3dbd56e111efcbc4a663c5918cdb9c3619adad4e76ad587faa74b7281268"),
+    ("--p 2 --n 6 --target-ci 2 --resilient --seed 3 --budget 2000", EXIT_UNMET,
+     "3c136f92b14957db42527fbdbdb6069c3be40beabbd130c0c12878239030e79a"),
 ]
 
 
@@ -621,6 +626,37 @@ def test_search_climb_reads_only_counts(capsys, monkeypatch, args, code, digest)
     got_code, out = run(capsys, "search", "--json", *args.split())
     assert got_code == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("args", [
+    "--p 2 --n 4 --target-ci 1 --seed 3 --budget 2000",
+    "--p 2 --n 5 --target-ci 1 --resilient --seed 11 --budget 2000",
+])
+def test_search_writes_only_the_moves_it_keeps(capsys, monkeypatch, args):
+    # every move is scored read-only; _move runs once per change of a move
+    # that lowers the cost, in order, and never for a rejected one
+    cost_after, move = spectral.ParsevalCost.cost_after, spectral.ParsevalCost._move
+    scored, moved = [], []
+
+    def spy_cost_after(self, changes):
+        got = cost_after(self, changes)
+        scored.append((list(changes), got < self.cost))
+        return got
+
+    def spy_move(self, k, v):
+        moved.append((k, v))
+        return move(self, k, v)
+
+    monkeypatch.setattr(spectral.ParsevalCost, "cost_after", spy_cost_after)
+    monkeypatch.setattr(spectral.ParsevalCost, "_move", spy_move)
+    code, digest = {a: (c, d) for a, c, d in PINNED_SEARCHES}[args]
+    got_code, out = run(capsys, "search", "--json", *args.split())
+    assert got_code == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    kept = [change for changes, lower in scored if lower for change in changes]
+    assert moved == kept
+    assert 0 < len(kept) < sum(len(changes) for changes, _ in scored)
+    assert len(scored) < json.loads(out)["evaluations"]
 
 
 def test_search_move_is_constant_time_in_the_counts(capsys):

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from cispectra import CycloElement
+from cispectra import CycloElement, cyclotomic
 
 
 def _phi(p, m):
@@ -66,6 +66,17 @@ def test_element_validation():
         CycloElement(3, 1, (0,))  # phi(3) = 2
     with pytest.raises(ValueError):
         CycloElement(3, 2, (0,) * 9)  # counts length, not coordinate length
+
+
+def test_element_checks_the_count_before_large_arithmetic(monkeypatch):
+    # phi(2^(10^8)) is never built, and 10^14 + 31 is never trial-divided
+    def no_primality_test(p):
+        raise AssertionError("primality was tested before the coordinate count")
+
+    monkeypatch.setattr(cyclotomic, "_is_prime", no_primality_test)
+    for p, m in [(2, 10**8), (10**14 + 31, 1)]:
+        with pytest.raises(ValueError, match="coordinates, got 0"):
+            CycloElement(p, m, ())
 
 
 def test_from_root_counts_validates_length():

@@ -364,35 +364,77 @@ def _assert_fresh(cost, f, m):
     assert cost.cost == fresh.cost
 
 
+def _state(cost):
+    """A copy of everything a ParsevalCost holds that a move may write."""
+    return list(cost.table), [list(cm) for cm in cost._counts], cost.cost
+
+
 def _check_counter(cost_cls, f, m, rng, steps) -> int:
-    """Walk `steps` random moves from f, comparing with a fresh count after
-    every apply and every undo; about half of the moves are undone.
+    """Walk `steps` random moves from f.  Each is scored by cost_after,
+    which must equal a fresh count of the moved table and write nothing;
+    about half of them are then applied and compared with a fresh count.
     Returns the cost of f."""
     cost = cost_cls(f, m)
     first = cost.cost
     for _ in range(steps):
-        before = tuple(cost.table)
-        got = cost.apply(_random_move(rng, cost.table, f.p))
-        assert got == cost.cost
-        _assert_fresh(cost, f, m)
+        move = _random_move(rng, cost.table, f.p)
+        moved = list(cost.table)
+        for k, v in move:
+            moved[k] = v
+        before = _state(cost)
+        got = cost.cost_after(move)
+        assert _state(cost) == before
+        assert got == spectral.ParsevalCost(PFunction(f.p, f.n, tuple(moved)), m).cost
         if rng.random() < 0.5:
-            cost.undo()
-            assert tuple(cost.table) == before
+            assert cost.apply(move) == got
+            assert cost.table == moved
             _assert_fresh(cost, f, m)
     return first
+
+
+def _agreeing_digits(p, n, i, j):
+    return sum(i // p**r % p == j // p**r % p for r in range(n))
 
 
 @pytest.mark.parametrize("p,n", [(2, 3), (3, 2)])
 def test_parseval_cost_exhaustive(p, n):
     # cost >= 0 and cost == 0 iff m-CI by literal conditional probabilities,
-    # on every table and order; one move and one undo each against fresh counts
+    # on every table and order.  cost_after of every single change (no-ops
+    # included) and of a seeded sample of swaps equals the fresh cost of the
+    # moved table, which is itself in the exhaustive set, and writes nothing
     start = time.perf_counter()
     rng = random.Random(p * n)
-    for f in all_functions(p, n):
-        for m in range(n + 1):
-            cost = _check_counter(spectral.ParsevalCost, f, m, rng, steps=1)
-            assert cost >= 0
-            assert (cost == 0) == helpers.ci_by_fractions(f, m)
+    places = [p**k for k in range(p**n)]
+
+    def code(table):
+        return sum(v * place for v, place in zip(table, places))
+
+    tables = list(all_functions(p, n))
+    shared = 0
+    for m in range(n + 1):
+        costs = {code(f.table): spectral.ParsevalCost(f, m) for f in tables}
+        for f in tables:
+            here = code(f.table)
+            cost = costs[here]
+            assert cost.cost >= 0
+            assert (cost.cost == 0) == helpers.ci_by_fractions(f, m)
+            before = _state(cost)
+            for k, (old, place) in enumerate(zip(f.table, places)):
+                for v in range(p):
+                    moved = here + (v - old) * place
+                    assert cost.cost_after([(k, v)]) == costs[moved].cost
+            for _ in range(2):
+                i, j = rng.randrange(f.size), rng.randrange(f.size)
+                a, b = f.table[i], f.table[j]
+                if a == b:
+                    continue
+                moved = here + (b - a) * places[i] + (a - b) * places[j]
+                assert cost.cost_after([(i, b), (j, a)]) == costs[moved].cost
+                # i and j share a row of the counts over some m-subset, and
+                # lie in different rows of those over the others
+                shared += 1 <= m <= _agreeing_digits(p, n, i, j)
+            assert _state(cost) == before
+    assert shared >= 100
     assert time.perf_counter() - start < 20.0
 
 
@@ -405,8 +447,12 @@ def test_parseval_cost_matches_a_point_recount(p, n):
             cost = spectral.ParsevalCost(f, m)
             assert cost.cost == helpers.parseval_cost_points(f, m)
             for _ in range(5):
-                got = cost.apply(_random_move(rng, cost.table, p))
-                assert got == helpers.parseval_cost_points(PFunction(p, n, tuple(cost.table)), m)
+                move = _random_move(rng, cost.table, p)
+                scored = cost.cost_after(move)
+                got = cost.apply(move)
+                assert scored == got == helpers.parseval_cost_points(
+                    PFunction(p, n, tuple(cost.table)), m
+                )
 
 
 def _level_set_spectrum_cost(f, m):
@@ -454,23 +500,26 @@ def test_parseval_cost_check_catches_a_histogram_mutant():
 def test_parseval_cost_same_value_and_repeated_index():
     f = random_function(3, 3, seed=5)
     k, j = 7, 20
+    same = next(i for i in range(f.size) if i != k and f.table[i] == f.table[k])
     for m in range(f.n + 1):
         counter = spectral.ParsevalCost(f, m)
-        cost, counts = counter.cost, [list(cm) for cm in counter._counts]
-        # a change to the value already there is a no-op
-        assert counter.apply([(k, f.table[k])]) == cost
-        assert counter._counts == counts
-        counter.undo()
-        assert counter._counts == counts
+        before = _state(counter)
+        # a change to the value already there, and a swap of equal values
+        # or of an entry with itself, are no-ops
+        assert counter.cost_after([(k, f.table[k])]) == counter.cost
+        assert counter.cost_after([(k, f.table[same]), (same, f.table[k])]) == counter.cost
+        assert counter.cost_after([(k, f.table[k]), (k, f.table[k])]) == counter.cost
+        # two changes that are no swap are refused, not mis-scored
+        with pytest.raises(ValueError):
+            counter.cost_after([(k, (f.table[k] + 1) % 3), (j, (f.table[j] + 1) % 3)])
+        assert _state(counter) == before
+        # apply writes any list of changes in order, a repeated index too
         moves = [(k, (f.table[k] + 1) % 3), (j, (f.table[j] + 1) % 3), (k, (f.table[k] + 2) % 3)]
         got = counter.apply(moves)
-        moved = PFunction(3, 3, tuple(counter.table))
         assert counter.table[k] == (f.table[k] + 2) % 3
-        assert got == spectral.ParsevalCost(moved, m).cost
-        counter.undo()
-        assert tuple(counter.table) == f.table
-        assert counter._counts == counts
-        assert counter.cost == cost
+        assert counter.table[j] == (f.table[j] + 1) % 3
+        assert got == counter.cost
+        _assert_fresh(counter, f, m)
 
 
 def test_parseval_cost_edges():
@@ -479,11 +528,11 @@ def test_parseval_cost_edges():
         spectral.ParsevalCost(f, 3)
     zero = spectral.ParsevalCost(f, 0)
     assert zero.cost == 0
-    assert zero.apply([(0, (f.table[0] + 1) % 3)]) == 0
-    zero.undo()
+    change = [(0, (f.table[0] + 1) % 3)]
+    assert zero.cost_after(change) == 0
     assert tuple(zero.table) == f.table
-    with pytest.raises(ValueError):
-        zero.undo()
+    assert zero.apply(change) == 0
+    assert zero.table[0] == (f.table[0] + 1) % 3
 
 
 def test_ci_order_pinned_values(e2, e2e3):
