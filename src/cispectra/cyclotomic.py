@@ -29,9 +29,21 @@ from typing import Sequence
 from .ptable import _is_prime
 
 
-def _phi(p: int, m: int) -> int:
-    """Euler phi of p^m, the rank of Z[zeta] as a Z-module."""
-    return p**m - p ** (m - 1)
+def _phi_upto(p: int, m: int, limit: int) -> int | None:
+    """Euler phi of p^m, p^(m-1) * (p - 1), the rank of Z[zeta] as a
+    Z-module; None once p^(m-1) passes limit, so that no power much larger
+    than limit is built.  m >= 1 and p >= 2 are checked first; primality is
+    left to the caller, since it can be large work."""
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    if p < 2:
+        raise ValueError(f"p must be prime, got {p}")
+    block = 1
+    for _ in range(m - 1):
+        block *= p
+        if block > limit:
+            return None
+    return block * (p - 1)
 
 
 @dataclass(frozen=True)
@@ -43,34 +55,22 @@ class CycloElement:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        # cheap checks first: p^m and the primality test can both be large work
-        p, m = self.p, self.m
-        if m < 1:
-            raise ValueError(f"m must be >= 1, got {m}")
-        if p < 2:
-            raise ValueError(f"p must be prime, got {p}")
         object.__setattr__(self, "coeffs", tuple(map(int, self.coeffs)))
-        count = len(self.coeffs)
-        # phi(p^m) = p^(m-1) * (p - 1) >= p^(m-1): the power stops growing
-        # once it passes the count, so no p^m much larger than it is built
-        block = 1
-        for _ in range(m - 1):
-            block *= p
-            if block > count:
-                raise ValueError(f"need phi(p^m) > {count} coordinates, got {count}")
-        if block * (p - 1) != count:
-            raise ValueError(f"need phi(p^m) = {block * (p - 1)} coordinates, got {count}")
+        p, m, count = self.p, self.m, len(self.coeffs)
+        # the message names p and m, not phi, which may be huge
+        if _phi_upto(p, m, count) != count:
+            raise ValueError(f"need p^(m-1) * (p - 1) = {p}^{m - 1} * {p - 1} coordinates, got {count}")
         if not _is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
 
     @classmethod
     def from_root_counts(cls, p: int, m: int, counts: Sequence[int]) -> "CycloElement":
         """Reduce sum_w counts[w] * zeta^w, counts indexed by w = 0..p^m - 1."""
-        order = p**m
-        if len(counts) != order:
-            raise ValueError(f"need p^m = {order} counts, got {len(counts)}")
-        phi = _phi(p, m)
-        block = p ** (m - 1)
+        phi = _phi_upto(p, m, len(counts))
+        if phi is None or phi + phi // (p - 1) != len(counts):
+            raise ValueError(f"need p^m = {p}^{m} counts, got {len(counts)}")
+        block = phi // (p - 1)
+        order = phi + block
         coeffs = list(counts[:phi])
         for w in range(phi, order):
             c = counts[w]

@@ -235,32 +235,42 @@ class ParsevalCost:
         self._counts = [_joint_counts(f, sub) for sub in tracked]
         self.cost = sum(w * sum([c * c for c in cm]) for w, cm in zip(self._weights, self._counts))
 
+    def _shift(self, k: int, v: int, write: bool = False) -> int:
+        """The cost change of setting table[k] = v from a different value;
+        with write, the joint counts are moved too (the table and cost are
+        left to the caller).
+
+        The change moves cm[base + old] - 1 and cm[base + v] + 1 in each
+        count list, which moves SS by 2 * (cm[base + v] - cm[base + old] + 1).
+        """
+        old = self.table[k]
+        digits = [k // place % self._p for place in self._places]
+        delta = 0
+        for strides, cm, weight in zip(self._strides, self._counts, self._weights):
+            base = 0
+            for j, stride in strides:
+                base += digits[j] * stride
+            # (a-1)^2 + (b+1)^2 - a^2 - b^2 for a = cm[base+old], b = cm[base+v]
+            delta += weight * (cm[base + v] - cm[base + old] + 1)
+            if write:
+                cm[base + old] -= 1
+                cm[base + v] += 1
+        return 2 * delta
+
     def cost_after(self, changes) -> int:
         """The cost apply(changes) would give, read off the counts; nothing
         is written.
 
-        changes is one (k, v), or a swap [(i, table[j]), (j, table[i])].
-        A changed entry moves cm[base + old] - 1 and cm[base + v] + 1 in each
-        count list, which moves SS by 2 * (cm[base + v] - cm[base + old] + 1).
-        A swap of differing values a = table[i] and b = table[j] moves four
-        distinct cells in each list where i and j lie in different rows,
-        and nothing in one where they share a row.  The histogram has one
-        row, so no swap moves it.
+        changes is one (k, v), scored by _shift, or a swap
+        [(i, table[j]), (j, table[i])].  A swap of differing values
+        a = table[i] and b = table[j] moves four distinct cells in each list
+        where i and j lie in different rows, and nothing in one where they
+        share a row.  The histogram has one row, so no swap moves it.
         """
         table = self.table
-        delta = 0
         if len(changes) == 1:
             ((k, v),) = changes
-            old = table[k]
-            if old == v:
-                return self.cost
-            digits = [k // place % self._p for place in self._places]
-            for strides, cm, weight in zip(self._strides, self._counts, self._weights):
-                base = 0
-                for j, stride in strides:
-                    base += digits[j] * stride
-                delta += weight * (cm[base + v] - cm[base + old] + 1)
-            return self.cost + 2 * delta
+            return self.cost if table[k] == v else self.cost + self._shift(k, v)
         (i, b), (j, a) = changes
         if (a, b) != (table[i], table[j]):
             raise ValueError(f"not one change or a swap of two entries: {changes}")
@@ -268,6 +278,7 @@ class ParsevalCost:
             return self.cost
         di = [i // place % self._p for place in self._places]
         dj = [j // place % self._p for place in self._places]
+        delta = 0
         for strides, cm, weight in zip(self._strides, self._counts, self._weights):
             base_i = base_j = 0
             for x, stride in strides:
@@ -280,21 +291,9 @@ class ParsevalCost:
 
     def _move(self, k: int, v: int):
         """Set table[k] = v, moving one joint count pair per count list."""
-        old = self.table[k]
-        if old == v:
-            return  # the SS update below needs two distinct cells
-        digits = [k // place % self._p for place in self._places]
-        delta = 0
-        for strides, cm, weight in zip(self._strides, self._counts, self._weights):
-            base = 0
-            for j, stride in strides:
-                base += digits[j] * stride
-            # (a-1)^2 + (b+1)^2 - a^2 - b^2 for a = cm[base+old], b = cm[base+v]
-            delta += weight * (cm[base + v] - cm[base + old] + 1)
-            cm[base + old] -= 1
-            cm[base + v] += 1
-        self.cost += 2 * delta
-        self.table[k] = v
+        if self.table[k] != v:  # _shift needs two distinct cells
+            self.cost += self._shift(k, v, write=True)
+            self.table[k] = v
 
     def apply(self, changes) -> int:
         """Set table[k] = v for each (k, v) in order; return the new cost."""

@@ -58,8 +58,12 @@ def test_root_power_pinned_coordinates():
 
 
 def test_element_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="p must be prime"):
         CycloElement(4, 1, (0, 0, 0))
+    # a composite p with the wrong count: the message names the count
+    # p^(m-1) * (p - 1), and calls it nothing it is not
+    with pytest.raises(ValueError, match=r"= 4\^0 \* 3 coordinates, got 2"):
+        CycloElement(4, 1, (0, 0))
     with pytest.raises(ValueError):
         CycloElement(3, 0, ())
     with pytest.raises(ValueError):
@@ -82,6 +86,11 @@ def test_element_checks_the_count_before_large_arithmetic(monkeypatch):
 def test_from_root_counts_validates_length():
     with pytest.raises(ValueError):
         CycloElement.from_root_counts(3, 1, (1, 2))
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        CycloElement.from_root_counts(3, 0, (1,))
+    # p^(10^8) is never built: the message names p and m
+    with pytest.raises(ValueError, match=r"need p\^m = 2\^100000000 counts, got 0"):
+        CycloElement.from_root_counts(2, 10**8, ())
 
 
 # ---------------------------------------------------------------------------

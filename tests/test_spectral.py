@@ -401,7 +401,8 @@ def test_parseval_cost_exhaustive(p, n):
     # cost >= 0 and cost == 0 iff m-CI by literal conditional probabilities,
     # on every table and order.  cost_after of every single change (no-ops
     # included) and of a seeded sample of swaps equals the fresh cost of the
-    # moved table, which is itself in the exhaustive set, and writes nothing
+    # moved table, which is itself in the exhaustive set, and writes nothing;
+    # apply of one random move per table gives that table's fresh counts
     start = time.perf_counter()
     rng = random.Random(p * n)
     places = [p**k for k in range(p**n)]
@@ -433,6 +434,17 @@ def test_parseval_cost_exhaustive(p, n):
                 # i and j share a row of the counts over some m-subset, and
                 # lie in different rows of those over the others
                 shared += 1 <= m <= _agreeing_digits(p, n, i, j)
+            assert _state(cost) == before
+            # apply one scored move: the counts and cost equal the fresh
+            # count of the moved table; the inverse move restores the state,
+            # so the cached costs stay valid
+            move = _random_move(rng, f.table, p)
+            moved = here + sum((v - f.table[k]) * places[k] for k, v in move)
+            scored = cost.cost_after(move)
+            assert cost.apply(move) == scored == costs[moved].cost
+            assert cost._counts == costs[moved]._counts
+            assert code(cost.table) == moved
+            cost.apply([(k, f.table[k]) for k, _ in move])
             assert _state(cost) == before
     assert shared >= 100
     assert time.perf_counter() - start < 20.0
@@ -509,6 +521,9 @@ def test_parseval_cost_same_value_and_repeated_index():
         assert counter.cost_after([(k, f.table[k])]) == counter.cost
         assert counter.cost_after([(k, f.table[same]), (same, f.table[k])]) == counter.cost
         assert counter.cost_after([(k, f.table[k]), (k, f.table[k])]) == counter.cost
+        # applying a no-op writes nothing either
+        assert counter.apply([(k, f.table[k])]) == counter.cost
+        assert _state(counter) == before
         # two changes that are no swap are refused, not mis-scored
         with pytest.raises(ValueError):
             counter.cost_after([(k, (f.table[k] + 1) % 3), (j, (f.table[j] + 1) % 3)])
