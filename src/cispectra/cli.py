@@ -54,8 +54,6 @@ EXIT_UNMET = 4
 
 DEFAULT_SEED = 1729
 DEFAULT_BUDGET = 20000
-# Exhaustive cross-checks refuse families larger than this.
-MAX_EXHAUSTIVE = 1_000_000
 
 
 def _env_limit() -> int:
@@ -232,9 +230,12 @@ def cmd_crosscheck(args) -> int:
     size = p**n
     seed = None
     if args.exhaustive:
-        if _exceeds(p, size, MAX_EXHAUSTIVE):
+        # p^size functions of size entries each, like --random below; the
+        # count p^size is never built, as it can have thousands of digits
+        if _exceeds(p, size, limit // size):
             raise SizeLimitError(
-                f"exhaustive family has {p}^{size} functions, above the cap {MAX_EXHAUSTIVE}"
+                f"exhaustive family has {p}^{size} functions of {size} entries, "
+                f"above the size limit {limit}"
             )
         funcs = all_functions(p, n)
     else:
@@ -315,14 +316,6 @@ def _search_mutate(
     return [(i, (table[i] + rng.randrange(1, p)) % p)]
 
 
-def _better(best, climb):
-    """best as (cost, table), replaced by the ended climb's if that costs
-    less.  A climb accepts only lower costs, so its last table is its best."""
-    if climb is None or (best is not None and best[0] <= climb.cost):
-        return best
-    return climb.cost, tuple(climb.table)
-
-
 def cmd_search(args) -> int:
     limit = _env_limit()
     p, n, target = args.p, args.n, args.target_ci
@@ -360,24 +353,26 @@ def cmd_search(args) -> int:
     rng = random.Random(seed)
     stall_limit = 8 * p**n
     evals = 0
-    best = climb = None
-    stall = stall_limit  # the first pass starts a climb
-    while evals < args.budget and (climb is None or climb.cost > 0):
-        if stall == stall_limit:
-            best = _better(best, climb)
-            # a resilient start is balanced and swaps keep it so, so the cost
-            # charges no imbalance
-            climb = spectral.ParsevalCost(_search_start(rng, p, n, args.resilient), target)
-            stall = 0
-        else:
+    best = None  # (cost, table) of the lowest-cost climb so far
+    while evals < args.budget:
+        # a resilient start is balanced and swaps keep it so, so the cost
+        # charges no imbalance
+        climb = spectral.ParsevalCost(_search_start(rng, p, n, args.resilient), target)
+        evals += 1
+        stall = 0
+        while climb.cost > 0 and stall < stall_limit and evals < args.budget:
             changes = _search_mutate(rng, climb.table, p, args.resilient)
             if climb.cost_after(changes) < climb.cost:
                 climb.apply(changes)
                 stall = 0
             else:
                 stall += 1
-        evals += 1
-    best = _better(best, climb)
+            evals += 1
+        # a climb accepts only lower costs, so its last table is its best
+        if best is None or climb.cost < best[0]:
+            best = climb.cost, tuple(climb.table)
+        if climb.cost == 0:
+            break
 
     result = PFunction(p, n, best[1])
     # the claim must survive the full library tests, not just the cost function;

@@ -29,14 +29,14 @@ lives on the frequency stratum gcd(j, N) = p^(n-m):
     counts of (x_S, f(x)) over its variable set S do not change along its
     top variable (_axis_changes); no ordered tuple is ever enumerated.
     Every ordering of S passes iff all rows of those counts are equal
-    (_rows_equal), so is_ci and ci_order read each of the C(n, m) subsets
-    once, and first_failing_tuple (the witness of the consensus "spectral"
-    method) reads each at most once.  The search climb scores a table by
-    ParsevalCost, p^m * sum over m-subsets S of SS(S) - C(n, m) * SS(empty
-    set), SS being the sum of squared joint counts; it is zero exactly when
-    every m-subset has equal rows.  A move is scored by reading one count
-    pair per count list, two for a swap (cost_after), and written only when
-    the climb keeps it (apply).  These collapses and the orbit
+    (_rows_equal), so ci_order, and is_ci derived from it, read each of
+    the C(n, m) subsets at most once, and so does first_failing_tuple (the
+    witness of the consensus "spectral" method).  The search climb scores a
+    table by ParsevalCost, p^m * sum over m-subsets S of SS(S) - C(n, m) *
+    SS(empty set), SS being the sum of squared joint counts; it is zero
+    exactly when every m-subset has equal rows.  A move is scored by
+    reading one count pair per count list, two for a swap (cost_after), and
+    written only when the climb keeps it (apply).  These collapses and the orbit
     criterion are validated in the test suite against an ordered scan of
     the exact values and the counting oracles;
   * ci_order does not have to scan subsets at all: with
@@ -322,14 +322,11 @@ def _rows_equal(f: PFunction, indices) -> bool:
 
 
 def is_ci(f: PFunction, m: int) -> bool:
-    """Correlation immunity of order m, decided exactly.
-
-    Every ordered m-tuple of distinct variables must have all p-1 conjugate
-    spectral values zero, which is decided once per unordered m-subset by
-    _rows_equal.  m = 0 is vacuously true: its only subset is empty.
-    """
+    """Correlation immunity of order m, decided exactly: ci_order(f) >= m,
+    since immunity of order m implies order m-1.  It costs what ci_order
+    costs.  m = 0 is vacuously true."""
     _check_order(f, m, 0)
-    return all(_rows_equal(f, s) for s in combinations(range(1, f.n + 1), m))
+    return ci_order(f) >= m
 
 
 # The transform's cost in scan steps, one step being what _rows_equal
@@ -407,7 +404,7 @@ def _order(f: PFunction, symmetric: bool) -> int:
 
 
 def ci_order(f: PFunction) -> int:
-    """Largest m with is_ci(f, m); 0 when not even first-order immune.
+    """Largest m such that f is m-CI; 0 when not even first-order immune.
 
     Scans m = 1, 2, ... upward, C(n, m) subsets per order; immunity of order
     m implies order m-1 (conditioning on fewer variables averages

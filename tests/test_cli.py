@@ -407,8 +407,33 @@ def test_crosscheck_json_schema(capsys):
     assert len(counts) == 1  # all methods agree function by function
 
 
+@pytest.mark.parametrize(
+    "argv,env,code",
+    [
+        # p^n entries for each of the p^(p^n) functions are checked before
+        # any function is built: 7 * 7^7 = 5,764,801 and 16 * 2^16 = 1,048,576
+        (["--p", "7", "--n", "1"], None, EXIT_LIMIT),
+        (["--p", "2", "--n", "4"], None, EXIT_LIMIT),
+        # 8 * 2^8 = 2,048 and 4 * 2^4 = 64 entries
+        (["--p", "2", "--n", "3"], "2047", EXIT_LIMIT),
+        (["--p", "2", "--n", "3"], "2048", EXIT_OK),
+        (["--p", "2", "--n", "2"], "63", EXIT_LIMIT),
+        (["--p", "2", "--n", "2"], "64", EXIT_OK),
+    ],
+)
+def test_crosscheck_exhaustive_work_is_bounded(capsys, monkeypatch, argv, env, code):
+    if env is not None:
+        monkeypatch.setenv("CI_SPECTRA_MAX_N", env)
+    start = time.perf_counter()
+    got, out = run(capsys, "crosscheck", "--m", "1", "--exhaustive", *argv)
+    assert got == code
+    if code == EXIT_LIMIT:
+        assert time.perf_counter() - start < 0.5
+        assert out == ""
+
+
 def test_crosscheck_exhaustive_cap(capsys):
-    # 2^(2^5) family size exceeds the exhaustive cap
+    # 2^(2^5) functions of 32 entries each pass the size limit
     code, _ = run(capsys, "crosscheck", "--p", "2", "--n", "5", "--m", "1", "--exhaustive")
     assert code == EXIT_LIMIT
 

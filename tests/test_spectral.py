@@ -268,11 +268,13 @@ def test_full_order_immunity_means_constant():
 
 
 def test_ci_monotone_in_m():
+    # is_ci(f, m) is ci_order(f) >= m, which holds because the counting
+    # definition is monotone in m
     rng = random.Random(55)
     for _ in range(60):
         p, n = rng.choice([(2, 4), (3, 3)])
         f = random_function(p, n, seed=rng.randrange(10**6))
-        flags = [is_ci(f, m) for m in range(n + 1)]
+        flags = [ci_oracle_definition(f, m) for m in range(n + 1)]
         # once immunity fails it stays failed
         for lo, hi in zip(flags, flags[1:]):
             assert lo or not hi
@@ -559,24 +561,27 @@ def test_ci_order_pinned_values(e2, e2e3):
 
 
 def test_ci_order_consistent_with_is_ci():
+    # is_ci is derived from ci_order, so both are checked against the
+    # counting definition
     rng = random.Random(67)
     for _ in range(40):
         p, n = rng.choice([(2, 4), (3, 3)])
         f = random_function(p, n, seed=rng.randrange(10**6))
         k = ci_order(f)
-        assert is_ci(f, k)
+        assert ci_oracle_definition(f, k)
         if k < n:
-            assert not is_ci(f, k + 1)
+            assert not ci_oracle_definition(f, k + 1)
 
 
 # ---------------------------------------------------------------------------
 # The exact row transform, and ci_order's handover to it
 # ---------------------------------------------------------------------------
 
-def _scanned_order(f):
-    """max m with is_ci(f, m), subset by subset (is_ci is monotone in m)."""
+def _definition_order(f):
+    """max m with ci_oracle_definition(f, m), the counting definition read
+    subset by subset (it is monotone in m)."""
     m = 0
-    while m < f.n and is_ci(f, m + 1):
+    while m < f.n and ci_oracle_definition(f, m + 1):
         m += 1
     return m
 
@@ -603,7 +608,7 @@ def test_transform_order_matches_is_ci_exhaustive(p, n):
     seen = set()
     for f in all_functions(p, n):
         order = spectral._transform_ci_order(f)
-        assert order == _scanned_order(f)
+        assert order == _definition_order(f)
         seen.add(order)
     assert seen == set(range(n + 1))
 
@@ -619,25 +624,42 @@ def test_transform_order_matches_is_ci_on_seeded_families(p, n):
     orders = set()
     for f in families:
         order = spectral._transform_ci_order(f)
-        assert order == _scanned_order(f)
+        assert order == _definition_order(f)
         orders.add(order)
     assert {0, n} <= orders and len(orders) >= 3
 
 
-def test_ci_order_hands_over_to_the_transform(monkeypatch):
-    # quad1 is immune up to n - 3; the scan alone reads 2^14 - 16 subsets
-    f = parse_polynomial("x1*x2 + " + " + ".join(f"x{i}" for i in range(3, 15)), 2, 14)
+def _spy_rows_equal(monkeypatch) -> list:
+    """The subsets spectral._rows_equal is called on, from now on."""
     calls = []
     rows_equal = spectral._rows_equal
     monkeypatch.setattr(spectral, "_rows_equal", lambda g, s: calls.append(s) or rows_equal(g, s))
+    return calls
+
+
+# quad1 at (2,14) is immune up to n - 3
+QUAD1_2_14 = "x1*x2 + " + " + ".join(f"x{i}" for i in range(3, 15))
+
+
+def test_ci_order_hands_over_to_the_transform(monkeypatch):
+    # the scan alone reads 2^14 - 16 subsets
+    f = parse_polynomial(QUAD1_2_14, 2, 14)
+    calls = _spy_rows_equal(monkeypatch)
     assert ci_order(f) == 11
     assert 1 <= len(calls) <= spectral._transform_steps(f) // f.size + 1
 
 
+def test_is_ci_hands_over_to_the_transform(monkeypatch):
+    # is_ci answers from ci_order's rented scan; its own scan at m = 5 would
+    # read all C(14, 5) = 2,002 subsets
+    f = parse_polynomial(QUAD1_2_14, 2, 14)
+    calls = _spy_rows_equal(monkeypatch)
+    assert is_ci(f, 5)
+    assert 1 <= len(calls) <= spectral._transform_steps(f) // f.size + 1
+
+
 def test_ci_order_keeps_the_scan_where_it_is_cheaper(monkeypatch):
-    calls = []
-    rows_equal = spectral._rows_equal
-    monkeypatch.setattr(spectral, "_rows_equal", lambda g, s: calls.append(s) or rows_equal(g, s))
+    calls = _spy_rows_equal(monkeypatch)
     monkeypatch.setattr(spectral, "_transform_ci_order", lambda g: pytest.fail("transformed"))
     # a random table fails on its first subset
     assert ci_order(random_function(2, 12, seed=5)) == 0
