@@ -36,9 +36,10 @@ from .ptable import (
     VariableTuple,
     _check_p_n,
     _exceeds,
+    _exhaustive_chunks,
+    _random_chunks,
     _random_table,
     _table_header,
-    all_functions,
     is_balanced,
     is_symmetric,
     parse_polynomial,
@@ -228,6 +229,7 @@ def cmd_crosscheck(args) -> int:
             f"above the size limit {limit}"
         )
     size = p**n
+    rows = reference._chunk_rows(p, n, m)
     seed = None
     if args.exhaustive:
         # p^size functions of size entries each, like --random below; the
@@ -237,7 +239,7 @@ def cmd_crosscheck(args) -> int:
                 f"exhaustive family has {p}^{size} functions of {size} entries, "
                 f"above the size limit {limit}"
             )
-        funcs = all_functions(p, n)
+        chunks = _exhaustive_chunks(p, n, rows)
     else:
         if args.random * size > limit:
             raise SizeLimitError(
@@ -246,21 +248,23 @@ def cmd_crosscheck(args) -> int:
             )
         seed = args.seed if args.seed is not None else DEFAULT_SEED
         rng = random.Random(seed)
-        funcs = (_random_table(rng, p, n) for _ in range(args.random))
+        chunks = _random_chunks(rng, p, n, args.random, rows)
     ci_counts = {name: 0 for name in reference.METHOD_NAMES}
     checked = 0
     disagreements = 0
     first_bad = None
-    for f in funcs:
-        rep = reference.consensus(f, m)
-        checked += 1
-        for name, v in rep.verdicts.items():
-            if v:
-                ci_counts[name] += 1
-        if not rep.consensus:
-            disagreements += 1
-            if first_bad is None:
-                first_bad = {"table": write_table(f), "report": rep.record()}
+    for tables in chunks:
+        verdicts = reference.consensus_verdicts(tables, p, n, m)
+        checked += len(tables)
+        for name, v in verdicts.items():
+            ci_counts[name] += int(v.sum())
+        # a table's methods agree iff all or none of them accept it
+        votes = sum(v.astype(int) for v in verdicts.values())
+        (split,) = (votes % len(verdicts) != 0).nonzero()
+        disagreements += len(split)
+        if first_bad is None and len(split):
+            f = PFunction(p, n, tables[split[0]].tolist())
+            first_bad = {"table": write_table(f), "report": reference.consensus(f, m).record()}
     record = {
         "p": p,
         "n": n,

@@ -242,6 +242,16 @@ def _joint_counts(f: PFunction, indices) -> list[int]:
     return cm
 
 
+def _joint_counts_batch(tables: np.ndarray, p: int, n: int, indices) -> np.ndarray:
+    """_joint_counts of every row of a (K, p^n) int64 array of tables, as a
+    (K, p^len(indices), p) array out[k, w, v]; one bincount in all."""
+    k = len(tables)
+    cells = p ** (len(indices) + 1)
+    key = tables + p * np.array(_packed_digits(p, n, indices), dtype=np.int64)
+    key += (np.arange(k, dtype=np.int64) * cells)[:, None]
+    return np.bincount(key.ravel(), minlength=k * cells).reshape(k, -1, p)
+
+
 def apply_permutation(f: PFunction, mapping: Sequence[int]) -> PFunction:
     """Permute variables by the bijection pi of 1..n with mapping[i-1] = pi(i):
     the result g satisfies g(x_1,...,x_n) = f(x_pi(1),...,x_pi(n))."""
@@ -402,6 +412,31 @@ def all_functions(p: int, n: int) -> Iterator[PFunction]:
     """Every function F_p^n -> F_p, in lexicographic table order."""
     for table in product(range(p), repeat=p**n):
         yield PFunction(p, n, table)
+
+
+def _random_chunks(
+    rng: random.Random, p: int, n: int, count: int, rows: int
+) -> Iterator[np.ndarray]:
+    """count successive _random_table(rng, p, n) tables, as (K, p^n) int64
+    arrays of at most rows tables each: the same rng.randrange(p) draws in
+    the same order."""
+    size = p**n
+    draw = rng.randrange
+    for start in range(0, count, rows):
+        k = min(rows, count - start)
+        yield np.array([draw(p) for _ in range(k * size)], dtype=np.int64).reshape(k, size)
+
+
+def _exhaustive_chunks(p: int, n: int, rows: int) -> Iterator[np.ndarray]:
+    """all_functions(p, n) as (K, p^n) int64 arrays of at most rows tables
+    each, in the same order: table t of the family holds the p^n base-p
+    digits of t, most significant first.  The caller bounds p^(p^n)."""
+    size = p**n
+    count = p**size
+    places = p ** np.arange(size - 1, -1, -1, dtype=np.int64)
+    for start in range(0, count, rows):
+        t = np.arange(start, min(start + rows, count), dtype=np.int64)
+        yield t[:, None] // places % p
 
 
 def _table_header(text: str) -> tuple[int, int, str]:

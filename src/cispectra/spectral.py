@@ -31,7 +31,8 @@ lives on the frequency stratum gcd(j, N) = p^(n-m):
     Every ordering of S passes iff all rows of those counts are equal
     (_rows_equal), so ci_order, and is_ci derived from it, read each of
     the C(n, m) subsets at most once, and so does first_failing_tuple (the
-    witness of the consensus "spectral" method).  The search climb scores a
+    witness of the consensus "spectral" method) and ci_verdicts, its
+    verdict over a whole array of tables.  The search climb scores a
     table by ParsevalCost, p^m * sum over m-subsets S of SS(S) - C(n, m) *
     SS(empty set), SS being the sum of squared joint counts; it is zero
     exactly when every m-subset has equal rows.  A move is scored by
@@ -88,6 +89,7 @@ from .ptable import (
     VariableTuple,
     _check_order,
     _joint_counts,
+    _joint_counts_batch,
     digits_of,
     is_balanced,
     is_symmetric,
@@ -198,6 +200,26 @@ def first_failing_tuple(f: PFunction, m: int) -> VariableTuple | None:
             if top in tops:
                 return VariableTuple(prefix + (top,))
     return None
+
+
+def ci_verdicts(tables: np.ndarray, p: int, n: int, m: int) -> np.ndarray:
+    """first_failing_tuple(f, m) is None for every row f of a (K, p^n)
+    int64 array of tables, as K bools: no m-subset's joint counts change
+    along any of its axes (_axis_changes), each subset's counts built once
+    for the whole array."""
+    if not 1 <= m <= n:
+        raise ValueError(f"m must be in 1..{n}, got {m}")
+    k = len(tables)
+    ok = np.ones(k, dtype=bool)
+    for subset in combinations(range(1, n + 1), m):
+        if not ok.any():
+            break
+        # axes 1..m hold the digits of w, most significant (the subset's
+        # last variable) first; the last axis holds the output
+        cm = _joint_counts_batch(tables, p, n, subset).reshape((k,) + (p,) * (m + 1))
+        for axis in range(1, m + 1):
+            ok &= ~np.diff(cm, axis=axis).reshape(k, -1).any(axis=1)
+    return ok
 
 
 class ParsevalCost:

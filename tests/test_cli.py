@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from cispectra import (
@@ -30,7 +31,8 @@ from cispectra.cli import (
     analyze_function,
     main,
 )
-from cispectra import cli, spectral
+from cispectra import cli, reference, spectral
+from cispectra.ptable import _random_table
 from cispectra.spectral import ParsevalCost, ci_order, resiliency_order
 
 import helpers
@@ -336,6 +338,49 @@ def test_crosscheck_random_zero_functions(capsys):
     code, out = run(capsys, "crosscheck", "--p", "3", "--n", "2", "--m", "1", "--random", "0")
     assert code == EXIT_OK
     assert "checked = 0 functions" in out
+
+
+@pytest.mark.parametrize("p,n,m", [(2, 4, 1), (3, 3, 2), (31, 1, 1), (97, 1, 1)])
+def test_crosscheck_counts_equal_per_table_consensus(capsys, p, n, m):
+    # one table past a chunk, so the family spans two chunks; at (31,1)
+    # and (97,1) the p^2 count tensor sets the chunk's rows
+    k = reference._chunk_rows(p, n, m) + 1
+    code, out = run(capsys, "crosscheck", "--p", str(p), "--n", str(n), "--m", str(m),
+                    "--random", str(k), "--seed", "5", "--json")
+    assert code == EXIT_OK
+    rng = random.Random(5)
+    reports = [consensus(_random_table(rng, p, n), m) for _ in range(k)]
+    expected = {name: sum(r.verdicts[name] for r in reports) for name in reference.METHOD_NAMES}
+    obj = json.loads(out)
+    assert obj["checked"] == k
+    assert obj["ci_counts"] == expected
+
+
+def test_crosscheck_reports_a_disagreement_in_a_later_chunk(capsys, monkeypatch):
+    # the orthogonal-array batch form flips table 2 of the second chunk
+    p, n, m = 31, 1, 1
+    rows = reference._chunk_rows(p, n, m)
+    true_form = reference._orthogonal_array_verdicts
+    calls = []
+
+    def flip(tables, *args):
+        ok = true_form(tables, *args)
+        calls.append(len(tables))
+        if len(calls) == 2:
+            ok[2] = not ok[2]
+        return ok
+
+    monkeypatch.setattr(reference, "_orthogonal_array_verdicts", flip)
+    code, out = run(capsys, "crosscheck", "--p", str(p), "--n", str(n), "--m", str(m),
+                    "--random", str(2 * rows + 3), "--seed", "8", "--json")
+    assert code == EXIT_DISAGREEMENT
+    assert calls == [rows, rows, 3]
+    rng = random.Random(8)
+    f = [_random_table(rng, p, n) for _ in range(rows + 3)][-1]
+    obj = json.loads(out)
+    assert obj["disagreements"] == 1
+    assert obj["first_disagreement"] == {
+        "table": write_table(f), "report": json.loads(consensus(f, m).to_json())}
 
 
 @pytest.mark.parametrize(
@@ -950,6 +995,8 @@ PINNED_OUTPUTS = [
 def test_output_is_pinned(capsys, monkeypatch, args, lie, code, digest):
     if lie:
         monkeypatch.setattr(spectral, "first_failing_tuple", lambda f, m: None)
+        monkeypatch.setattr(spectral, "ci_verdicts",
+                            lambda tables, p, n, m: np.ones(len(tables), bool))
     got_code, out = run(capsys, *args.split())
     assert got_code == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest

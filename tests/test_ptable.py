@@ -29,7 +29,14 @@ from cispectra import (
     read_table,
     write_table,
 )
-from cispectra.ptable import _joint_counts, _weighted_digits
+from cispectra.ptable import (
+    _exhaustive_chunks,
+    _joint_counts,
+    _joint_counts_batch,
+    _random_chunks,
+    _random_table,
+    _weighted_digits,
+)
 
 import helpers
 
@@ -576,6 +583,37 @@ def test_all_functions_order_and_count():
     tables = [f.table for f in fam]
     assert tables == sorted(tables)
     assert sum(1 for _ in all_functions(3, 1)) == 27
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("rows", [1, 7, 10**6])
+def test_exhaustive_chunks_are_all_functions_in_order(p, n, rows):
+    chunks = list(_exhaustive_chunks(p, n, rows))
+    assert all(c.dtype == np.int64 and 1 <= len(c) <= rows for c in chunks)
+    got = [tuple(row) for c in chunks for row in c.tolist()]
+    assert got == [f.table for f in all_functions(p, n)]
+
+
+@pytest.mark.parametrize(
+    "p,n,count,rows", [(2, 3, 10, 3), (3, 2, 7, 7), (5, 2, 9, 4), (7, 1, 0, 2)])
+def test_random_chunks_are_successive_random_tables(p, n, count, rows):
+    rng, ref = random.Random(11), random.Random(11)
+    chunks = list(_random_chunks(rng, p, n, count, rows))
+    assert [len(c) for c in chunks] == [min(rows, count - s) for s in range(0, count, rows)]
+    got = [tuple(row) for c in chunks for row in c.tolist()]
+    assert got == [_random_table(ref, p, n).table for _ in range(count)]
+    # both generators made the same draws, so they stand at the same state
+    assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("p,n", [(2, 4), (3, 3), (5, 2)])
+def test_joint_counts_batch_is_joint_counts_per_row(p, n):
+    fs = [random_function(p, n, seed=s) for s in range(5)]
+    tables = np.array([f.table for f in fs], dtype=np.int64)
+    for indices in [(), (1,), (n,), (n, 1), tuple(range(1, n + 1))]:
+        got = _joint_counts_batch(tables, p, n, indices)
+        assert got.shape == (5, p ** len(indices), p)
+        assert [row.ravel().tolist() for row in got] == [_joint_counts(f, indices) for f in fs]
 
 
 def test_table_io_roundtrip():

@@ -4,6 +4,7 @@ import json
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
 from cispectra import (
@@ -30,7 +31,8 @@ from cispectra.reference import (
     _weighted_vectors,
 )
 from cispectra import is_balanced
-from cispectra import reference
+from cispectra import reference, spectral
+from cispectra.ptable import _exhaustive_chunks
 
 import helpers
 
@@ -418,3 +420,80 @@ def test_consensus_json_shape(e2):
     # passing reports omit the witness key entirely
     obj_pass = json.loads(consensus(e2, 1).to_json())
     assert set(obj_pass) == {"m", "verdicts", "consensus"}
+
+
+# ---------------------------------------------------------------------------
+# Batch forms against the single-table oracles
+# ---------------------------------------------------------------------------
+
+# Each method's single-table verdict, as consensus takes it.
+_ORACLES = {
+    "spectral": lambda f, m: spectral.first_failing_tuple(f, m) is None,
+    "definition": ci_oracle_definition,
+    "chrestenson_cyclic": lambda f, m: chrestenson_cyclic_witness(f, m) is None,
+    "chrestenson_linear": lambda f, m: chrestenson_linear_witness(f, m) is None,
+    "matrix": lambda f, m: matrix_test(f, m)[0],
+    "orthogonal_array": lambda f, m: orthogonal_array_witness(f, m) is None,
+}
+
+
+def _mismatches(tables, p, n, m, verdicts):
+    """(method, table) for each batch verdict that differs from the
+    method's single-table oracle."""
+    out = []
+    for k, row in enumerate(tables.tolist()):
+        f = PFunction(p, n, row)
+        for name, got in verdicts.items():
+            if bool(got[k]) != _ORACLES[name](f, m):
+                out.append((name, tuple(row)))
+    return out
+
+
+def _family(p, n, seed):
+    """200 seeded random tables, the linear form (immune below n) and a
+    constant (immune at every order), as one int64 array."""
+    rng = random.Random(seed)
+    rows = [[rng.randrange(p) for _ in range(p**n)] for _ in range(200)]
+    linear = parse_polynomial("+".join(f"x{i}" for i in range(1, n + 1)), p, n)
+    return np.array(rows + [list(linear.table), [1] * p**n], dtype=np.int64)
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 2)])
+def test_batch_verdicts_equal_the_oracles_on_every_table(p, n):
+    (tables,) = _exhaustive_chunks(p, n, p ** (p**n))
+    for m in range(1, n + 1):
+        verdicts = reference.consensus_verdicts(tables, p, n, m)
+        assert tuple(verdicts) == METHOD_NAMES
+        assert _mismatches(tables, p, n, m, verdicts) == []
+
+
+@pytest.mark.parametrize("p,n", [(2, 5), (3, 3), (5, 2), (7, 2), (11, 1)])
+def test_batch_verdicts_equal_the_oracles_on_seeded_families(p, n):
+    tables = _family(p, n, seed=p * 100 + n)
+    for m in range(1, n + 1):
+        verdicts = reference.consensus_verdicts(tables, p, n, m)
+        assert _mismatches(tables, p, n, m, verdicts) == []
+        # the linear form passes every method below n, the constant at n
+        assert all(v[-2] == (m < n) and v[-1] for v in verdicts.values())
+
+
+def _linear_shift_zero_only(cm):
+    """Mutant: the linear fold of shift 0 alone."""
+    base = (cm * np.arange(cm.shape[-1])).sum(axis=2)
+    return reference._uniform(base)
+
+
+def test_batch_check_catches_a_linear_form_that_folds_shift_zero_only():
+    # at p = 2 shift 1 adds sum_x omega^(c.x) = 0, so only p > 2 tells
+    (tables,) = _exhaustive_chunks(3, 2, 3**9)
+    mutant = reference._fourier_verdicts(
+        tables, 3, 2, 1, {"chrestenson_linear": _linear_shift_zero_only})
+    bad = _mismatches(tables, 3, 2, 1, mutant)
+    assert bad and {name for name, _ in bad} == {"chrestenson_linear"}
+
+
+def test_consensus_verdicts_rejects_an_order_outside_1_to_n():
+    tables = np.zeros((1, 4), dtype=np.int64)
+    for m in (0, 3):
+        with pytest.raises(ValueError, match="m must be in 1..2"):
+            reference.consensus_verdicts(tables, 2, 2, m)

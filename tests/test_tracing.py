@@ -2,8 +2,8 @@
 
 perfbench/tracing.py reads cispectra's public names and the methods it wraps
 by string; renaming or deleting one of them crashes every traced benchmark
-run.  These tests run the tracer over a request with consensus reports
-and over one on a symmetric table.
+run.  These tests run the tracer over a request with consensus reports,
+over one on a symmetric table and over a crosscheck family.
 """
 
 import importlib.util
@@ -53,3 +53,11 @@ def test_tracer_sees_the_symmetric_verdict(capsys):
     argv = ["analyze", "--json", "--poly", "x1 + x2 + x3 + x4", "--p", "2", "--n", "4"]
     _, metrics = _traced(capsys, argv)
     assert metrics["spectral.ci_order_s"] > 0
+
+
+def test_tracer_sees_the_crosscheck_batch(capsys):
+    # the family's verdicts come from the public batch entry, which has its
+    # own span, so no consensus runs when the methods agree
+    argv = ["crosscheck", "--json", "--random", "40", "--seed", "3", "--p", "3", "--n", "3", "--m", "1"]
+    _, metrics = _traced(capsys, argv)
+    assert metrics["reference.consensus_calls"] == 0
