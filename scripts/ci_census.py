@@ -1,11 +1,10 @@
 #!/usr/bin/env python3
 """Census of correlation-immunity and resiliency orders over a full family.
 
-Enumerates every function F_p^n -> F_p (p^(p^n) tables, so keep p^n small),
-tallies ci_order and resiliency_order distributions, and optionally verifies
-six-method consensus at every order on every function.  The exhaustive
-(2,3) and (3,2) families finish in seconds and double as an end-to-end
-cross-validation of the spectral verdict against the counting oracles.
+Enumerates every function F_p^n -> F_p (p^(p^n) tables, so keep p^n small)
+and tallies the ci_order and resiliency_order distributions.  To check the
+spectral verdict against the five counting oracles over the same family,
+run `cispectra crosscheck --exhaustive --p P --n N --m M` at each order M.
 
 --symmetric enumerates the symmetric functions instead, as class vectors:
 one output per multiset of input digits, so p^C(n+p-1, n) functions.  For
@@ -32,7 +31,6 @@ from cispectra import (
     PFunction,
     all_functions,
     ci_order,
-    consensus,
     digits_of,
     exact_spectrum_conjugates,
     is_balanced,
@@ -73,11 +71,6 @@ def main() -> int:
     ap.add_argument("--p", type=int, default=2, help="prime modulus (default 2)")
     ap.add_argument("--n", type=int, default=3, help="number of variables (default 3)")
     ap.add_argument(
-        "--check-consensus",
-        action="store_true",
-        help="also run all six methods at every order on every function",
-    )
-    ap.add_argument(
         "--symmetric",
         action="store_true",
         help="count symmetric functions whose single critical value is zero but orbit is not",
@@ -92,19 +85,12 @@ def main() -> int:
 
     ci_hist: Counter = Counter()
     res_hist: Counter = Counter()
-    disagreements = 0
     t0 = time.perf_counter()
     for f in all_functions(args.p, args.n):
         ci = ci_order(f)
         ci_hist[ci] += 1
         # m-resilient iff balanced and m-CI
         res_hist[ci if is_balanced(f) else -1] += 1
-        if args.check_consensus:
-            for m in range(1, args.n + 1):
-                rep = consensus(f, m)
-                if not rep.consensus:
-                    disagreements += 1
-                    print(f"DISAGREEMENT table={f.table} m={m}: {rep.to_json()}")
     dt = time.perf_counter() - t0
 
     print(f"p = {args.p}, n = {args.n}: {family} functions in {dt:.2f}s")
@@ -114,9 +100,6 @@ def main() -> int:
     print("resiliency_order histogram:")
     for k in sorted(res_hist):
         print(f"  {k}: {res_hist[k]}")
-    if args.check_consensus:
-        print(f"consensus disagreements: {disagreements}")
-        return 1 if disagreements else 0
     return 0
 
 

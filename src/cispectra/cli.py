@@ -92,6 +92,12 @@ def _load_function(args, limit: int) -> PFunction:
     return read_table(text)
 
 
+def _refuse(over, what: str, limit: int) -> None:
+    """Exit 3's one path: raise SizeLimitError for what when over holds."""
+    if over:
+        raise SizeLimitError(f"{what}, above the size limit {limit}")
+
+
 def _emit(args, record: dict, text) -> None:
     """Print record as one JSON line under --json, else the lines text(record)."""
     print(json.dumps(record) if args.json else "\n".join(text(record)))
@@ -134,11 +140,7 @@ def cmd_analyze(args) -> int:
     limit = _env_limit()
     f = _load_function(args, limit)
     work = _reports_work(f.p, f.n) if args.reports else 0
-    if work > limit:
-        raise SizeLimitError(
-            f"--reports at p = {f.p}, n = {f.n} takes {work} steps, "
-            f"above the size limit {limit}"
-        )
+    _refuse(work > limit, f"--reports at p = {f.p}, n = {f.n} takes {work} steps", limit)
     _emit(args, analyze_function(f, reports=args.reports), _analyze_text)
     return EXIT_OK
 
@@ -173,10 +175,7 @@ def cmd_spectrum(args) -> int:
         raise ParseError(f"--exact-at must be in 1..{f.n}, got {m}")
     # exact_spectrum_conjugates takes (p-1) * p^(m+1) Python steps per tuple
     steps = (f.p - 1) * f.p ** (m + 1)
-    if steps > limit:
-        raise SizeLimitError(
-            f"--exact-at {m} at p = {f.p} takes {steps} steps, above the size limit {limit}"
-        )
+    _refuse(steps > limit, f"--exact-at {m} at p = {f.p} takes {steps} steps", limit)
     tuples = _parse_tuples(args, m, f.n)
     # orbit[0] is the value at p^(n-m) itself; the CI-relevant vanishing is
     # the whole orbit (indices a*p^(n-m), a = 1..p-1).  A repeated tuple is
@@ -223,32 +222,23 @@ def cmd_crosscheck(args) -> int:
         raise ParseError(f"--random must be >= 0, got {args.random}")
     # checked per function, and only when some function is built
     work = _oracle_work(p, n, m)
-    if (args.exhaustive or args.random) and work > limit:
-        raise SizeLimitError(
-            f"consensus at p = {p}, n = {n}, m = {m} takes {work} steps per function, "
-            f"above the size limit {limit}"
-        )
+    _refuse((args.exhaustive or args.random) and work > limit,
+            f"consensus at p = {p}, n = {n}, m = {m} takes {work} steps per function", limit)
     size = p**n
     rows = reference._chunk_rows(p, n, m)
     seed = None
     if args.exhaustive:
         # p^size functions of size entries each, like --random below; the
         # count p^size is never built, as it can have thousands of digits
-        if _exceeds(p, size, limit // size):
-            raise SizeLimitError(
-                f"exhaustive family has {p}^{size} functions of {size} entries, "
-                f"above the size limit {limit}"
-            )
+        _refuse(_exceeds(p, size, limit // size),
+                f"exhaustive family has {p}^{size} functions of {size} entries", limit)
         chunks = _exhaustive_chunks(p, n, rows)
     else:
-        if args.random * size > limit:
-            raise SizeLimitError(
-                f"--random {args.random} at p^n = {size} builds {args.random * size} entries, "
-                f"above the size limit {limit}"
-            )
+        k = args.random
+        _refuse(k * size > limit, f"--random {k} at p^n = {size} builds {k * size} entries", limit)
         seed = args.seed if args.seed is not None else DEFAULT_SEED
         rng = random.Random(seed)
-        chunks = _random_chunks(rng, p, n, args.random, rows)
+        chunks = _random_chunks(rng, p, n, k, rows)
     ci_counts = {name: 0 for name in reference.METHOD_NAMES}
     checked = 0
     disagreements = 0
@@ -344,11 +334,8 @@ def cmd_search(args) -> int:
     # the climb's cost holds the joint counts of every target-subset and the
     # output histogram
     cells = math.comb(n, target) * p ** (target + 1) + p
-    if cells > limit:
-        raise SizeLimitError(
-            f"--target-ci {target} at p = {p}, n = {n} keeps {cells} joint counts "
-            f"over its {target}-variable subsets and outputs, above the size limit {limit}"
-        )
+    _refuse(cells > limit, f"--target-ci {target} at p = {p}, n = {n} keeps {cells} joint counts "
+            f"over its {target}-variable subsets and outputs", limit)
 
     if args.output:
         # refuse an unwritable path before the climb, not after it

@@ -242,6 +242,24 @@ def _joint_counts(f: PFunction, indices) -> list[int]:
     return cm
 
 
+def _batch_tables(tables, p: int, n: int, m: int) -> np.ndarray:
+    """tables as a (K, p^n) int64 array, checked for the batch verdicts at
+    order m: ValueError on m outside 1..n, on another shape or a non-integer
+    dtype, or on an entry outside 0..p-1, which would land in a neighbouring
+    count cell."""
+    if not 1 <= m <= n:
+        raise ValueError(f"m must be in 1..{n}, got {m}")
+    tables = np.asarray(tables)
+    if tables.ndim != 2 or tables.shape[1] != p**n or tables.dtype.kind not in "iu":
+        raise ValueError(
+            f"tables must be a (K, {p**n}) integer array, got {tables.dtype} {tables.shape}")
+    # a narrower dtype would wrap in the key arithmetic (tables * p^m)
+    tables = tables.astype(np.int64, copy=False)
+    if tables.size and not 0 <= tables.min() <= tables.max() < p:
+        raise ValueError(f"table entries must be in 0..{p - 1}")
+    return tables
+
+
 def _joint_counts_batch(tables: np.ndarray, p: int, n: int, indices) -> np.ndarray:
     """_joint_counts of every row of a (K, p^n) int64 array of tables, as a
     (K, p^len(indices), p) array out[k, w, v]; one bincount in all."""

@@ -34,7 +34,8 @@ normalized definitions); scaling cannot change zero-ness and staying in
 integers keeps the oracle exact.
 
 Batch forms: consensus_verdicts(tables, p, n, m) gives the six verdicts,
-without witnesses, for every row of a (K, p^n) int64 array of tables;
+without witnesses, for every row of a (K, p^n) integer array of tables,
+which it checks and converts to int64 once (ptable._batch_tables);
 crosscheck runs it over its family chunk by chunk.  Each method keeps its
 own criterion, counted with np.bincount and integer folds:
 
@@ -81,6 +82,7 @@ import numpy as np
 from .cyclotomic import CycloElement
 from .ptable import (
     PFunction,
+    _batch_tables,
     _check_order,
     _joint_counts,
     _joint_counts_batch,
@@ -455,10 +457,9 @@ def _orthogonal_array_verdicts(tables: np.ndarray, p: int, n: int, m: int) -> np
 
 def consensus_verdicts(tables: np.ndarray, p: int, n: int, m: int) -> dict[str, np.ndarray]:
     """The six verdicts of consensus(f, m) for every row f of a (K, p^n)
-    int64 array of tables: {name: K bools}, in METHOD_NAMES order.  No
+    integer array of tables: {name: K bools}, in METHOD_NAMES order.  No
     witness is found; crosscheck runs consensus on the tables it reports."""
-    if not 1 <= m <= n:
-        raise ValueError(f"m must be in 1..{n}, got {m}")
+    tables = _batch_tables(tables, p, n, m)
     # each form is looked up by name at call time, as in consensus
     return {
         "spectral": spectral.ci_verdicts(tables, p, n, m),

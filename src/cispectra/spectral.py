@@ -87,6 +87,7 @@ from .cyclotomic import CycloElement
 from .ptable import (
     PFunction,
     VariableTuple,
+    _batch_tables,
     _check_order,
     _joint_counts,
     _joint_counts_batch,
@@ -204,11 +205,10 @@ def first_failing_tuple(f: PFunction, m: int) -> VariableTuple | None:
 
 def ci_verdicts(tables: np.ndarray, p: int, n: int, m: int) -> np.ndarray:
     """first_failing_tuple(f, m) is None for every row f of a (K, p^n)
-    int64 array of tables, as K bools: no m-subset's joint counts change
+    integer array of tables, as K bools: no m-subset's joint counts change
     along any of its axes (_axis_changes), each subset's counts built once
     for the whole array."""
-    if not 1 <= m <= n:
-        raise ValueError(f"m must be in 1..{n}, got {m}")
+    tables = _batch_tables(tables, p, n, m)
     k = len(tables)
     ok = np.ones(k, dtype=bool)
     for subset in combinations(range(1, n + 1), m):

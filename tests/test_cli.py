@@ -846,6 +846,40 @@ def test_raised_size_limit_still_bounds_primality_work(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "argv,err",
+    [
+        (["analyze", "--reports", "--poly", "0", "--p", "101", "--n", "1"],
+         "--reports at p = 101, n = 1 takes 1030200 steps"),
+        (["spectrum", "--exact-at", "1", "--poly", "x1", "--p", "101", "--n", "1"],
+         "--exact-at 1 at p = 101 takes 1020100 steps"),
+        (["crosscheck", "--random", "1", "--p", "2", "--n", "19", "--m", "1"],
+         "consensus at p = 2, n = 19, m = 1 takes 9961548 steps per function"),
+        (["crosscheck", "--exhaustive", "--p", "2", "--n", "4", "--m", "1"],
+         "exhaustive family has 2^16 functions of 16 entries"),
+        (["crosscheck", "--random", "600000", "--p", "2", "--n", "1", "--m", "1"],
+         "--random 600000 at p^n = 2 builds 1200000 entries"),
+        (["search", "--p", "2", "--n", "19", "--target-ci", "9"],
+         "--target-ci 9 at p = 2, n = 19 keeps 94595074 joint counts over its "
+         "9-variable subsets and outputs"),
+    ],
+)
+def test_every_work_refusal_is_pinned_and_runs_no_later_stage(capsys, monkeypatch, argv, err):
+    def later_stage(*args, **kwargs):
+        pytest.fail("a stage after the work check ran")
+
+    for module, name in [
+        (spectral, "ci_order"), (spectral, "ci_order_symmetric"), (reference, "consensus"),
+        (spectral, "exact_spectrum_conjugates"), (cli, "_exhaustive_chunks"),
+        (cli, "_random_chunks"), (reference, "consensus_verdicts"), (spectral, "ParsevalCost"),
+    ]:
+        monkeypatch.setattr(module, name, later_stage)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_LIMIT, "")
+    assert captured.err == f"error: {err}, above the size limit 1000000\n"
+
+
+@pytest.mark.parametrize(
     "argv,message",
     [
         # contradictory input modes; the file is not opened

@@ -497,3 +497,31 @@ def test_consensus_verdicts_rejects_an_order_outside_1_to_n():
     for m in (0, 3):
         with pytest.raises(ValueError, match="m must be in 1..2"):
             reference.consensus_verdicts(tables, 2, 2, m)
+
+
+def test_batch_verdicts_read_the_library_arrays_as_exact_integers():
+    # PFunction.array is uint8 at p <= 256; tables * p^m must not wrap there
+    f = parse_polynomial("x1 + x2 + x3", 7, 3)
+    for m in range(1, 4):
+        expected = consensus(f, m).verdicts
+        for dtype in (np.uint8, np.int16, np.int64):
+            tables = f.array.reshape(1, -1).astype(dtype)
+            verdicts = reference.consensus_verdicts(tables, 7, 3, m)
+            assert {k: bool(v[0]) for k, v in verdicts.items()} == expected
+            assert spectral.ci_verdicts(tables, 7, 3, m)[0] == expected["spectral"]
+
+
+@pytest.mark.parametrize(
+    "tables,message",
+    [
+        (np.zeros((2, 8), dtype=np.int64), r"a \(K, 9\) integer array, got int64 \(2, 8\)"),
+        (np.zeros(9, dtype=np.int64), r"a \(K, 9\) integer array, got int64 \(9,\)"),
+        (np.zeros((1, 9)), r"a \(K, 9\) integer array, got float64 \(1, 9\)"),
+        (np.array([[0] * 8 + [3]]), "entries must be in 0..2"),
+        (np.array([[0] * 8 + [-1]]), "entries must be in 0..2"),
+    ],
+)
+def test_batch_verdicts_reject_a_wrong_shape_or_an_entry_outside_the_field(tables, message):
+    for form in (reference.consensus_verdicts, spectral.ci_verdicts):
+        with pytest.raises(ValueError, match=message):
+            form(tables, 3, 2, 1)

@@ -32,12 +32,11 @@ def _histogram(lines, title):
 
 
 def test_ci_census_binary_three_variables():
-    proc = _run("ci_census.py", "--p", "2", "--n", "3", "--check-consensus")
+    proc = _run("ci_census.py", "--p", "2", "--n", "3")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert _histogram(lines, "ci_order histogram:") == {0: 238, 1: 14, 2: 2, 3: 2}
     assert _histogram(lines, "resiliency_order histogram:") == {-1: 186, 0: 62, 1: 6, 2: 2}
-    assert "consensus disagreements: 0" in lines
 
 
 def test_ci_census_binary_four_variables():
