@@ -12,8 +12,8 @@ Functions come either from a truth-table file ('-' reads stdin) or from
 --poly with --p/--n.  The desk-scale size limit is p^n <= 10^6 by default;
 the CI_SPECTRA_MAX_N environment variable (a positive integer, the maximum
 table size) raises or lowers it.  Every randomized subcommand accepts
---seed and otherwise uses a fixed default seed that is printed with the
-results, so all output is reproducible.
+--seed (>= 0) and otherwise uses a fixed default seed that is printed with
+the results, so all output is reproducible.
 """
 
 from __future__ import annotations
@@ -69,6 +69,16 @@ def _env_limit() -> int:
         raise ParseError(f"CI_SPECTRA_MAX_N must be a positive integer, got {raw!r}")
     # no table may pass the hard cap, so primality tests stay below it too
     return min(limit, MAX_TABLE_ENTRIES)
+
+
+def _seed(args) -> int:
+    """--seed, or DEFAULT_SEED when it is not given.  A negative seed is
+    refused: random.Random(-s) is seeded like random.Random(s)."""
+    if args.seed is None:
+        return DEFAULT_SEED
+    if args.seed < 0:
+        raise ParseError(f"--seed must be >= 0, got {args.seed}")
+    return args.seed
 
 
 def _load_function(args, limit: int) -> PFunction:
@@ -220,13 +230,13 @@ def cmd_crosscheck(args) -> int:
         raise ParseError(f"--m must be in 1..{n}, got {m}")
     if args.random is not None and args.random < 0:
         raise ParseError(f"--random must be >= 0, got {args.random}")
+    seed = _seed(args)
     # checked per function, and only when some function is built
     work = _oracle_work(p, n, m)
     _refuse((args.exhaustive or args.random) and work > limit,
             f"consensus at p = {p}, n = {n}, m = {m} takes {work} steps per function", limit)
     size = p**n
     rows = reference._chunk_rows(p, n, m)
-    seed = None
     if args.exhaustive:
         # p^size functions of size entries each, like --random below; the
         # count p^size is never built, as it can have thousands of digits
@@ -236,9 +246,7 @@ def cmd_crosscheck(args) -> int:
     else:
         k = args.random
         _refuse(k * size > limit, f"--random {k} at p^n = {size} builds {k * size} entries", limit)
-        seed = args.seed if args.seed is not None else DEFAULT_SEED
-        rng = random.Random(seed)
-        chunks = _random_chunks(rng, p, n, k, rows)
+        chunks = _random_chunks(random.Random(seed), p, n, k, rows)
     ci_counts = {name: 0 for name in reference.METHOD_NAMES}
     checked = 0
     disagreements = 0
@@ -264,7 +272,7 @@ def cmd_crosscheck(args) -> int:
         "ci_counts": ci_counts,
         "disagreements": disagreements,
     }
-    if seed is not None:
+    if not args.exhaustive:
         record["seed"] = seed
     if first_bad is not None:
         record["first_disagreement"] = first_bad
@@ -318,7 +326,7 @@ def cmd_search(args) -> int:
         raise ParseError(f"--budget must be >= 1, got {args.budget}")
     if target < 0:
         raise ParseError(f"--target-ci must be >= 0, got {target}")
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
+    seed = _seed(args)
 
     infeasible = None
     if target > n:

@@ -411,19 +411,68 @@ def parse_polynomial(text: str, p: int, n: int) -> PFunction:
 
 
 def random_function(p: int, n: int, seed: int) -> PFunction:
-    """A uniformly random table, reproducible from the seed.
+    """A uniformly random table, reproducible from a seed >= 0.
 
-    Entries come from random.Random(seed) (the stdlib Mersenne Twister), one
-    randrange(p) call per table slot, so a fixed seed yields the same function
-    on every platform.
+    Entries come from random.Random(seed) (the stdlib Mersenne Twister) as
+    _random_table draws them: the values of one randrange(p) call per table
+    slot, read in bulk off the generator's 32-bit words as CPython's
+    _randbelow_with_getrandbits reads them (_draws; p < 2^32 for every
+    table within MAX_TABLE_ENTRIES).  A fixed seed thus yields the same
+    function on every platform.  A negative seed raises ValueError, since
+    Random seeds -s like s.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     _check_p_n(p, n, MAX_TABLE_ENTRIES)
     return _random_table(random.Random(seed), p, n)
 
 
+# Values that _draws takes one at a time: a bulk round keeps only half its
+# words at p = 2, so on a few values it costs more than it saves.
+_DRAW_TAIL = 16
+
+
+def _draws(rng: random.Random, p: int, count: int) -> np.ndarray:
+    """[rng.randrange(p) for _ in range(count)] as an int64 array, leaving rng
+    in the state those calls leave.
+
+    CPython's randrange(p) is _randbelow_with_getrandbits(p): with k =
+    p.bit_length() <= 32, getrandbits(k) is the top k bits of the next 32-bit
+    MT19937 word, and a value >= p is rejected for the word after it.  A bulk
+    round takes one word per value still due, as the little-endian 32-bit
+    groups of getrandbits(32 * left), and keeps the values < p.  Each value
+    uses at least one word, so no round takes a word past the last one the
+    calls would use.  The last _DRAW_TAIL values or fewer are drawn with
+    CPython's own loop.  Every p of a table within MAX_TABLE_ENTRIES is
+    < 2^32.
+    """
+    k = p.bit_length()
+    parts = []
+    left = count
+    while left > _DRAW_TAIL:
+        words = np.frombuffer(rng.getrandbits(32 * left).to_bytes(4 * left, "little"), dtype="<u4")
+        words = words >> (32 - k)
+        parts.append(words[words < p])
+        left -= len(parts[-1])
+    getrandbits = rng.getrandbits
+    tail = []
+    for _ in range(left):
+        r = getrandbits(k)
+        while r >= p:
+            r = getrandbits(k)
+        tail.append(r)
+    parts.append(np.array(tail, dtype=np.int64))
+    return np.concatenate(parts, dtype=np.int64)
+
+
 def _random_table(rng: random.Random, p: int, n: int) -> PFunction:
-    """A table of p^n draws rng.randrange(p), in table order."""
-    return PFunction(p, n, tuple(rng.randrange(p) for _ in range(p**n)))
+    """A table of the values of p^n calls rng.randrange(p), in table order,
+    leaving rng where they would.  _draws reads them in bulk off the 32-bit
+    Mersenne Twister words, as CPython's _randbelow_with_getrandbits does;
+    p < 2^32 for every table within MAX_TABLE_ENTRIES."""
+    # PFunction copies the table again; copied from a list rather than a
+    # tuple, perfbench's large-table inputs held 3-5 MiB more peak RSS
+    return PFunction(p, n, tuple(_draws(rng, p, p**n).tolist()))
 
 
 def all_functions(p: int, n: int) -> Iterator[PFunction]:
@@ -436,13 +485,15 @@ def _random_chunks(
     rng: random.Random, p: int, n: int, count: int, rows: int
 ) -> Iterator[np.ndarray]:
     """count successive _random_table(rng, p, n) tables, as (K, p^n) int64
-    arrays of at most rows tables each: the same rng.randrange(p) draws in
-    the same order."""
+    arrays of at most rows tables each: the values of the same
+    rng.randrange(p) calls in the same order, read per chunk by _draws in
+    bulk off the 32-bit Mersenne Twister words, as CPython's
+    _randbelow_with_getrandbits does; p < 2^32 for every table within
+    MAX_TABLE_ENTRIES."""
     size = p**n
-    draw = rng.randrange
     for start in range(0, count, rows):
         k = min(rows, count - start)
-        yield np.array([draw(p) for _ in range(k * size)], dtype=np.int64).reshape(k, size)
+        yield _draws(rng, p, k * size).reshape(k, size)
 
 
 def _exhaustive_chunks(p: int, n: int, rows: int) -> Iterator[np.ndarray]:

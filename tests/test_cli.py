@@ -910,6 +910,31 @@ def test_bad_arguments_exit_2_before_any_work(capsys, argv, message):
     assert message in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["crosscheck", "--p", "2", "--n", "2", "--m", "1", "--random", "5", "--seed", "-5"],
+        ["crosscheck", "--p", "2", "--n", "2", "--m", "1", "--exhaustive", "--seed", "-5"],
+        ["search", "--p", "2", "--n", "3", "--target-ci", "1", "--seed", "-5"],
+        # refused before the infeasible target is reported with its seed
+        ["search", "--p", "2", "--n", "3", "--target-ci", "4", "--seed", "-5"],
+    ],
+)
+def test_negative_seed_exits_2_before_any_table(capsys, monkeypatch, argv):
+    # random.Random(-5) is seeded like random.Random(5), so the run would
+    # print seed = -5 and repeat the run of --seed 5
+    def later_stage(*args, **kwargs):
+        pytest.fail("a table was drawn")
+
+    monkeypatch.setattr(cli, "_random_chunks", later_stage)
+    monkeypatch.setattr(cli, "_exhaustive_chunks", later_stage)
+    monkeypatch.setattr(spectral, "ParsevalCost", later_stage)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_PARSE, "")
+    assert captured.err == "error: --seed must be >= 0, got -5\n"
+
+
 def test_error_messages_go_to_stderr(capsys):
     code = main(["analyze", "--poly", "x9", "--p", "2", "--n", "2"])
     captured = capsys.readouterr()
@@ -1008,6 +1033,13 @@ PINNED_OUTPUTS = [
      "07ee1a3bacd152dbd4f409bf7795bdbd0ad317b32b03ec72688a3676db7cb844"),
     ("crosscheck --p 3 --n 2 --m 1 --random 25 --seed 4 --json", False, EXIT_OK,
      "2fe0174b847d70919c1cada69081b4fde2b9b8f1448c4aca643265c77f7d174b"),
+    # seeded random families over p = 2, 5 and 97
+    ("crosscheck --json --p 2 --n 8 --m 2 --random 60 --seed 7", False, EXIT_OK,
+     "db43554d4acaf82e78f03a2368438f243f50548a158c9324d8a2fe97ef3e1dc0"),
+    ("crosscheck --json --p 5 --n 3 --m 1 --random 100 --seed 7", False, EXIT_OK,
+     "5d5c014ba637cebc0db5d84612a12e37d02bc74ba64de0c83b9c8b6ba7ea20e0"),
+    ("crosscheck --json --p 97 --n 1 --m 1 --random 300 --seed 7", False, EXIT_OK,
+     "cc94ca44bf1b6687f45ab202cac3f70c24adc383d3d348771f49cd3ad16b587e"),
     ("crosscheck --p 2 --n 2 --m 1 --exhaustive", True, EXIT_DISAGREEMENT,
      "cbdef47698e033f8a7cfccb928078c313bb20132e7c08acdc5f272643ad0cfe9"),
     ("crosscheck --p 3 --n 2 --m 1 --random 5 --json", True, EXIT_DISAGREEMENT,

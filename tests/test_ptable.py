@@ -1,6 +1,7 @@
 """Tables, indexing, permutations, and the polynomial front end."""
 
 import ast
+import hashlib
 import json
 import random
 import time
@@ -30,6 +31,8 @@ from cispectra import (
     write_table,
 )
 from cispectra.ptable import (
+    _DRAW_TAIL,
+    _draws,
     _exhaustive_chunks,
     _joint_counts,
     _joint_counts_batch,
@@ -572,6 +575,71 @@ def test_random_function_reproducible_and_in_range():
     assert all(0 <= v < 3 for v in a.table)
     for s in range(10):
         assert random_function(3, 4, seed=s).table != random_function(3, 4, seed=s + 1).table
+
+
+@pytest.mark.parametrize(
+    "p,n,seed,digest",
+    [
+        (2, 19, 11, "f685bca373f28c0b080b46ad13e4f5d047c088ca372ac79176cecfb5e6f80cbe"),
+        (3, 12, 5, "69594839429e353edda7a52e55694b41e88e774fc48e114decec410424c5109c"),
+        (999983, 1, 3, "af27b7c423e4ae5a18b21e999615b32143a4e33dbcbf53566222bdb653e9ccb7"),
+    ],
+)
+def test_random_function_is_pinned(p, n, seed, digest):
+    text = write_table(random_function(p, n, seed=seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_random_function_rejects_a_negative_seed():
+    # random.Random(-5) is seeded like random.Random(5)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -5"):
+        random_function(3, 2, seed=-5)
+
+
+def _randranges(seed: int, p: int, count: int):
+    """count literal rng.randrange(p) calls on random.Random(seed), and the
+    generator state they leave."""
+    rng = random.Random(seed)
+    return [rng.randrange(p) for _ in range(count)], rng.getstate()
+
+
+DRAW_PRIMES = (2, 3, 5, 7, 31, 97, 65537, 999983)
+
+
+# _draws reads CPython's randrange off the Mersenne Twister's words; these
+# tests catch a Python whose randrange draws differently.
+@pytest.mark.parametrize("p", DRAW_PRIMES)
+@pytest.mark.parametrize("count", [0, 1, _DRAW_TAIL, _DRAW_TAIL + 1, 4097, 2**19])
+def test_draws_are_randrange_calls(p, count):
+    rng = random.Random(p + count)
+    got = _draws(rng, p, count)
+    want, state = _randranges(p + count, p, count)
+    assert got.dtype == np.int64 and got.shape == (count,)
+    assert got.tolist() == want
+    assert rng.getstate() == state
+
+
+@pytest.mark.parametrize(
+    "p,n", [(2, 1), (2, 4), (2, 5), (2, 19), (3, 3), (5, 2), (7, 3), (31, 2), (97, 2),
+            (65537, 1), (999983, 1)])
+def test_random_table_is_randrange_calls(p, n):
+    rng = random.Random(n)
+    got = _random_table(rng, p, n).table
+    want, state = _randranges(n, p, p**n)
+    assert got == tuple(want)
+    assert rng.getstate() == state
+
+
+@pytest.mark.parametrize(
+    "p,n,count,rows",
+    [(2, 3, 10, 3), (2, 8, 60, 64), (3, 2, 1, 5), (5, 3, 100, 32), (7, 1, 0, 2),
+     (31, 2, 50, 7), (97, 1, 300, 169), (65537, 1, 3, 2)])
+def test_random_chunks_are_randrange_calls(p, n, count, rows):
+    rng = random.Random(count)
+    got = [v for c in _random_chunks(rng, p, n, count, rows) for v in c.ravel().tolist()]
+    want, state = _randranges(count, p, count * p**n)
+    assert got == want
+    assert rng.getstate() == state
 
 
 def test_all_functions_order_and_count():
