@@ -260,14 +260,14 @@ def _batch_tables(tables, p: int, n: int, m: int) -> np.ndarray:
     return tables
 
 
-def _joint_counts_batch(tables: np.ndarray, p: int, n: int, indices) -> np.ndarray:
-    """_joint_counts of every row of a (K, p^n) int64 array of tables, as a
-    (K, p^len(indices), p) array out[k, w, v]; one bincount in all."""
+def _tally(tables: np.ndarray, scale: int, digits, cells: int) -> np.ndarray:
+    """out[k, j] = #{x : scale * tables[k, x] + digits[x] = j} for every row
+    of a (K, p^n) int64 array of tables and j < cells, as a (K, cells)
+    array; one bincount in all."""
     k = len(tables)
-    cells = p ** (len(indices) + 1)
-    key = tables + p * np.array(_packed_digits(p, n, indices), dtype=np.int64)
+    key = scale * tables + digits
     key += (np.arange(k, dtype=np.int64) * cells)[:, None]
-    return np.bincount(key.ravel(), minlength=k * cells).reshape(k, -1, p)
+    return np.bincount(key.ravel(), minlength=k * cells).reshape(k, cells)
 
 
 def apply_permutation(f: PFunction, mapping: Sequence[int]) -> PFunction:

@@ -36,31 +36,43 @@ integers keeps the oracle exact.
 Batch forms: consensus_verdicts(tables, p, n, m) gives the six verdicts,
 without witnesses, for every row of a (K, p^n) integer array of tables,
 which it checks and converts to int64 once (ptable._batch_tables);
-crosscheck runs it over its family chunk by chunk.  Each method keeps its
-own criterion, counted with np.bincount and integer folds:
+crosscheck runs it over its family chunk by chunk.  Every count comes from
+one kernel, ptable._tally: one np.bincount of scale * table + digits per
+row, all rows at once.  It builds the output histogram once per call, which
+is also the level-set sizes |W_i|, and three streams of count tensors:
 
-  spectral           spectral.ci_verdicts: no m-subset's joint counts change
-                     along any of its axes (the _axis_changes criterion)
-  definition         p^m * J_S equals the output histogram for every m-subset S
+  J_S  each m-subset's joint counts of (x_S, f(x)), shape (K, p, ..., p)
+  M_c  each count matrix, c of weight 1..m, shape (K, p, p)
+  W_S  each m-subset's level-major pattern counts [k, i, w], the pattern w
+       of x_S over the level set W_i, shape (K, p, p^m)
+
+Each method keeps its own criterion, an integer fold of one stream:
+
+  spectral           spectral.stratum_vanishes: J_S changes along none of
+                     its axes 1..m (the _axis_changes criterion)
+  definition         p^m * J_S equals the output histogram
   chrestenson_cyclic the root counts of omega^(f(x) - c.x), folded from M_c,
                      reduce to zero as in from_root_counts: coordinate j
                      minus coordinate p-1
   chrestenson_linear the same on every shift a, all p folded from M_c by
                      _shift_folds' recurrence, O(p^2) per table
   matrix             M_c has identical rows
-  orthogonal_array   p^m divides every |W_i|, and every pattern count of W_i
-                     over an m-subset, tallied level by level, is |W_i| / p^m
+  orthogonal_array   p^m divides every |W_i|, tested before any W_S is
+                     built, and every count in W_S is |W_i| / p^m; the
+                     method tallies W_S itself, level by level, rather than
+                     reading J_S
 
-Each c's count tensor M_c, shape (K, p, p), is built once per call and the
-three Fourier-side folds all read it.  No batch form calls ci_order,
-_rows_equal or _row_transform, no float decides a verdict, and each stops
-once no row of its array can still pass.  int64 cannot overflow: every
-count is at most p^n, every product (p^m * J_S, a * rowsum, p * wrapped) at
-most p * p^n, and p^n is at most the 2^31 limit of MAX_TABLE_ENTRIES.
+One loop builds each tensor once and applies every fold of its stream to
+it, and stops before a build once no row can still pass any of those
+folds.  No batch form calls ci_order, _rows_equal or _row_transform, and no
+float decides a verdict.  int64 cannot overflow: every count is at most
+p^n, every product (p^m * J_S, a * rowsum, p * wrapped) at most p * p^n,
+and p^n is at most the 2^31 limit of MAX_TABLE_ENTRIES.
 
 A chunk holds _chunk_rows(p, n, m) tables, K * max(p^n, p^2, p^(m+1)) <=
-CHUNK_CELLS = 2^14 and at least one.  The bound counts the per-table count
-tensor (p^2) and joint counts (p^(m+1)), not only the table: at p = 97,
+CHUNK_CELLS = 2^14 and at least one, so no tally of more than one table
+holds more cells.  The bound counts the per-table count tensor (p^2) and
+joint or pattern counts (p^(m+1)), not only the table: at p = 97,
 n = 1 a table is 97 cells and its count tensor 9,409, so a bound on
 K * p^n alone would let one chunk's tensor reach 12 MB.
 
@@ -85,8 +97,8 @@ from .ptable import (
     _batch_tables,
     _check_order,
     _joint_counts,
-    _joint_counts_batch,
     _packed_digits,
+    _tally,
     _weighted_digits,
     index_of,
 )
@@ -366,28 +378,6 @@ def _chunk_rows(p: int, n: int, m: int) -> int:
     return max(1, CHUNK_CELLS // max(p**n, p * p, p ** (m + 1)))
 
 
-def _definition_verdicts(tables: np.ndarray, p: int, n: int, m: int) -> np.ndarray:
-    """ci_oracle_definition of every row: p^m * J_S equals the output
-    histogram for every m-subset S."""
-    hist = _joint_counts_batch(tables, p, n, ())
-    ok = np.ones(len(tables), dtype=bool)
-    for subset in combinations(range(1, n + 1), m):
-        if not ok.any():
-            break
-        ok &= (p**m * _joint_counts_batch(tables, p, n, subset) == hist).all(axis=(1, 2))
-    return ok
-
-
-def _count_tensors(tables: np.ndarray, p: int, n: int, m: int):
-    """count_matrix of every row for each c with 1 <= wt(c) <= m in turn,
-    as (K, p, p) arrays M[k, d, v] = #{x : c.x = d, table k at x = v}."""
-    k = len(tables)
-    key = tables + (np.arange(k, dtype=np.int64) * (p * p))[:, None]
-    for c in _weighted_vectors(p, n, m):
-        d = np.array(_weighted_digits(p, c), dtype=np.int64) % p
-        yield np.bincount((key + p * d).ravel(), minlength=k * p * p).reshape(k, p, p)
-
-
 def _uniform(counts: np.ndarray) -> np.ndarray:
     """Zero test of each row's element sum_j counts[.., j] * omega^j of
     Z[omega], over the last axis, by the reduction from_root_counts makes:
@@ -422,52 +412,58 @@ def _rows_identical(cm: np.ndarray) -> np.ndarray:
     return (cm == cm[:, :1]).all(axis=(1, 2))
 
 
-def _fourier_verdicts(tables: np.ndarray, p: int, n: int, m: int, folds: dict) -> dict:
-    """{name: K verdicts} of each fold over every c with 1 <= wt(c) <= m;
-    each c's count tensor is built once and every fold reads it.  Like
-    every batch form, it stops once no table can still pass."""
-    ok = {name: np.ones(len(tables), dtype=bool) for name in folds}
-    for cm in _count_tensors(tables, p, n, m):
-        if not any(v.any() for v in ok.values()):
-            break
-        for name, fold in folds.items():
-            ok[name] &= fold(cm)
-    return ok
-
-
-def _orthogonal_array_verdicts(tables: np.ndarray, p: int, n: int, m: int) -> np.ndarray:
-    """orthogonal_array_witness is None for every row: p^m divides every
-    level set's size, and every m-subset pattern count over level set i is
-    |W_i| / p^m.  Each level set's pattern counts are tallied apart,
-    level-major, not read off the joint counts."""
-    k, strength = len(tables), p**m
-    rows = np.arange(k, dtype=np.int64)[:, None]
-    levels = np.bincount((tables + p * rows).ravel(), minlength=k * p).reshape(k, p)
-    ok = (levels % strength == 0).all(axis=1)
-    expected = (levels // strength)[:, :, None]
-    key = tables * strength + rows * (p * strength)
-    for subset in combinations(range(1, n + 1), m):
-        if not ok.any():
-            break
-        packed = np.array(_packed_digits(p, n, subset), dtype=np.int64)
-        counts = np.bincount((key + packed).ravel(), minlength=k * p * strength)
-        ok &= (counts.reshape(k, p, strength) == expected).all(axis=(1, 2))
-    return ok
-
-
 def consensus_verdicts(tables: np.ndarray, p: int, n: int, m: int) -> dict[str, np.ndarray]:
     """The six verdicts of consensus(f, m) for every row f of a (K, p^n)
     integer array of tables: {name: K bools}, in METHOD_NAMES order.  No
     witness is found; crosscheck runs consensus on the tables it reports."""
     tables = _batch_tables(tables, p, n, m)
-    # each form is looked up by name at call time, as in consensus
-    return {
-        "spectral": spectral.ci_verdicts(tables, p, n, m),
-        "definition": _definition_verdicts(tables, p, n, m),
-        **_fourier_verdicts(tables, p, n, m, {
+    k, strength = len(tables), p**m
+    hist = _tally(tables, 1, 0, p)
+    ok = {name: np.ones(k, dtype=bool) for name in METHOD_NAMES}
+    # the histogram is also the level-set sizes |W_i|
+    ok["orthogonal_array"] = (hist % strength == 0).all(axis=1)
+    expected = (hist // strength)[:, :, None]
+    subsets = list(combinations(range(1, n + 1), m))
+
+    def packed(subset):
+        return np.array(_packed_digits(p, n, subset), dtype=np.int64)
+
+    def joint_counts(subset):
+        # axes 1..m hold the digits of x_S, most significant (S's last
+        # variable) first; the last axis holds the output
+        return _tally(tables, 1, p * packed(subset), p * strength).reshape((k,) + (p,) * (m + 1))
+
+    def count_tensor(c):
+        # M[k, d, v] = #{x : c.x = d, table k at x = v}
+        d = np.array(_weighted_digits(p, c), dtype=np.int64) % p
+        return _tally(tables, 1, p * d, p * p).reshape(k, p, p)
+
+    def level_patterns(subset):
+        # level-major: [k, v, w] counts the pattern w of x_S over level set v
+        return _tally(tables, strength, packed(subset), p * strength).reshape(k, p, strength)
+
+    # each fold is looked up by name at call time, as in consensus
+    streams = (
+        (subsets, joint_counts, {
+            "spectral": spectral.stratum_vanishes,
+            "definition": lambda j: (strength * j.reshape(k, -1, p) == hist[:, None]).all(
+                axis=(1, 2)),
+        }),
+        (_weighted_vectors(p, n, m), count_tensor, {
             "chrestenson_cyclic": _cyclic_vanishes,
             "chrestenson_linear": _linear_vanishes,
             "matrix": _rows_identical,
         }),
-        "orthogonal_array": _orthogonal_array_verdicts(tables, p, n, m),
-    }
+        (subsets, level_patterns, {
+            "orthogonal_array": lambda w: (w == expected).all(axis=(1, 2)),
+        }),
+    )
+    for items, build, folds in streams:
+        for item in items:
+            # no tensor is built once no row can still pass its folds
+            if not any(ok[name].any() for name in folds):
+                break
+            tensor = build(item)
+            for name, fold in folds.items():
+                ok[name] &= fold(tensor)
+    return ok

@@ -31,8 +31,9 @@ lives on the frequency stratum gcd(j, N) = p^(n-m):
     Every ordering of S passes iff all rows of those counts are equal
     (_rows_equal), so ci_order, and is_ci derived from it, read each of
     the C(n, m) subsets at most once, and so does first_failing_tuple (the
-    witness of the consensus "spectral" method) and ci_verdicts, its
-    verdict over a whole array of tables.  The search climb scores a
+    witness of the consensus "spectral" method).  stratum_vanishes is the
+    same criterion over one subset's counts for a whole array of tables,
+    the fold reference.consensus_verdicts applies.  The search climb scores a
     table by ParsevalCost, p^m * sum over m-subsets S of SS(S) - C(n, m) *
     SS(empty set), SS being the sum of squared joint counts; it is zero
     exactly when every m-subset has equal rows.  A move is scored by
@@ -87,10 +88,8 @@ from .cyclotomic import CycloElement
 from .ptable import (
     PFunction,
     VariableTuple,
-    _batch_tables,
     _check_order,
     _joint_counts,
-    _joint_counts_batch,
     digits_of,
     is_balanced,
     is_symmetric,
@@ -203,22 +202,15 @@ def first_failing_tuple(f: PFunction, m: int) -> VariableTuple | None:
     return None
 
 
-def ci_verdicts(tables: np.ndarray, p: int, n: int, m: int) -> np.ndarray:
-    """first_failing_tuple(f, m) is None for every row f of a (K, p^n)
-    integer array of tables, as K bools: no m-subset's joint counts change
-    along any of its axes (_axis_changes), each subset's counts built once
-    for the whole array."""
-    tables = _batch_tables(tables, p, n, m)
-    k = len(tables)
+def stratum_vanishes(counts: np.ndarray) -> np.ndarray:
+    """first_failing_tuple finds no tuple over one m-subset S, for each of
+    K tables: their (K, p, ..., p) joint counts of (x_S, f(x)), axes 1..m
+    holding the digits of x_S (S's last variable first) and the last axis
+    the output, change along none of axes 1..m (_axis_changes), as K bools."""
+    k = len(counts)
     ok = np.ones(k, dtype=bool)
-    for subset in combinations(range(1, n + 1), m):
-        if not ok.any():
-            break
-        # axes 1..m hold the digits of w, most significant (the subset's
-        # last variable) first; the last axis holds the output
-        cm = _joint_counts_batch(tables, p, n, subset).reshape((k,) + (p,) * (m + 1))
-        for axis in range(1, m + 1):
-            ok &= ~np.diff(cm, axis=axis).reshape(k, -1).any(axis=1)
+    for axis in range(1, counts.ndim - 1):
+        ok &= ~np.diff(counts, axis=axis).reshape(k, -1).any(axis=1)
     return ok
 
 

@@ -357,20 +357,21 @@ def test_crosscheck_counts_equal_per_table_consensus(capsys, p, n, m):
 
 
 def test_crosscheck_reports_a_disagreement_in_a_later_chunk(capsys, monkeypatch):
-    # the orthogonal-array batch form flips table 2 of the second chunk
+    # the orthogonal-array verdict of table 2 of the second chunk is flipped
     p, n, m = 31, 1, 1
     rows = reference._chunk_rows(p, n, m)
-    true_form = reference._orthogonal_array_verdicts
+    true_form = reference.consensus_verdicts
     calls = []
 
     def flip(tables, *args):
-        ok = true_form(tables, *args)
+        verdicts = true_form(tables, *args)
         calls.append(len(tables))
         if len(calls) == 2:
+            ok = verdicts["orthogonal_array"]
             ok[2] = not ok[2]
-        return ok
+        return verdicts
 
-    monkeypatch.setattr(reference, "_orthogonal_array_verdicts", flip)
+    monkeypatch.setattr(reference, "consensus_verdicts", flip)
     code, out = run(capsys, "crosscheck", "--p", str(p), "--n", str(n), "--m", str(m),
                     "--random", str(2 * rows + 3), "--seed", "8", "--json")
     assert code == EXIT_DISAGREEMENT
@@ -1061,8 +1062,7 @@ PINNED_OUTPUTS = [
 def test_output_is_pinned(capsys, monkeypatch, args, lie, code, digest):
     if lie:
         monkeypatch.setattr(spectral, "first_failing_tuple", lambda f, m: None)
-        monkeypatch.setattr(spectral, "ci_verdicts",
-                            lambda tables, p, n, m: np.ones(len(tables), bool))
+        monkeypatch.setattr(spectral, "stratum_vanishes", lambda counts: np.ones(len(counts), bool))
     got_code, out = run(capsys, *args.split())
     assert got_code == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest

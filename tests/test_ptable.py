@@ -20,6 +20,7 @@ from cispectra import (
     VariableTuple,
     all_functions,
     apply_permutation,
+    count_matrix,
     digits_of,
     index_of,
     is_balanced,
@@ -35,9 +36,10 @@ from cispectra.ptable import (
     _draws,
     _exhaustive_chunks,
     _joint_counts,
-    _joint_counts_batch,
+    _packed_digits,
     _random_chunks,
     _random_table,
+    _tally,
     _weighted_digits,
 )
 
@@ -675,13 +677,32 @@ def test_random_chunks_are_successive_random_tables(p, n, count, rows):
 
 
 @pytest.mark.parametrize("p,n", [(2, 4), (3, 3), (5, 2)])
-def test_joint_counts_batch_is_joint_counts_per_row(p, n):
+def test_tally_is_the_single_table_counts_per_row(p, n):
     fs = [random_function(p, n, seed=s) for s in range(5)]
     tables = np.array([f.table for f in fs], dtype=np.int64)
     for indices in [(), (1,), (n,), (n, 1), tuple(range(1, n + 1))]:
-        got = _joint_counts_batch(tables, p, n, indices)
-        assert got.shape == (5, p ** len(indices), p)
-        assert [row.ravel().tolist() for row in got] == [_joint_counts(f, indices) for f in fs]
+        strength = p ** len(indices)
+        packed = np.array(_packed_digits(p, n, indices), dtype=np.int64)
+        # joint counts, cell w * p + v
+        got = _tally(tables, 1, p * packed, p * strength)
+        assert got.shape == (5, p * strength)
+        assert [row.tolist() for row in got] == [_joint_counts(f, indices) for f in fs]
+        # level-major pattern counts, cell v * p^len + w, against a tally per level
+        got = _tally(tables, strength, packed, p * strength).reshape(5, p, strength)
+        for f, counts in zip(fs, got.tolist()):
+            for v in range(p):
+                level = Counter(
+                    sum(digits_of(x, p, n)[i - 1] * p**r for r, i in enumerate(indices))
+                    for x in range(p**n) if f.table[x] == v)
+                assert counts[v] == [level[w] for w in range(strength)]
+        # count matrices, cell d * p + v, of a c that is nonzero on indices
+        c = [0] * n
+        for r, i in enumerate(indices):
+            c[i - 1] = r % (p - 1) + 1
+        d = np.array(_weighted_digits(p, c), dtype=np.int64) % p
+        got = _tally(tables, 1, p * d, p * p).reshape(5, p, p)
+        assert [tuple(map(tuple, cm)) for cm in got.tolist()] == [
+            count_matrix(f, c).entries for f in fs]
 
 
 def test_table_io_roundtrip():

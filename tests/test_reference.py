@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -31,7 +32,7 @@ from cispectra.reference import (
     _weighted_vectors,
 )
 from cispectra import is_balanced
-from cispectra import reference, spectral
+from cispectra import cli, reference, spectral
 from cispectra.ptable import _exhaustive_chunks
 
 import helpers
@@ -483,11 +484,11 @@ def _linear_shift_zero_only(cm):
     return reference._uniform(base)
 
 
-def test_batch_check_catches_a_linear_form_that_folds_shift_zero_only():
+def test_batch_check_catches_a_linear_form_that_folds_shift_zero_only(monkeypatch):
     # at p = 2 shift 1 adds sum_x omega^(c.x) = 0, so only p > 2 tells
     (tables,) = _exhaustive_chunks(3, 2, 3**9)
-    mutant = reference._fourier_verdicts(
-        tables, 3, 2, 1, {"chrestenson_linear": _linear_shift_zero_only})
+    monkeypatch.setattr(reference, "_linear_vanishes", _linear_shift_zero_only)
+    mutant = reference.consensus_verdicts(tables, 3, 2, 1)
     bad = _mismatches(tables, 3, 2, 1, mutant)
     assert bad and {name for name, _ in bad} == {"chrestenson_linear"}
 
@@ -508,7 +509,6 @@ def test_batch_verdicts_read_the_library_arrays_as_exact_integers():
             tables = f.array.reshape(1, -1).astype(dtype)
             verdicts = reference.consensus_verdicts(tables, 7, 3, m)
             assert {k: bool(v[0]) for k, v in verdicts.items()} == expected
-            assert spectral.ci_verdicts(tables, 7, 3, m)[0] == expected["spectral"]
 
 
 @pytest.mark.parametrize(
@@ -522,6 +522,67 @@ def test_batch_verdicts_read_the_library_arrays_as_exact_integers():
     ],
 )
 def test_batch_verdicts_reject_a_wrong_shape_or_an_entry_outside_the_field(tables, message):
-    for form in (reference.consensus_verdicts, spectral.ci_verdicts):
-        with pytest.raises(ValueError, match=message):
-            form(tables, 3, 2, 1)
+    with pytest.raises(ValueError, match=message):
+        reference.consensus_verdicts(tables, 3, 2, 1)
+
+
+def _spy_tallies(monkeypatch):
+    """Record (rows, entries, scale, cells) of every tally consensus_verdicts
+    makes, and each time it checks its input."""
+    tallies, checks = [], []
+    tally, check = reference._tally, reference._batch_tables
+
+    def spy_tally(tables, scale, digits, cells):
+        tallies.append((len(tables), tables.size, scale, cells))
+        return tally(tables, scale, digits, cells)
+
+    def spy_check(*args):
+        checks.append(args[1:])
+        return check(*args)
+
+    monkeypatch.setattr(reference, "_tally", spy_tally)
+    monkeypatch.setattr(reference, "_batch_tables", spy_check)
+    return tallies, checks
+
+
+def test_batch_verdicts_build_each_count_object_once(monkeypatch):
+    # every a * (x1 + x2 + x3) + b is 2-CI at (3,3), so no method stops early
+    p, n, m = 3, 3, 2
+    forms = [parse_polynomial(f"{a}*x1 + {a}*x2 + {a}*x3 + {b}", p, n)
+             for a in (1, 2) for b in range(p)]
+    tables = np.array([f.table for f in forms], dtype=np.int64)
+    tallies, checks = _spy_tallies(monkeypatch)
+    verdicts = reference.consensus_verdicts(tables, p, n, m)
+    assert all(v.all() for v in verdicts.values())
+    assert checks == [(p, n, m)]
+    # (scale, cells): the histogram, each 2-subset's joint counts, each
+    # c-vector's count matrix and each 2-subset's level-major pattern counts
+    assert Counter((scale, cells) for _, _, scale, cells in tallies) == {
+        (1, p): 1, (1, p**3): 3, (1, p * p): 18, (p**2, p**3): 3}
+
+
+def test_batch_verdicts_build_nothing_once_every_table_has_failed(monkeypatch):
+    # a single nonzero entry fails every method on the first object it reads,
+    # and its level sizes 26 and 1 fail the divisibility test
+    p, n, m = 3, 3, 2
+    tables = np.eye(p**n, dtype=np.int64)
+    tallies, _ = _spy_tallies(monkeypatch)
+    verdicts = reference.consensus_verdicts(tables, p, n, m)
+    assert not any(v.any() for v in verdicts.values())
+    assert Counter((scale, cells) for _, _, scale, cells in tallies) == {
+        (1, p): 1, (1, p**3): 1, (1, p * p): 1}
+
+
+@pytest.mark.parametrize("argv", [
+    "--random 60 --p 2 --n 8 --m 2",
+    "--random 300 --p 97 --n 1 --m 1",
+    "--exhaustive --p 3 --n 2 --m 2",
+])
+def test_crosscheck_tallies_hold_at_most_a_chunk_of_cells(capsys, monkeypatch, argv):
+    # K * max(p^n, p^2, p^(m+1)) <= CHUNK_CELLS unless K is one table
+    tallies, _ = _spy_tallies(monkeypatch)
+    assert cli.main(["crosscheck", *argv.split()]) == 0
+    capsys.readouterr()
+    assert tallies
+    for rows, entries, _, cells in tallies:
+        assert rows == 1 or max(entries, rows * cells) <= reference.CHUNK_CELLS
