@@ -261,13 +261,14 @@ def _batch_tables(tables, p: int, n: int, m: int) -> np.ndarray:
 
 
 def _tally(tables: np.ndarray, scale: int, digits, cells: int) -> np.ndarray:
-    """out[k, j] = #{x : scale * tables[k, x] + digits[x] = j} for every row
-    of a (K, p^n) int64 array of tables and j < cells, as a (K, cells)
-    array; one bincount in all."""
+    """out[j, k] = #{x : scale * tables[k, x] + digits[x] = j} for every row
+    of a (K, p^n) int64 array of tables and j < cells, as a (cells, K)
+    array, tables minor; one bincount in all, of the key j * K + k."""
     k = len(tables)
-    key = scale * tables + digits
-    key += (np.arange(k, dtype=np.int64) * cells)[:, None]
-    return np.bincount(key.ravel(), minlength=k * cells).reshape(k, cells)
+    key = tables * (scale * k)
+    key += digits * k
+    key += np.arange(k, dtype=np.int64)[:, None]
+    return np.bincount(key.ravel(), minlength=cells * k).reshape(cells, k)
 
 
 def apply_permutation(f: PFunction, mapping: Sequence[int]) -> PFunction:

@@ -37,37 +37,45 @@ Batch forms: consensus_verdicts(tables, p, n, m) gives the six verdicts,
 without witnesses, for every row of a (K, p^n) integer array of tables,
 which it checks and converts to int64 once (ptable._batch_tables);
 crosscheck runs it over its family chunk by chunk.  Every count comes from
-one kernel, ptable._tally: one np.bincount of scale * table + digits per
-row, all rows at once.  It builds the output histogram once per call, which
-is also the level-set sizes |W_i|, and three streams of count tensors:
+one kernel, ptable._tally: one np.bincount of the key
+(scale * table + digits) * K + k, all rows at once, which leaves the
+counts table-minor: the K tables are the last, contiguous axis of every
+tensor, and every fold reduces over short leading axes.  It builds the
+output histogram once per call, shape (p, K), which is also the level-set
+sizes |W_i|, and three kinds of count tensors:
 
-  J_S  each m-subset's joint counts of (x_S, f(x)), shape (K, p, ..., p)
-  M_c  each count matrix, c of weight 1..m, shape (K, p, p)
-  W_S  each m-subset's level-major pattern counts [k, i, w], the pattern w
-       of x_S over the level set W_i, shape (K, p, p^m)
+  J_S  each m-subset's joint counts of (x_S, f(x)), shape (p, ..., p, K),
+       axes 0..m-1 the digits of x_S and axis m the output
+  M_c  each count matrix [d, v, k], c of weight 1..m, shape (p, p, K)
+  W_S  each m-subset's level-major pattern counts [i, w, k], the pattern w
+       of x_S over the level set W_i, shape (p, p^m, K)
 
-Each method keeps its own criterion, an integer fold of one stream:
+Each method keeps its own criterion, an integer fold of one kind:
 
   spectral           spectral.stratum_vanishes: J_S changes along none of
-                     its axes 1..m (the _axis_changes criterion)
+                     its axes 0..m-1 (the _axis_changes criterion)
   definition         p^m * J_S equals the output histogram
   chrestenson_cyclic the root counts of omega^(f(x) - c.x), folded from M_c,
                      reduce to zero as in from_root_counts: coordinate j
                      minus coordinate p-1
-  chrestenson_linear the same on every shift a, all p folded from M_c by
-                     _shift_folds' recurrence, O(p^2) per table
+  chrestenson_linear the same on every shift a, all p at once by one exact
+                     int64 product shifts @ M_c, shifts[a, v] = (v + a)
+                     mod p: p^3 multiplications per matrix, where
+                     _shift_folds' recurrence takes O(p^2)
   matrix             M_c has identical rows
   orthogonal_array   p^m divides every |W_i|, tested before any W_S is
                      built, and every count in W_S is |W_i| / p^m; the
                      method tallies W_S itself, level by level, rather than
                      reading J_S
 
-One loop builds each tensor once and applies every fold of its stream to
-it, and stops before a build once no row can still pass any of those
-folds.  No batch form calls ci_order, _rows_equal or _row_transform, and no
-float decides a verdict.  int64 cannot overflow: every count is at most
-p^n, every product (p^m * J_S, a * rowsum, p * wrapped) at most p * p^n,
-and p^n is at most the 2^31 limit of MAX_TABLE_ENTRIES.
+One loop runs over the m-subsets, building J_S and W_S from one packing of
+the subset's digits, and then over the c-vectors, building M_c; it applies
+every fold of a tensor to it, and skips a build once no row can still
+pass that tensor's folds.  No batch form calls ci_order, _rows_equal or
+_row_transform, and no float decides a verdict.  int64 cannot overflow:
+every count is at most p^n, every product (p^m * J_S, each entry of
+shifts @ M_c) at most p * p^n, and p^n is at most the 2^31 limit of
+MAX_TABLE_ENTRIES.
 
 A chunk holds _chunk_rows(p, n, m) tables, K * max(p^n, p^2, p^(m+1)) <=
 CHUNK_CELLS = 2^14 and at least one, so no tally of more than one table
@@ -379,37 +387,35 @@ def _chunk_rows(p: int, n: int, m: int) -> int:
 
 
 def _uniform(counts: np.ndarray) -> np.ndarray:
-    """Zero test of each row's element sum_j counts[.., j] * omega^j of
-    Z[omega], over the last axis, by the reduction from_root_counts makes:
+    """Zero test of each element sum_j counts[j, .., k] * omega^j of
+    Z[omega], over the first axis, for every table k of the last axis and
+    every index between, by the reduction from_root_counts makes:
     coordinate j minus coordinate p-1 for j < p-1 must vanish."""
-    return (counts[..., :-1] == counts[..., -1:]).reshape(len(counts), -1).all(axis=1)
+    return (counts[:-1] == counts[-1]).reshape(-1, counts.shape[-1]).all(axis=0)
 
 
 def _cyclic_vanishes(cm: np.ndarray) -> np.ndarray:
     """chrestenson_cyclic(f, c).is_zero() for each count matrix of a
-    (K, p, p) tensor: M[d][v] lands on omega^(v - d)."""
-    p = cm.shape[-1]
+    (p, p, K) tensor: M[d][v] lands on omega^(v - d)."""
+    p = len(cm)
     s, d = np.ogrid[:p, :p]
-    return _uniform(cm[:, d, (s + d) % p].sum(axis=2))
+    return _uniform(cm[d, (s + d) % p].sum(axis=1))
 
 
 def _linear_vanishes(cm: np.ndarray) -> np.ndarray:
     """chrestenson_linear_witness finds no shift failing at c, for each
-    count matrix of a (K, p, p) tensor, by _shift_folds' recurrence: shift
-    a puts base[d] + a * rowsum[d] - p * wrapped_a[d] on omega^d, wrapped_a
-    being the reversed running sum of row d over its a top columns."""
-    p = cm.shape[-1]
-    base = (cm * np.arange(p)).sum(axis=2, keepdims=True)
-    wrapped = np.zeros_like(cm)
-    wrapped[:, :, 1:] = np.cumsum(cm[:, :, :0:-1], axis=2)
-    folds = base + np.arange(p) * cm.sum(axis=2, keepdims=True) - p * wrapped
-    # folds[k, d, a]: the root counts of shift a run along d
-    return _uniform(folds.transpose(0, 2, 1))
+    count matrix of a (p, p, K) tensor: shift a puts
+    sum_v ((v + a) mod p) * M[d][v] on omega^d, so one exact integer product
+    shifts @ M, shifts[a, v] = (v + a) mod p, gives every shift's root
+    counts, [d, a, k] running along d."""
+    p = len(cm)
+    shifts = (np.arange(p)[:, None] + np.arange(p)) % p
+    return _uniform(shifts @ cm)
 
 
 def _rows_identical(cm: np.ndarray) -> np.ndarray:
-    """CountMatrix.rows_identical for each count matrix of a (K, p, p) tensor."""
-    return (cm == cm[:, :1]).all(axis=(1, 2))
+    """CountMatrix.rows_identical for each count matrix of a (p, p, K) tensor."""
+    return (cm == cm[0]).all(axis=(0, 1))
 
 
 def consensus_verdicts(tables: np.ndarray, p: int, n: int, m: int) -> dict[str, np.ndarray]:
@@ -421,49 +427,58 @@ def consensus_verdicts(tables: np.ndarray, p: int, n: int, m: int) -> dict[str, 
     hist = _tally(tables, 1, 0, p)
     ok = {name: np.ones(k, dtype=bool) for name in METHOD_NAMES}
     # the histogram is also the level-set sizes |W_i|
-    ok["orthogonal_array"] = (hist % strength == 0).all(axis=1)
-    expected = (hist // strength)[:, :, None]
-    subsets = list(combinations(range(1, n + 1), m))
+    ok["orthogonal_array"] = (hist % strength == 0).all(axis=0)
+    expected = (hist // strength)[:, None]
 
     def packed(subset):
         return np.array(_packed_digits(p, n, subset), dtype=np.int64)
 
-    def joint_counts(subset):
-        # axes 1..m hold the digits of x_S, most significant (S's last
-        # variable) first; the last axis holds the output
-        return _tally(tables, 1, p * packed(subset), p * strength).reshape((k,) + (p,) * (m + 1))
+    def weighted(c):
+        return np.array(_weighted_digits(p, c), dtype=np.int64) % p
 
-    def count_tensor(c):
-        # M[k, d, v] = #{x : c.x = d, table k at x = v}
-        d = np.array(_weighted_digits(p, c), dtype=np.int64) % p
-        return _tally(tables, 1, p * d, p * p).reshape(k, p, p)
+    def joint_counts(digits):
+        # axes 0..m-1 hold the digits of x_S, most significant (S's last
+        # variable) first; axis m holds the output
+        return _tally(tables, 1, p * digits, p * strength).reshape((p,) * (m + 1) + (k,))
 
-    def level_patterns(subset):
-        # level-major: [k, v, w] counts the pattern w of x_S over level set v
-        return _tally(tables, strength, packed(subset), p * strength).reshape(k, p, strength)
+    def count_tensor(d):
+        # M[d, v, k] = #{x : c.x = d, table k at x = v}
+        return _tally(tables, 1, p * d, p * p).reshape(p, p, k)
 
-    # each fold is looked up by name at call time, as in consensus
+    def level_patterns(digits):
+        # level-major: [v, w, k] counts the pattern w of x_S over level set v
+        return _tally(tables, strength, digits, p * strength).reshape(p, strength, k)
+
+    # each fold is looked up by name at call time, as in consensus; each
+    # item's digits are built once, for every tensor built from it
     streams = (
-        (subsets, joint_counts, {
-            "spectral": spectral.stratum_vanishes,
-            "definition": lambda j: (strength * j.reshape(k, -1, p) == hist[:, None]).all(
-                axis=(1, 2)),
-        }),
-        (_weighted_vectors(p, n, m), count_tensor, {
-            "chrestenson_cyclic": _cyclic_vanishes,
-            "chrestenson_linear": _linear_vanishes,
-            "matrix": _rows_identical,
-        }),
-        (subsets, level_patterns, {
-            "orthogonal_array": lambda w: (w == expected).all(axis=(1, 2)),
-        }),
+        (combinations(range(1, n + 1), m), packed, (
+            (joint_counts, {
+                "spectral": spectral.stratum_vanishes,
+                "definition": lambda j: (strength * j.reshape(-1, p, k) == hist).all(axis=(0, 1)),
+            }),
+            (level_patterns, {
+                "orthogonal_array": lambda w: (w == expected).all(axis=(0, 1)),
+            }),
+        )),
+        (_weighted_vectors(p, n, m), weighted, (
+            (count_tensor, {
+                "chrestenson_cyclic": _cyclic_vanishes,
+                "chrestenson_linear": _linear_vanishes,
+                "matrix": _rows_identical,
+            }),
+        )),
     )
-    for items, build, folds in streams:
+    for items, digits_of, builds in streams:
         for item in items:
             # no tensor is built once no row can still pass its folds
-            if not any(ok[name].any() for name in folds):
+            live = [(build, folds) for build, folds in builds
+                    if any(ok[name].any() for name in folds)]
+            if not live:
                 break
-            tensor = build(item)
-            for name, fold in folds.items():
-                ok[name] &= fold(tensor)
+            digits = digits_of(item)
+            for build, folds in live:
+                tensor = build(digits)
+                for name, fold in folds.items():
+                    ok[name] &= fold(tensor)
     return ok

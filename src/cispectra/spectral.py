@@ -33,7 +33,9 @@ lives on the frequency stratum gcd(j, N) = p^(n-m):
     the C(n, m) subsets at most once, and so does first_failing_tuple (the
     witness of the consensus "spectral" method).  stratum_vanishes is the
     same criterion over one subset's counts for a whole array of tables,
-    the fold reference.consensus_verdicts applies.  The search climb scores a
+    the fold reference.consensus_verdicts applies; those counts are
+    table-minor, shape (p, ..., p, K), so it compares along the short
+    leading digit axes with the K tables contiguous.  The search climb scores a
     table by ParsevalCost, p^m * sum over m-subsets S of SS(S) - C(n, m) *
     SS(empty set), SS being the sum of squared joint counts; it is zero
     exactly when every m-subset has equal rows.  A move is scored by
@@ -204,13 +206,14 @@ def first_failing_tuple(f: PFunction, m: int) -> VariableTuple | None:
 
 def stratum_vanishes(counts: np.ndarray) -> np.ndarray:
     """first_failing_tuple finds no tuple over one m-subset S, for each of
-    K tables: their (K, p, ..., p) joint counts of (x_S, f(x)), axes 1..m
-    holding the digits of x_S (S's last variable first) and the last axis
-    the output, change along none of axes 1..m (_axis_changes), as K bools."""
-    k = len(counts)
+    K tables: their (p, ..., p, K) joint counts of (x_S, f(x)), axes 0..m-1
+    holding the digits of x_S (S's last variable first), axis m the output
+    and the last axis the tables, change along none of axes 0..m-1
+    (_axis_changes), as K bools."""
+    k = counts.shape[-1]
     ok = np.ones(k, dtype=bool)
-    for axis in range(1, counts.ndim - 1):
-        ok &= ~np.diff(counts, axis=axis).reshape(k, -1).any(axis=1)
+    for axis in range(counts.ndim - 2):
+        ok &= ~np.diff(counts, axis=axis).reshape(-1, k).any(axis=0)
     return ok
 
 

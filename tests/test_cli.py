@@ -1041,6 +1041,13 @@ PINNED_OUTPUTS = [
      "5d5c014ba637cebc0db5d84612a12e37d02bc74ba64de0c83b9c8b6ba7ea20e0"),
     ("crosscheck --json --p 97 --n 1 --m 1 --random 300 --seed 7", False, EXIT_OK,
      "cc94ca44bf1b6687f45ab202cac3f70c24adc383d3d348771f49cd3ad16b587e"),
+    # every order of the exhaustive (3,2) family, p = 7 at m = 2, and m = 3
+    ("crosscheck --json --exhaustive --p 3 --n 2 --m 2", False, EXIT_OK,
+     "527c8bc8c26c7a4194fdbd393d60d0aa58c81ff3494862d2723019531764cf6c"),
+    ("crosscheck --json --random 200 --seed 7 --p 7 --n 2 --m 2", False, EXIT_OK,
+     "1a73b3a19046fe2659fbc99f8bd5459198e99a1de319bf9e436bd04f98a4fdf6"),
+    ("crosscheck --json --random 30 --seed 7 --p 2 --n 10 --m 3", False, EXIT_OK,
+     "3be4f1f41bac08581b2ee053fcf69b2dcf99afa88eab0a8e4af8b8fff37a4f59"),
     ("crosscheck --p 2 --n 2 --m 1 --exhaustive", True, EXIT_DISAGREEMENT,
      "cbdef47698e033f8a7cfccb928078c313bb20132e7c08acdc5f272643ad0cfe9"),
     ("crosscheck --p 3 --n 2 --m 1 --random 5 --json", True, EXIT_DISAGREEMENT,
@@ -1062,7 +1069,8 @@ PINNED_OUTPUTS = [
 def test_output_is_pinned(capsys, monkeypatch, args, lie, code, digest):
     if lie:
         monkeypatch.setattr(spectral, "first_failing_tuple", lambda f, m: None)
-        monkeypatch.setattr(spectral, "stratum_vanishes", lambda counts: np.ones(len(counts), bool))
+        monkeypatch.setattr(
+            spectral, "stratum_vanishes", lambda counts: np.ones(counts.shape[-1], bool))
     got_code, out = run(capsys, *args.split())
     assert got_code == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -685,11 +685,11 @@ def test_tally_is_the_single_table_counts_per_row(p, n):
         packed = np.array(_packed_digits(p, n, indices), dtype=np.int64)
         # joint counts, cell w * p + v
         got = _tally(tables, 1, p * packed, p * strength)
-        assert got.shape == (5, p * strength)
-        assert [row.tolist() for row in got] == [_joint_counts(f, indices) for f in fs]
+        assert got.shape == (p * strength, 5)
+        assert [row.tolist() for row in got.T] == [_joint_counts(f, indices) for f in fs]
         # level-major pattern counts, cell v * p^len + w, against a tally per level
-        got = _tally(tables, strength, packed, p * strength).reshape(5, p, strength)
-        for f, counts in zip(fs, got.tolist()):
+        got = _tally(tables, strength, packed, p * strength).reshape(p, strength, 5)
+        for f, counts in zip(fs, got.transpose(2, 0, 1).tolist()):
             for v in range(p):
                 level = Counter(
                     sum(digits_of(x, p, n)[i - 1] * p**r for r, i in enumerate(indices))
@@ -700,8 +700,8 @@ def test_tally_is_the_single_table_counts_per_row(p, n):
         for r, i in enumerate(indices):
             c[i - 1] = r % (p - 1) + 1
         d = np.array(_weighted_digits(p, c), dtype=np.int64) % p
-        got = _tally(tables, 1, p * d, p * p).reshape(5, p, p)
-        assert [tuple(map(tuple, cm)) for cm in got.tolist()] == [
+        got = _tally(tables, 1, p * d, p * p).reshape(p, p, 5)
+        assert [tuple(map(tuple, cm)) for cm in got.transpose(2, 0, 1).tolist()] == [
             count_matrix(f, c).entries for f in fs]
 
 

@@ -478,10 +478,55 @@ def test_batch_verdicts_equal_the_oracles_on_seeded_families(p, n):
         assert all(v[-2] == (m < n) and v[-1] for v in verdicts.values())
 
 
+def _cyclic_fold(rows):
+    """chrestenson_cyclic's fold of one count matrix: M[d][v] on omega^(v - d)."""
+    p = len(rows)
+    counts = [0] * p
+    for d, row in enumerate(rows):
+        for v, k in enumerate(row):
+            counts[(v - d) % p] += k
+    return CycloElement.from_root_counts(p, 1, counts)
+
+
+def _count_tensors(p, seed):
+    """A seeded (p, p, K) tensor of integer count matrices [d, v, k], 20 of
+    each kind: entries in 0..3; identical rows; x[d] + y[v] (the cyclic fold
+    vanishes, and the rows are identical only when x is constant, as it is
+    for the first 5); and identical rows plus t[d] in column 0 with t not
+    constant (the linear fold of shift 0 alone vanishes, no other fold)."""
+    rng = np.random.default_rng(seed)
+    free = rng.integers(0, 4, size=(p, p, 20))
+    equal = np.broadcast_to(rng.integers(0, 4, size=(1, p, 20)), (p, p, 20))
+    x = rng.integers(0, 4, size=(p, 1, 20))
+    x[:, :, :5] = x[:1, :, :5]
+    x[0, :, 5:] = x[-1, :, 5:] + 1
+    column = np.broadcast_to(rng.integers(0, 4, size=(1, p, 20)), (p, p, 20)).copy()
+    column[0, 0] += 1 + rng.integers(0, 4, size=20)
+    return np.concatenate([free, equal, x + rng.integers(0, 4, size=(1, p, 20)), column], axis=2)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_batch_folds_equal_the_single_table_folds_on_each_matrix(p):
+    cm = _count_tensors(p, seed=p)
+    linear, cyclic = reference._linear_vanishes(cm), reference._cyclic_vanishes(cm)
+    rows = reference._rows_identical(cm)
+    assert linear.shape == cyclic.shape == rows.shape == (80,)
+    for k, matrix in enumerate(cm.transpose(2, 0, 1).tolist()):
+        assert linear[k] == all(
+            CycloElement.from_root_counts(p, 1, counts).is_zero() for counts in _shift_folds(matrix))
+        assert cyclic[k] == _cyclic_fold(matrix).is_zero()
+        assert rows[k] == CountMatrix((1,), tuple(map(tuple, matrix))).rows_identical()
+    # every kind is there: identical rows pass all three folds, x[d] + y[v]
+    # the cyclic fold alone unless x is constant, and a column-0 change
+    # only the linear fold of shift 0
+    assert rows[20:45].all() and linear[20:45].all() and cyclic[20:60].all()
+    assert not (rows[45:].any() or linear[45:].any() or cyclic[60:].any())
+    assert _linear_shift_zero_only(cm)[60:].all()
+
+
 def _linear_shift_zero_only(cm):
-    """Mutant: the linear fold of shift 0 alone."""
-    base = (cm * np.arange(cm.shape[-1])).sum(axis=2)
-    return reference._uniform(base)
+    """Mutant: the linear fold of shift 0 alone, sum_v v * M[d][v] on omega^d."""
+    return reference._uniform(np.arange(len(cm)) @ cm)
 
 
 def test_batch_check_catches_a_linear_form_that_folds_shift_zero_only(monkeypatch):
@@ -528,9 +573,10 @@ def test_batch_verdicts_reject_a_wrong_shape_or_an_entry_outside_the_field(table
 
 def _spy_tallies(monkeypatch):
     """Record (rows, entries, scale, cells) of every tally consensus_verdicts
-    makes, and each time it checks its input."""
-    tallies, checks = [], []
-    tally, check = reference._tally, reference._batch_tables
+    makes, the arguments each time it checks its input, and the variable
+    tuple of each digit packing."""
+    tallies, checks, packings = [], [], []
+    tally, check, pack = reference._tally, reference._batch_tables, reference._packed_digits
 
     def spy_tally(tables, scale, digits, cells):
         tallies.append((len(tables), tables.size, scale, cells))
@@ -540,9 +586,14 @@ def _spy_tallies(monkeypatch):
         checks.append(args[1:])
         return check(*args)
 
+    def spy_pack(p, n, indices):
+        packings.append(tuple(indices))
+        return pack(p, n, indices)
+
     monkeypatch.setattr(reference, "_tally", spy_tally)
     monkeypatch.setattr(reference, "_batch_tables", spy_check)
-    return tallies, checks
+    monkeypatch.setattr(reference, "_packed_digits", spy_pack)
+    return tallies, checks, packings
 
 
 def test_batch_verdicts_build_each_count_object_once(monkeypatch):
@@ -551,7 +602,7 @@ def test_batch_verdicts_build_each_count_object_once(monkeypatch):
     forms = [parse_polynomial(f"{a}*x1 + {a}*x2 + {a}*x3 + {b}", p, n)
              for a in (1, 2) for b in range(p)]
     tables = np.array([f.table for f in forms], dtype=np.int64)
-    tallies, checks = _spy_tallies(monkeypatch)
+    tallies, checks, packings = _spy_tallies(monkeypatch)
     verdicts = reference.consensus_verdicts(tables, p, n, m)
     assert all(v.all() for v in verdicts.values())
     assert checks == [(p, n, m)]
@@ -559,6 +610,8 @@ def test_batch_verdicts_build_each_count_object_once(monkeypatch):
     # c-vector's count matrix and each 2-subset's level-major pattern counts
     assert Counter((scale, cells) for _, _, scale, cells in tallies) == {
         (1, p): 1, (1, p**3): 3, (1, p * p): 18, (p**2, p**3): 3}
+    # one packing per 2-subset feeds both of its tensors
+    assert packings == [(1, 2), (1, 3), (2, 3)]
 
 
 def test_batch_verdicts_build_nothing_once_every_table_has_failed(monkeypatch):
@@ -566,11 +619,12 @@ def test_batch_verdicts_build_nothing_once_every_table_has_failed(monkeypatch):
     # and its level sizes 26 and 1 fail the divisibility test
     p, n, m = 3, 3, 2
     tables = np.eye(p**n, dtype=np.int64)
-    tallies, _ = _spy_tallies(monkeypatch)
+    tallies, _, packings = _spy_tallies(monkeypatch)
     verdicts = reference.consensus_verdicts(tables, p, n, m)
     assert not any(v.any() for v in verdicts.values())
     assert Counter((scale, cells) for _, _, scale, cells in tallies) == {
         (1, p): 1, (1, p**3): 1, (1, p * p): 1}
+    assert packings == [(1, 2)]
 
 
 @pytest.mark.parametrize("argv", [
@@ -580,7 +634,7 @@ def test_batch_verdicts_build_nothing_once_every_table_has_failed(monkeypatch):
 ])
 def test_crosscheck_tallies_hold_at_most_a_chunk_of_cells(capsys, monkeypatch, argv):
     # K * max(p^n, p^2, p^(m+1)) <= CHUNK_CELLS unless K is one table
-    tallies, _ = _spy_tallies(monkeypatch)
+    tallies, _, _ = _spy_tallies(monkeypatch)
     assert cli.main(["crosscheck", *argv.split()]) == 0
     capsys.readouterr()
     assert tallies
