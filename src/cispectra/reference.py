@@ -58,23 +58,22 @@ Each method keeps its own criterion, an integer fold of one kind:
   chrestenson_cyclic the root counts of omega^(f(x) - c.x), folded from M_c,
                      reduce to zero as in from_root_counts: coordinate j
                      minus coordinate p-1
-  chrestenson_linear the same on every shift a, all p at once by one exact
-                     int64 product shifts @ M_c, shifts[a, v] = (v + a)
-                     mod p: p^3 multiplications per matrix, where
-                     _shift_folds' recurrence takes O(p^2)
+  chrestenson_linear the same on every shift a, by _shift_folds'
+                     recurrence: shift 0's fold and each of the p-1 steps
+                     from shift a-1 to shift a vanish, O(p^2) per matrix
   matrix             M_c has identical rows
   orthogonal_array   p^m divides every |W_i|, tested before any W_S is
                      built, and every count in W_S is |W_i| / p^m; the
                      method tallies W_S itself, level by level, rather than
                      reading J_S
 
-One loop runs over the m-subsets, building J_S and W_S from one packing of
-the subset's digits, and then over the c-vectors, building M_c; it applies
-every fold of a tensor to it, and skips a build once no row can still
-pass that tensor's folds.  No batch form calls ci_order, _rows_equal or
+Two plain loops build them: one over the m-subsets, where one packing of
+the subset's digits feeds J_S and W_S, and one over the c-vectors, where
+M_c feeds its three folds.  Each build is skipped once no row can still
+pass the folds that read it.  No batch form calls ci_order, _rows_equal or
 _row_transform, and no float decides a verdict.  int64 cannot overflow:
-every count is at most p^n, every product (p^m * J_S, each entry of
-shifts @ M_c) at most p * p^n, and p^n is at most the 2^31 limit of
+every count is at most p^n, every product (p^m * J_S, p * M_c, the shift-0
+fold) at most p * p^n, and p^n is at most the 2^31 limit of
 MAX_TABLE_ENTRIES.
 
 A chunk holds _chunk_rows(p, n, m) tables, K * max(p^n, p^2, p^(m+1)) <=
@@ -95,6 +94,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations, product
 
 import numpy as np
@@ -283,11 +283,13 @@ def orthogonal_array_witness(f: PFunction, m: int):
         b = len(levels[i])
         if b % strength != 0:
             return {"value": i, "class_size": b}
+    # each subset is packed on first use and kept for the later levels
+    packing = cache(lambda subset: _packed_digits(p, f.n, subset))
     for i in range(p):
         rows_k = levels[i]
         expected = len(rows_k) // strength
         for subset in combinations(range(1, f.n + 1), m):
-            packed = _packed_digits(p, f.n, subset)
+            packed = packing(subset)
             counts = [0] * strength
             for k in rows_k:
                 counts[packed[k]] += 1
@@ -404,13 +406,16 @@ def _cyclic_vanishes(cm: np.ndarray) -> np.ndarray:
 
 def _linear_vanishes(cm: np.ndarray) -> np.ndarray:
     """chrestenson_linear_witness finds no shift failing at c, for each
-    count matrix of a (p, p, K) tensor: shift a puts
-    sum_v ((v + a) mod p) * M[d][v] on omega^d, so one exact integer product
-    shifts @ M, shifts[a, v] = (v + a) mod p, gives every shift's root
-    counts, [d, a, k] running along d."""
+    count matrix of a (p, p, K) tensor.  As in _shift_folds, shift 0 puts
+    sum_v v * M[d][v] on omega^d and shift a adds rowsum[d] - p * M[d][p-a]
+    to shift a-1; zero elements are closed under sums and differences, so
+    every shift vanishes iff shift 0 and each of the p-1 steps does.  One
+    [d, j, k] array holds shift 0 at j = 0 and the step through column j
+    at j >= 1: O(p^2) per matrix."""
     p = len(cm)
-    shifts = (np.arange(p)[:, None] + np.arange(p)) % p
-    return _uniform(shifts @ cm)
+    folds = cm.sum(axis=1, keepdims=True) - p * cm
+    folds[:, 0] = np.arange(p) @ cm
+    return _uniform(folds)
 
 
 def _rows_identical(cm: np.ndarray) -> np.ndarray:
@@ -429,56 +434,30 @@ def consensus_verdicts(tables: np.ndarray, p: int, n: int, m: int) -> dict[str, 
     # the histogram is also the level-set sizes |W_i|
     ok["orthogonal_array"] = (hist % strength == 0).all(axis=0)
     expected = (hist // strength)[:, None]
-
-    def packed(subset):
-        return np.array(_packed_digits(p, n, subset), dtype=np.int64)
-
-    def weighted(c):
-        return np.array(_weighted_digits(p, c), dtype=np.int64) % p
-
-    def joint_counts(digits):
-        # axes 0..m-1 hold the digits of x_S, most significant (S's last
-        # variable) first; axis m holds the output
-        return _tally(tables, 1, p * digits, p * strength).reshape((p,) * (m + 1) + (k,))
-
-    def count_tensor(d):
+    # each fold is looked up by name at call time, as in consensus, and no
+    # tensor is built once no row can still pass the folds that read it
+    for subset in combinations(range(1, n + 1), m):
+        joint = ok["spectral"].any() or ok["definition"].any()
+        if not (joint or ok["orthogonal_array"].any()):
+            break
+        digits = np.array(_packed_digits(p, n, subset), dtype=np.int64)
+        if joint:
+            # axes 0..m-1 hold the digits of x_S, most significant (S's
+            # last variable) first; axis m holds the output
+            j = _tally(tables, 1, p * digits, p * strength).reshape((p,) * (m + 1) + (k,))
+            ok["spectral"] &= spectral.stratum_vanishes(j)
+            ok["definition"] &= (strength * j.reshape(-1, p, k) == hist).all(axis=(0, 1))
+        if ok["orthogonal_array"].any():
+            # level-major: [v, w, k] counts the pattern w of x_S over level set v
+            w = _tally(tables, strength, digits, p * strength).reshape(p, strength, k)
+            ok["orthogonal_array"] &= (w == expected).all(axis=(0, 1))
+    for c in _weighted_vectors(p, n, m):
+        if not (ok["chrestenson_cyclic"] | ok["chrestenson_linear"] | ok["matrix"]).any():
+            break
         # M[d, v, k] = #{x : c.x = d, table k at x = v}
-        return _tally(tables, 1, p * d, p * p).reshape(p, p, k)
-
-    def level_patterns(digits):
-        # level-major: [v, w, k] counts the pattern w of x_S over level set v
-        return _tally(tables, strength, digits, p * strength).reshape(p, strength, k)
-
-    # each fold is looked up by name at call time, as in consensus; each
-    # item's digits are built once, for every tensor built from it
-    streams = (
-        (combinations(range(1, n + 1), m), packed, (
-            (joint_counts, {
-                "spectral": spectral.stratum_vanishes,
-                "definition": lambda j: (strength * j.reshape(-1, p, k) == hist).all(axis=(0, 1)),
-            }),
-            (level_patterns, {
-                "orthogonal_array": lambda w: (w == expected).all(axis=(0, 1)),
-            }),
-        )),
-        (_weighted_vectors(p, n, m), weighted, (
-            (count_tensor, {
-                "chrestenson_cyclic": _cyclic_vanishes,
-                "chrestenson_linear": _linear_vanishes,
-                "matrix": _rows_identical,
-            }),
-        )),
-    )
-    for items, digits_of, builds in streams:
-        for item in items:
-            # no tensor is built once no row can still pass its folds
-            live = [(build, folds) for build, folds in builds
-                    if any(ok[name].any() for name in folds)]
-            if not live:
-                break
-            digits = digits_of(item)
-            for build, folds in live:
-                tensor = build(digits)
-                for name, fold in folds.items():
-                    ok[name] &= fold(tensor)
+        d = np.array(_weighted_digits(p, c), dtype=np.int64) % p
+        cm = _tally(tables, 1, p * d, p * p).reshape(p, p, k)
+        ok["chrestenson_cyclic"] &= _cyclic_vanishes(cm)
+        ok["chrestenson_linear"] &= _linear_vanishes(cm)
+        ok["matrix"] &= _rows_identical(cm)
     return ok

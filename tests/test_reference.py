@@ -359,6 +359,18 @@ def test_orthogonal_array_pattern_witness_recount():
         assert w["expected"] == len(level) // 2
 
 
+def test_orthogonal_array_packs_each_subset_once(monkeypatch):
+    # x1 + x2 + x3 + x4 over F_3 is 2-CI, so every level reads every 2-subset
+    f = parse_polynomial("x1 + x2 + x3 + x4", 3, 4)
+    packings = []
+    pack = reference._packed_digits
+    monkeypatch.setattr(
+        reference, "_packed_digits",
+        lambda p, n, indices: packings.append(tuple(indices)) or pack(p, n, indices))
+    assert orthogonal_array_witness(f, 2) is None
+    assert packings == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+
+
 def test_orthogonal_array_matches_definition():
     rng = random.Random(167)
     for f, m in _battery(rng, 40):
@@ -468,7 +480,7 @@ def test_batch_verdicts_equal_the_oracles_on_every_table(p, n):
         assert _mismatches(tables, p, n, m, verdicts) == []
 
 
-@pytest.mark.parametrize("p,n", [(2, 5), (3, 3), (5, 2), (7, 2), (11, 1)])
+@pytest.mark.parametrize("p,n", [(2, 5), (3, 3), (5, 2), (7, 2), (11, 1), (13, 2), (97, 1)])
 def test_batch_verdicts_equal_the_oracles_on_seeded_families(p, n):
     tables = _family(p, n, seed=p * 100 + n)
     for m in range(1, n + 1):
@@ -505,7 +517,7 @@ def _count_tensors(p, seed):
     return np.concatenate([free, equal, x + rng.integers(0, 4, size=(1, p, 20)), column], axis=2)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 97])
 def test_batch_folds_equal_the_single_table_folds_on_each_matrix(p):
     cm = _count_tensors(p, seed=p)
     linear, cyclic = reference._linear_vanishes(cm), reference._cyclic_vanishes(cm)
