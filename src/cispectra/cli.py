@@ -261,7 +261,7 @@ def cmd_crosscheck(args) -> int:
         (split,) = (votes % len(verdicts) != 0).nonzero()
         disagreements += len(split)
         if first_bad is None and len(split):
-            f = PFunction(p, n, tables[split[0]].tolist())
+            f = PFunction(p, n, tables[split[0]])
             first_bad = {"table": write_table(f), "report": reference.consensus(f, m).record()}
     record = {
         "p": p,
@@ -299,7 +299,7 @@ def _search_start(rng: random.Random, p: int, n: int, resilient: bool) -> PFunct
         return _random_table(rng, p, n)
     values = [v for v in range(p) for _ in range(p ** (n - 1))]
     rng.shuffle(values)
-    return PFunction(p, n, tuple(values))
+    return PFunction(p, n, values)
 
 
 def _search_mutate(

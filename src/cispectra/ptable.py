@@ -31,17 +31,22 @@ the output histogram cm[v].  Packed digits are built on demand from x_1 up
 (_weighted_digits): one comprehension per weighted variable, p^j long for the
 highest weighted x_j, then list repetition up to p^n.
 
-Array view
-----------
-PFunction.array is the table as a read-only ndarray of shape (p,)*n in C
-order.  Axis j holds x_(n-j), so x_1 is the last, fastest-varying axis and
-array.ravel() is the table in index order.  It is built on first use only:
-the many tiny tables of search and crosscheck never need it.
+Storage and array view
+----------------------
+A PFunction stores its values once, as PFunction.flat: a read-only 1-D
+ndarray in index order, of the narrowest unsigned dtype that holds p - 1
+(uint8 up to p = 256, uint16 up to p = 65,536, uint32 beyond).
+PFunction.array is the same values viewed with shape (p,)*n in C order.
+Axis j holds x_(n-j), so x_1 is the last, fastest-varying axis.
+PFunction.table is the values as a tuple of ints for the per-point Python
+loops (_joint_counts, the reference oracles); it is built on first use
+only, so a large table that only numpy code reads never holds p^n Python
+ints.
 
 Everything here is an immutable value and every function is pure; no
-module-level state remains.  The one cache on an object, PFunction.array,
-is written once with a value derived from the table, so objects can be
-shared freely across threads.
+module-level state remains.  The caches on an object, PFunction.array and
+PFunction.table, are written once with values derived from flat, so
+objects can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -120,27 +125,63 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+class _EntryOutOfRange(ValueError):
+    """A table entry outside 0..p-1; index is its position in the table."""
+
+    def __init__(self, entry, index: int, p: int):
+        super().__init__(f"table entry {entry} is outside 0..{p - 1}")
+        self.index = index
+
+
 class PFunction:
     """A function F_p^n -> F_p given by its full value table.
 
-    table[k] = f(x) for the point x encoded by k as in the module docstring.
+    PFunction(p, n, table) takes any integer sequence or integer ndarray of
+    the p^n values, table[k] = f(x) for the point x encoded by k as in the
+    module docstring, and keeps a read-only copy in flat (module docstring,
+    Storage).  Two functions are equal, and hash equal, iff their p, n and
+    values are.
     """
 
-    p: int
-    n: int
-    table: tuple[int, ...]
-
-    def __post_init__(self):
-        _check_p_n(self.p, self.n, MAX_TABLE_ENTRIES)
-        size = self.p**self.n
-        table = tuple(map(int, self.table))
-        object.__setattr__(self, "table", table)
+    def __init__(self, p: int, n: int, table: Sequence[int] | np.ndarray):
+        _check_p_n(p, n, MAX_TABLE_ENTRIES)
+        size = p**n
+        array = isinstance(table, np.ndarray)
+        if array and (table.ndim != 1 or table.dtype.kind not in "biu"):
+            raise ValueError(f"table must be a 1-D integer array, got {table.dtype} {table.shape}")
+        if not array and not isinstance(table, (tuple, list)):
+            table = tuple(table)
         if len(table) != size:
             raise ValueError(f"table must have p^n = {size} entries, got {len(table)}")
-        if min(table) < 0 or max(table) >= self.p:
-            bad = next(v for v in table if not 0 <= v < self.p)
-            raise ValueError(f"table entry {bad} is outside 0..{self.p - 1}")
+        # builtin min and max on a sequence: fast on the many tiny tables,
+        # and exact on Python ints beyond int64
+        low, high = (table.min(), table.max()) if array else (min(table), max(table))
+        if low < 0 or high >= p:
+            if array:
+                bad = int(np.flatnonzero((table < 0) | (table >= p))[0])
+            else:
+                bad = next(k for k, v in enumerate(table) if not 0 <= v < p)
+            raise _EntryOutOfRange(table[bad], bad, p)
+        flat = np.array(table, dtype=np.uint8 if p <= 256 else np.uint16 if p <= 65536 else np.uint32)
+        flat.flags.writeable = False
+        self.__dict__.update(p=p, n=n, flat=flat)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PFunction is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"PFunction is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, PFunction):
+            return NotImplemented
+        return self.p == other.p and self.n == other.n and np.array_equal(self.flat, other.flat)
+
+    def __hash__(self):
+        return hash((self.p, self.n, self.flat.tobytes()))
+
+    def __repr__(self):
+        return f"PFunction(p={self.p}, n={self.n}, table={tuple(self.flat.tolist())})"
 
     @property
     def size(self) -> int:
@@ -148,21 +189,20 @@ class PFunction:
 
     @cached_property
     def array(self) -> np.ndarray:
-        """The table as a read-only ndarray of shape (p,)*n, axis j holding
-        x_(n-j) (module docstring); uint8 for p <= 256, int64 otherwise."""
-        if self.p <= 256:
-            flat = np.frombuffer(bytes(self.table), dtype=np.uint8)
-        else:
-            flat = np.array(self.table, dtype=np.int64)
-        out = flat.reshape((self.p,) * self.n)
-        out.flags.writeable = False
-        return out
+        """flat as a read-only view of shape (p,)*n, axis j holding x_(n-j)
+        (module docstring)."""
+        return self.flat.reshape((self.p,) * self.n)
+
+    @cached_property
+    def table(self) -> tuple[int, ...]:
+        """The values as a tuple of ints, table[k] = f(x(k))."""
+        return tuple(memoryview(self.flat))
 
     def evaluate(self, x: Sequence[int]) -> int:
         """Value of f at the point x = (x_1, ..., x_n)."""
         if len(x) != self.n:
             raise ValueError(f"point has {len(x)} coordinates, expected {self.n}")
-        return self.table[index_of(x, self.p)]
+        return int(self.flat[index_of(x, self.p)])
 
 
 @dataclass(frozen=True)
@@ -282,7 +322,7 @@ def apply_permutation(f: PFunction, mapping: Sequence[int]) -> PFunction:
     axes = [0] * n
     for b in range(n):
         axes[n - mapping[n - b - 1]] = b
-    return PFunction(f.p, n, tuple(f.array.transpose(axes).ravel().tolist()))
+    return PFunction(f.p, n, f.array.transpose(axes).ravel())
 
 
 def is_symmetric(f: PFunction) -> bool:
@@ -298,8 +338,7 @@ def is_symmetric(f: PFunction) -> bool:
 
 def is_balanced(f: PFunction) -> bool:
     """True iff every output value occurs exactly p^(n-1) times."""
-    fiber = f.size // f.p
-    return all(c == fiber for c in _joint_counts(f, ()))
+    return bool((np.bincount(f.flat, minlength=f.p) == f.size // f.p).all())
 
 
 # --------------------------------------------------------------------------
@@ -408,7 +447,7 @@ def parse_polynomial(text: str, p: int, n: int) -> PFunction:
             v = v * _power_column(p, e).reshape((p,) + (1,) * (i - 1)) % p
         table += v
         table %= p
-    return PFunction(p, n, table.ravel().tolist())
+    return PFunction(p, n, table.ravel())
 
 
 def random_function(p: int, n: int, seed: int) -> PFunction:
@@ -471,9 +510,7 @@ def _random_table(rng: random.Random, p: int, n: int) -> PFunction:
     leaving rng where they would.  _draws reads them in bulk off the 32-bit
     Mersenne Twister words, as CPython's _randbelow_with_getrandbits does;
     p < 2^32 for every table within MAX_TABLE_ENTRIES."""
-    # PFunction copies the table again; copied from a list rather than a
-    # tuple, perfbench's large-table inputs held 3-5 MiB more peak RSS
-    return PFunction(p, n, tuple(_draws(rng, p, p**n).tolist()))
+    return PFunction(p, n, _draws(rng, p, p**n))
 
 
 def all_functions(p: int, n: int) -> Iterator[PFunction]:
@@ -526,23 +563,31 @@ def read_table(text: str) -> PFunction:
     """Parse the two-line truth-table format."""
     # After strip() a body is empty or ends in a token; numpy would read a
     # blank body as [0].  Overlong digit strings saturate to 2^63 - 1 and
-    # fail the range check of PFunction.
+    # fail the range check of PFunction, which gives their position, so
+    # the error names each bad entry as written.
     p, n, body = _table_header(text)
     try:
         values = np.fromstring(body, dtype=np.int64, sep=" ")
     except ValueError:
-        tokens = re.split(r"[ \t\n\r\f\v]+", body)
-        bad = next((t for t in tokens if t and not re.fullmatch(r"[+-]?[0-9]+", t)), "")
+        bad = next((t for t in _tokens(body) if not re.fullmatch(r"[+-]?[0-9]+", t)), "")
         raise ParseError(f"table entries must be integers, got {bad!r}") from None
     try:
-        return PFunction(p, n, values.tolist())
+        return PFunction(p, n, values)
     except SizeLimitError:
         raise
+    except _EntryOutOfRange as e:
+        bad = _tokens(body)[e.index]
+        raise ParseError(f"table entry {bad!r} is outside 0..{p - 1}") from None
     except ValueError as e:
         raise ParseError(str(e)) from None
 
 
+def _tokens(body: str) -> list[str]:
+    """The entries of a truth-table body, split at ASCII whitespace."""
+    return [t for t in re.split(r"[ \t\n\r\f\v]+", body) if t]
+
+
 def write_table(f: PFunction) -> str:
     """Render the two-line truth-table format."""
-    labels = [str(v) for v in range(f.p)]
-    return f"{f.p} {f.n}\n{' '.join(map(labels.__getitem__, f.table))}\n"
+    labels = np.array([str(v) for v in range(f.p)], dtype=object)
+    return f"{f.p} {f.n}\n{' '.join(labels[f.flat].tolist())}\n"

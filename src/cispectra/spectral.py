@@ -329,11 +329,11 @@ def _rows_equal(f: PFunction, indices) -> bool:
     changes connect all rows.
 
     Over all n variables each row holds a single 1, at f(w), so the rows are
-    equal iff f is constant; that case is read off the table without
+    equal iff f is constant; that case is read off f.flat without
     building its p^(n+1) counts.
     """
     if len(indices) == f.n:
-        return min(f.table) == max(f.table)
+        return bool(f.flat.min() == f.flat.max())
     cm = _joint_counts(f, indices)
     return cm == cm[: f.p] * (len(cm) // f.p)
 
@@ -500,7 +500,7 @@ def resiliency_order(f: PFunction) -> int:
 # --------------------------------------------------------------------------
 
 def _omega_sequence(f: PFunction) -> np.ndarray:
-    return np.exp(2j * np.pi / f.p * np.asarray(f.table, dtype=np.float64))
+    return np.exp(2j * np.pi / f.p * np.asarray(f.flat, dtype=np.float64))
 
 
 def dft_float(f: PFunction) -> np.ndarray:

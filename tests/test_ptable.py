@@ -31,6 +31,7 @@ from cispectra import (
     read_table,
     write_table,
 )
+from cispectra.spectral import _rows_equal, autocorrelation, dft_float
 from cispectra.ptable import (
     _DRAW_TAIL,
     _draws,
@@ -105,6 +106,72 @@ def test_pfunction_validation():
         PFunction(2, 2, (0, 1, 0, 2))
     with pytest.raises(ValueError):
         PFunction(3, 1, (0, -1, 0))
+
+
+def test_pfunction_has_value_semantics_over_every_input_form():
+    poly = parse_polynomial("x1*x2 + x1", 2, 2)  # 1 at x = (1, 0) only
+    seed = next(s for s in range(1000) if random_function(2, 2, s).flat.tolist() == [0, 1, 0, 0])
+    forms = [
+        PFunction(2, 2, (0, 1, 0, 0)),
+        PFunction(2, 2, [0, 1, 0, 0]),
+        PFunction(2, 2, np.array([0, 1, 0, 0], dtype=np.int64)),
+        PFunction(2, 2, np.array([0, 1, 0, 0], dtype=np.uint8)),
+        read_table("2 2\n0 1 0 0\n"),
+        poly,
+        random_function(2, 2, seed),
+    ]
+    assert all(f == forms[0] and hash(f) == hash(forms[0]) for f in forms)
+    assert len(set(forms)) == 1
+    assert forms[0] != PFunction(2, 2, (0, 1, 0, 1))
+    assert forms[0] != forms[0].table  # a tuple is not a function
+
+
+def test_pfunction_stores_a_read_only_copy():
+    source = np.array([0, 2, 1, 1, 0, 2, 2, 1, 0], dtype=np.int64)
+    f = PFunction(3, 2, source)
+    source[0] = 1  # the constructor copied it
+    assert f.table[0] == 0
+    for stored in (f.flat, f.array):
+        with pytest.raises(ValueError):
+            stored[(0,) * stored.ndim] = 1
+    assert f.flat[0] == 0
+    with pytest.raises(AttributeError):
+        f.p = 5  # p, n and the values fix the hash
+
+
+@pytest.mark.parametrize("form", [tuple, list, lambda t: np.array(t, dtype=np.int64)])
+def test_pfunction_names_the_first_bad_entry(form):
+    with pytest.raises(ValueError, match="p\\^n = 9 entries, got 8"):
+        PFunction(3, 2, form([0] * 8))
+    for table, bad in [((0, 1, -1, 3), "-1"), ((0, 1, 3, -1), "3"), ((0, 7, 0, 0), "7")]:
+        with pytest.raises(ValueError, match=f"^table entry {bad} is outside 0..2$"):
+            PFunction(3, 2, form(table + (0,) * 5))
+    if form is not tuple and form is not list:
+        return
+    for big in (2**63, 2**70, -(2**63) - 1):
+        with pytest.raises(ValueError, match=f"^table entry {big} is outside 0..2$"):
+            PFunction(3, 2, form((0, 1, big, 5) + (0,) * 5))
+
+
+@pytest.mark.parametrize("p,dtype", [(2, np.uint8), (257, np.uint16), (65537, np.uint32)])
+def test_pfunction_stores_the_narrowest_unsigned_dtype(p, dtype):
+    f = PFunction(p, 1, range(p))
+    assert f.flat.dtype == dtype and f.array.dtype == dtype
+    assert f.evaluate((p - 1,)) == p - 1
+
+
+def test_array_readers_never_build_the_tuple():
+    f = random_function(2, 12, seed=8)
+    g = read_table(write_table(f))
+    h = apply_permutation(g, list(range(12, 1, -1)) + [1])
+    is_symmetric(g)
+    is_balanced(g)
+    dft_float(g)
+    autocorrelation(g)
+    assert not _rows_equal(g, tuple(range(1, 13)))
+    assert _rows_equal(PFunction(2, 12, np.ones(2**12, dtype=np.uint8)), tuple(range(1, 13)))
+    for built in (f, g, h):
+        assert "table" not in vars(built)
 
 
 def test_pfunction_size_cap_beats_length_check():
@@ -259,7 +326,7 @@ def test_helpers_import_only_the_top_level_package():
     assert [m for m in modules if m.split(".")[0] == "cispectra"] == ["cispectra"]
 
 
-@pytest.mark.parametrize("p,n,dtype", [(3, 4, np.uint8), (257, 2, np.int64)])
+@pytest.mark.parametrize("p,n,dtype", [(3, 4, np.uint8), (257, 2, np.uint16)])
 def test_array_view_is_lazy_read_only_and_in_index_order(p, n, dtype):
     f = random_function(p, n, seed=p + n)
     assert "array" not in vars(f)  # built on first use, not by the constructor
@@ -750,8 +817,8 @@ def test_write_table_matches_per_entry_str(p, n):
 def test_read_table_rejects_bad_tokens(token):
     with pytest.raises(ParseError) as exc:
         read_table(f"2 2\n0 1 {token} 0\n")
-    if not token.lstrip("-").isdigit():
-        assert repr(token) in str(exc.value)  # the message names the token
+    # the message names the token as written, also one that int64 saturates
+    assert repr(token) in str(exc.value)
 
 
 def test_read_table_accepts_any_ascii_whitespace():
