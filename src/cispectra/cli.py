@@ -302,22 +302,6 @@ def _search_start(rng: random.Random, p: int, n: int, resilient: bool) -> PFunct
     return PFunction(p, n, values)
 
 
-def _search_mutate(
-    rng: random.Random, table: list[int], p: int, resilient: bool
-) -> list[tuple[int, int]]:
-    """One random move on table, as (index, new value) changes; table is
-    left as it is."""
-    if resilient:
-        # swap two differing entries; preserves the output multiset
-        while True:
-            i = rng.randrange(len(table))
-            j = rng.randrange(len(table))
-            if table[i] != table[j]:
-                return [(i, table[j]), (j, table[i])]
-    i = rng.randrange(len(table))
-    return [(i, (table[i] + rng.randrange(1, p)) % p)]
-
-
 def cmd_search(args) -> int:
     limit = _env_limit()
     p, n, target = args.p, args.n, args.target_ci
@@ -350,19 +334,36 @@ def cmd_search(args) -> int:
         open(args.output, "a").close()
 
     rng = random.Random(seed)
-    stall_limit = 8 * p**n
+    randrange, size, resilient = rng.randrange, p**n, args.resilient
+    stall_limit = 8 * size
     evals = 0
     best = None  # (cost, table) of the lowest-cost climb so far
     while evals < args.budget:
         # a resilient start is balanced and swaps keep it so, so the cost
         # charges no imbalance
-        climb = spectral.ParsevalCost(_search_start(rng, p, n, args.resilient), target)
+        climb = spectral.ParsevalCost(_search_start(rng, p, n, resilient), target)
+        table = climb.table
         evals += 1
         stall = 0
         while climb.cost > 0 and stall < stall_limit and evals < args.budget:
-            changes = _search_mutate(rng, climb.table, p, args.resilient)
-            if climb.cost_after(changes) < climb.cost:
-                climb.apply(changes)
+            if resilient:
+                # swap two differing entries; preserves the output multiset
+                i, j = randrange(size), randrange(size)
+                while table[i] == table[j]:
+                    i, j = randrange(size), randrange(size)
+                delta = climb._swap_delta(i, j)
+                if delta < 0:
+                    a, b = table[i], table[j]
+                    climb._write(i, b)
+                    climb._write(j, a)
+            else:
+                k = randrange(size)
+                v = (table[k] + randrange(1, p)) % p
+                delta = climb._change_delta(k, v)
+                if delta < 0:
+                    climb._write(k, v)
+            if delta < 0:
+                climb.cost += delta
                 stall = 0
             else:
                 stall += 1

@@ -38,11 +38,12 @@ lives on the frequency stratum gcd(j, N) = p^(n-m):
     leading digit axes with the K tables contiguous.  The search climb scores a
     table by ParsevalCost, p^m * sum over m-subsets S of SS(S) - C(n, m) *
     SS(empty set), SS being the sum of squared joint counts; it is zero
-    exactly when every m-subset has equal rows.  A move is scored by
-    reading one count pair per count list, two for a swap (cost_after), and
-    written only when the climb keeps it (apply).  These collapses and the orbit
-    criterion are validated in the test suite against an ordered scan of
-    the exact values and the counting oracles;
+    exactly when every m-subset has equal rows.  Each climb start counts
+    every m-subset with one np.bincount.  A move is scored by reading one
+    count pair per count list, two for a swap (_change_delta, _swap_delta),
+    and written only when the climb keeps it (_write).  These collapses and
+    the orbit criterion are validated in the test suite against an ordered
+    scan of the exact values and the counting oracles;
   * ci_order does not have to scan subsets at all: with
     T[c, s] = #{x : f(x) + c.x = s}, f is m-CI iff every row T[c, .] with
     1 <= wt(c) <= m is uniform (Xiao and Massey, IEEE Trans. IT 34(3),
@@ -223,99 +224,126 @@ class ParsevalCost:
 
     S runs over the m-subsets, SS(T) is the sum of the squared joint counts
     cm_T of (x_T, f(x)), and the empty set's counts are the histogram.  The
-    state is those C(n, m) + 1 count lists and the running cost.  The cost
-    is >= 0 and is 0 iff f is m-CI: over the p^m rows w of cm_S,
+    cost is >= 0 and is 0 iff f is m-CI: over the p^m rows w of cm_S,
     p^m * sum_w cm_S[w, v]^2 >= hist[v]^2 (Cauchy-Schwarz), with equality iff
     column v is constant.  By Parseval over x_S it equals the sum over v and
     over c with 1 <= wt(c) <= m of
     C(n - wt(c), m - wt(c)) * |sum_{x : f(x) = v} omega^(c.x)|^2.
-    A changed entry moves one cell pair in each of the C(n, m) + 1 count
-    lists, and so each SS by O(1).  m = 0 gives cost 0.
+    m = 0 gives cost 0.
 
-    cost_after scores a move by reading those cell pairs and writes
-    nothing; apply writes a move.  `table` is the current table as a list;
-    change it only through apply.
+    The state is the running cost and the C(n, m) + 1 count lists, laid end
+    to end in one flat list _counts: the m-subsets in combinations order,
+    then the histogram.  The counts of a subset S are built at each start
+    by one np.bincount over the key f(x) + sum_r x_(S_r) * p^(r+1), int32
+    where it fits: the digit terms are broadcast over f.array, and the key
+    of each prefix of S is summed once and shared, so about one p^n
+    addition per subset and at most m + 1 p^n-sized temporaries are alive.
+    _lists holds one (offset, weight, ((place, stride), ...)) tuple per
+    count list: point k, whose digit x_s is k // place % p, counts in cell
+    offset + sum of x_s * stride + f(k).  A changed entry moves one cell
+    pair in each list, and so each SS by O(1).  _change_delta and
+    _swap_delta score a move by reading those pairs, and _write moves them;
+    the search climb calls these three directly.  cost_after scores a move
+    through them and writes nothing; apply writes one.  `table` is the
+    current table as a list; change it only through apply or _write.
     """
 
     def __init__(self, f: PFunction, m: int):
         _check_order(f, m, 0)
-        p = f.p
-        self.table = list(f.table)
-        self._p, self._places = p, [p**i for i in range(f.n)]
-        # the m-subsets, then the empty set (the histogram)
-        tracked = list(combinations(range(1, f.n + 1), m))
-        self._weights = [p**m] * len(tracked) + [-len(tracked)]
-        tracked.append(())
-        # in the counts of a subset whose r-th variable is s, digit x_s of a
-        # point has stride p^(r+1) and the output value has stride 1
-        self._strides = [[(s - 1, p ** (r + 1)) for r, s in enumerate(sub)] for sub in tracked]
-        self._counts = [_joint_counts(f, sub) for sub in tracked]
-        self.cost = sum(w * sum([c * c for c in cm]) for w, cm in zip(self._weights, self._counts))
+        p, n = f.p, f.n
+        self.table, self._p = f.flat.tolist(), p
+        cells = p ** (m + 1)
+        # every key is < cells
+        digit = np.arange(p, dtype=np.int32 if cells <= 2**31 else np.int64)
+        subsets = list(combinations(range(1, n + 1), m))
+        # keys[r] = f(x) + sum_(q < r) x_(sub[q]) * p^(q+1) over f.array, whose
+        # axis n - s holds x_s: a (p, 1, ..., 1) term with s - 1 ones
+        # broadcasts along it.  Only the terms from the first variable where
+        # sub leaves the previous subset are added again.
+        keys, last, counts = [f.array] * (m + 1), (0,) * m, []
+        for sub in subsets:
+            r = 0
+            while r < m and sub[r] == last[r]:
+                r += 1
+            for r in range(r, m):
+                term = (digit * p ** (r + 1)).reshape((p,) + (1,) * (sub[r] - 1))
+                keys[r + 1] = keys[r] + term
+            counts.append(np.bincount(keys[m].ravel(), minlength=cells))
+            last = sub
+        rows, hist = np.stack(counts), np.bincount(f.flat, minlength=p)
+        self._counts = rows.ravel().tolist() + hist.tolist()
+        # each SS is at most (p^n)^2, within int64; their sum is a Python int
+        ss = (rows * rows).sum(axis=1).tolist()
+        self.cost = p**m * sum(ss) - len(subsets) * int(hist @ hist)
+        self._lists = [
+            (i * cells, p**m, tuple((p ** (s - 1), p ** (r + 1)) for r, s in enumerate(sub)))
+            for i, sub in enumerate(subsets)
+        ]
+        self._lists.append((len(subsets) * cells, -len(subsets), ()))
 
-    def _shift(self, k: int, v: int, write: bool = False) -> int:
-        """The cost change of setting table[k] = v from a different value;
-        with write, the joint counts are moved too (the table and cost are
-        left to the caller).
+    def _change_delta(self, k: int, v: int) -> int:
+        """The cost change of setting table[k] = v from a different value old.
 
         The change moves cm[base + old] - 1 and cm[base + v] + 1 in each
         count list, which moves SS by 2 * (cm[base + v] - cm[base + old] + 1).
         """
-        old = self.table[k]
-        digits = [k // place % self._p for place in self._places]
+        cm, p, old = self._counts, self._p, self.table[k]
         delta = 0
-        for strides, cm, weight in zip(self._strides, self._counts, self._weights):
-            base = 0
-            for j, stride in strides:
-                base += digits[j] * stride
-            # (a-1)^2 + (b+1)^2 - a^2 - b^2 for a = cm[base+old], b = cm[base+v]
+        for base, weight, digits in self._lists:
+            for place, stride in digits:
+                base += k // place % p * stride
             delta += weight * (cm[base + v] - cm[base + old] + 1)
-            if write:
-                cm[base + old] -= 1
-                cm[base + v] += 1
         return 2 * delta
 
-    def cost_after(self, changes) -> int:
-        """The cost apply(changes) would give, read off the counts; nothing
-        is written.
+    def _swap_delta(self, i: int, j: int) -> int:
+        """The cost change of swapping table[i] = a and table[j] = b, a != b.
 
-        changes is one (k, v), scored by _shift, or a swap
-        [(i, table[j]), (j, table[i])].  A swap of differing values
-        a = table[i] and b = table[j] moves four distinct cells in each list
-        where i and j lie in different rows, and nothing in one where they
-        share a row.  The histogram has one row, so no swap moves it.
+        The swap moves four distinct cells in each list where i and j lie in
+        different rows, and nothing in one where they share a row.  The
+        histogram has one row, so no swap moves it.
         """
-        table = self.table
-        if len(changes) == 1:
-            ((k, v),) = changes
-            return self.cost if table[k] == v else self.cost + self._shift(k, v)
-        (i, b), (j, a) = changes
-        if (a, b) != (table[i], table[j]):
-            raise ValueError(f"not one change or a swap of two entries: {changes}")
-        if a == b:
-            return self.cost
-        di = [i // place % self._p for place in self._places]
-        dj = [j // place % self._p for place in self._places]
+        cm, p, a, b = self._counts, self._p, self.table[i], self.table[j]
         delta = 0
-        for strides, cm, weight in zip(self._strides, self._counts, self._weights):
-            base_i = base_j = 0
-            for x, stride in strides:
-                base_i += di[x] * stride
-                base_j += dj[x] * stride
+        for offset, weight, digits in self._lists:
+            base_i = base_j = offset
+            for place, stride in digits:
+                base_i += i // place % p * stride
+                base_j += j // place % p * stride
             if base_i != base_j:
                 moved = cm[base_i + b] - cm[base_i + a] + cm[base_j + a] - cm[base_j + b]
                 delta += weight * (moved + 2)
-        return self.cost + 2 * delta
+        return 2 * delta
 
-    def _move(self, k: int, v: int):
-        """Set table[k] = v, moving one joint count pair per count list."""
-        if self.table[k] != v:  # _shift needs two distinct cells
-            self.cost += self._shift(k, v, write=True)
-            self.table[k] = v
+    def _write(self, k: int, v: int):
+        """Set table[k] = v and move its count pair in every list; the
+        caller adds the cost change."""
+        cm, p, old = self._counts, self._p, self.table[k]
+        for base, _, digits in self._lists:
+            for place, stride in digits:
+                base += k // place % p * stride
+            cm[base + old] -= 1
+            cm[base + v] += 1
+        self.table[k] = v
+
+    def cost_after(self, changes) -> int:
+        """The cost apply(changes) would give, read off the counts; nothing
+        is written.  changes is one (k, v) or a swap [(i, table[j]),
+        (j, table[i])]."""
+        table = self.table
+        if len(changes) == 1:
+            ((k, v),) = changes
+            return self.cost if table[k] == v else self.cost + self._change_delta(k, v)
+        (i, b), (j, a) = changes
+        if (a, b) != (table[i], table[j]):
+            raise ValueError(f"not one change or a swap of two entries: {changes}")
+        return self.cost if a == b else self.cost + self._swap_delta(i, j)
 
     def apply(self, changes) -> int:
         """Set table[k] = v for each (k, v) in order; return the new cost."""
         for k, v in changes:
-            self._move(k, v)
+            if self.table[k] != v:
+                self.cost += self._change_delta(k, v)
+                self._write(k, v)
         return self.cost
 
 

@@ -109,6 +109,48 @@ def parseval_cost_points(f: PFunction, m: int) -> int:
     return total
 
 
+def search_by_recount(p: int, n: int, target: int, resilient: bool, seed: int, budget: int):
+    """Reference for the `search` climb: the same draws, restarts and
+    acceptance rule, with every table, start or moved, scored afresh by
+    parseval_cost_points.  Returns (table, evaluations, cost, stops): the
+    final table and cost of the first climb with the lowest final cost, and
+    why each climb stopped, "zero", "stall" (8 * p^n moves in a row without
+    a gain) or "budget"."""
+    rng = random.Random(seed)
+    size = p**n
+    evals, best, stops = 0, None, []
+    while evals < budget:
+        if resilient:
+            table = [v for v in range(p) for _ in range(size // p)]
+            rng.shuffle(table)
+        else:
+            table = [rng.randrange(p) for _ in range(size)]
+        cost = parseval_cost_points(PFunction(p, n, table), target)
+        evals, stall = evals + 1, 0
+        while cost > 0 and stall < 8 * size and evals < budget:
+            moved = list(table)
+            if resilient:
+                i, j = rng.randrange(size), rng.randrange(size)
+                while table[i] == table[j]:
+                    i, j = rng.randrange(size), rng.randrange(size)
+                moved[i], moved[j] = table[j], table[i]
+            else:
+                k = rng.randrange(size)
+                moved[k] = (table[k] + rng.randrange(1, p)) % p
+            after = parseval_cost_points(PFunction(p, n, moved), target)
+            if after < cost:
+                table, cost, stall = moved, after, 0
+            else:
+                stall += 1
+            evals += 1
+        stops.append("zero" if cost == 0 else "stall" if stall == 8 * size else "budget")
+        if best is None or cost < best[0]:
+            best = cost, tuple(table)
+        if cost == 0:
+            break
+    return best[1], evals, best[0], stops
+
+
 def walsh_coeff(f: PFunction, c) -> int:
     """Classical Walsh-Hadamard sum sum_x (-1)^(f(x) + c.x), p = 2 only."""
     assert f.p == 2

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import time
+from itertools import product
 
 import numpy as np
 import pytest
@@ -651,11 +652,14 @@ def test_search_finds_the_first_order_resilient_ternary_4_variable_case(capsys):
     [
         ("--p 2 --n 8 --target-ci 3 --budget 200", 200),
         ("--p 2 --n 10 --target-ci 5 --budget 1", 1),
+        # 560 subsets' counts over 65,536 entries, one bincount each
+        ("--p 2 --n 16 --target-ci 3 --budget 1", 1),
     ],
 )
 def test_search_evaluations_do_not_rescan_ordered_tuples(capsys, args, evaluations):
     # one move updates C(n, m) subsets' counts instead of scanning the
-    # n!/(n-m)! ordered tuples over all p^n entries
+    # n!/(n-m)! ordered tuples over all p^n entries, and a start counts
+    # each subset in numpy, not point by point
     start = time.perf_counter()
     code, out = run(capsys, "search", "--json", *args.split())
     assert time.perf_counter() - start < 1.0
@@ -704,22 +708,30 @@ def test_search_climb_reads_only_counts(capsys, monkeypatch, args, code, digest)
     "--p 2 --n 5 --target-ci 1 --resilient --seed 11 --budget 2000",
 ])
 def test_search_writes_only_the_moves_it_keeps(capsys, monkeypatch, args):
-    # every move is scored read-only; _move runs once per change of a move
+    # every move is scored read-only; _write runs once per change of a move
     # that lowers the cost, in order, and never for a rejected one
-    cost_after, move = spectral.ParsevalCost.cost_after, spectral.ParsevalCost._move
+    cls = spectral.ParsevalCost
+    change_delta, swap_delta, write = cls._change_delta, cls._swap_delta, cls._write
     scored, moved = [], []
 
-    def spy_cost_after(self, changes):
-        got = cost_after(self, changes)
-        scored.append((list(changes), got < self.cost))
+    def spy_change_delta(self, k, v):
+        got = change_delta(self, k, v)
+        scored.append(([(k, v)], got < 0))
         return got
 
-    def spy_move(self, k, v):
-        moved.append((k, v))
-        return move(self, k, v)
+    def spy_swap_delta(self, i, j):
+        changes = [(i, self.table[j]), (j, self.table[i])]
+        got = swap_delta(self, i, j)
+        scored.append((changes, got < 0))
+        return got
 
-    monkeypatch.setattr(spectral.ParsevalCost, "cost_after", spy_cost_after)
-    monkeypatch.setattr(spectral.ParsevalCost, "_move", spy_move)
+    def spy_write(self, k, v):
+        moved.append((k, v))
+        return write(self, k, v)
+
+    monkeypatch.setattr(cls, "_change_delta", spy_change_delta)
+    monkeypatch.setattr(cls, "_swap_delta", spy_swap_delta)
+    monkeypatch.setattr(cls, "_write", spy_write)
     code, digest = {a: (c, d) for a, c, d in PINNED_SEARCHES}[args]
     got_code, out = run(capsys, "search", "--json", *args.split())
     assert got_code == code
@@ -728,6 +740,42 @@ def test_search_writes_only_the_moves_it_keeps(capsys, monkeypatch, args):
     assert moved == kept
     assert 0 < len(kept) < sum(len(changes) for changes, _ in scored)
     assert len(scored) < json.loads(out)["evaluations"]
+
+
+def test_search_climb_equals_a_recounting_climb(capsys, monkeypatch):
+    # the running cost, scored and written move by move, against a climb
+    # that recounts every moved table (helpers.search_by_recount): equal
+    # table, evaluations and cost, over climbs that reach cost 0, restart
+    # after the stall limit, or run out of budget mid-climb
+    climbs = []
+
+    class Recorded(ParsevalCost):
+        def __init__(self, f, m):
+            super().__init__(f, m)
+            climbs.append(self)
+
+    monkeypatch.setattr(spectral, "ParsevalCost", Recorded)
+    stops = []
+    for p, n in [(2, 2), (2, 3), (3, 2), (5, 2), (7, 2)]:
+        for resilient in (False, True):
+            for target in range(1, n if resilient else n + 1):
+                for seed, budget in product(range(4), (7, 60, 400)):
+                    args = (f"--p {p} --n {n} --target-ci {target} --seed {seed} "
+                            f"--budget {budget}" + " --resilient" * resilient)
+                    climbs.clear()
+                    code, out = run(capsys, "search", "--json", *args.split())
+                    obj = json.loads(out)
+                    best = min(climbs, key=lambda climb: climb.cost)  # the first lowest
+                    assert tuple(best.table) == read_table(obj["table"]).table, args
+                    table, evals, cost, why = helpers.search_by_recount(
+                        p, n, target, resilient, seed, budget)
+                    assert (table, evals, cost) == (tuple(best.table), obj["evaluations"],
+                                                    best.cost), args
+                    assert len(climbs) == len(why), args
+                    assert code == (EXIT_OK if cost == 0 else EXIT_UNMET), args
+                    stops += why
+    assert {"zero", "stall", "budget"} <= set(stops)
+    assert stops.count("stall") >= 5 and stops.count("budget") >= 20
 
 
 def test_search_move_is_constant_time_in_the_counts(capsys):

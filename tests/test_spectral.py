@@ -368,7 +368,7 @@ def _assert_fresh(cost, f, m):
 
 def _state(cost):
     """A copy of everything a ParsevalCost holds that a move may write."""
-    return list(cost.table), [list(cm) for cm in cost._counts], cost.cost
+    return list(cost.table), list(cost._counts), cost.cost
 
 
 def _check_counter(cost_cls, f, m, rng, steps) -> int:
@@ -502,7 +502,7 @@ class _NoHistogram(spectral.ParsevalCost):
 
     def __init__(self, f, m):
         super().__init__(f, m)
-        self._strides = self._strides[:-1]
+        self._lists = self._lists[:-1]
 
 
 def test_parseval_cost_check_catches_a_histogram_mutant():
