@@ -51,12 +51,14 @@ lives on the frequency stratum gcd(j, N) = p^(n-m):
     sum_x omega^(a*f(x) + c.x) at a != 0 is sigma_a of the value at a = 1
     and a^(-1)*c, and a^(-1)*c has the weight of c.  So ci_order is the
     least weight of a nonzero c with a non-uniform row, minus one.
-    _row_transform builds T exactly in integers, one butterfly per
-    variable, n * p^(n+2) cell additions.  The subset scan stays first,
-    because it stops at the first failing subset; both verdicts hand over
-    to the transform once the scan has spent its estimated cost (the rule
-    and its constants are in ci_order's docstring), so each costs at most
-    about twice the cheaper of the two;
+    _row_transform builds T exactly in integers for K tables at once, one
+    butterfly per variable, n * p^(n+2) cell additions per table, and
+    _transform_ci_orders reads each table's order off it: ci_order hands it
+    a batch of one, scripts/ci_census.py whole chunks of a family.  The
+    subset scan stays first, because it stops at the first failing subset;
+    both verdicts hand over to the transform once the scan has spent its
+    estimated cost (the rule and its constants are in ci_order's
+    docstring), so each costs at most about twice the cheaper of the two;
   * for a symmetric f every tuple gives the same values, so one subset per
     order decides (ci_order_symmetric reads only {1, ..., m}): f is m-CI iff,
     for every c in 1..p-1, the DFT of c*f vanishes at the one index p^(n-m).
@@ -388,25 +390,26 @@ def _transform_steps(f: PFunction) -> int:
     return f.n * (_ADD_CALL_STEPS * p * p + cells // _ADDED_CELLS_PER_STEP)
 
 
-def _row_transform(f: PFunction) -> np.ndarray:
-    """T[s, c] = #{x : f(x) + c.x = s} as an integer array of shape (p, p^n);
-    the digits of c are laid out like those of the table index, so
-    T[:, k] is the row of the c whose digits are those of k.
+def _row_transform(tables: np.ndarray, p: int, n: int) -> np.ndarray:
+    """T[s, c, k] = #{x : tables[k, x] + c.x = s} for a (K, p^n) integer
+    array of tables, as an integer array of shape (p, p^n, K), tables
+    minor; the digits of c are laid out like those of the table index, so
+    T[:, j, k] is table k's row of the c whose digits are those of j.
 
-    Starts from the one-hot A[s, x] = [f(x) = s] and transforms one
-    variable at a time: new[s, c] = sum_x old[s - c*x, x] along that
+    Starts from the one-hot A[s, x, k] = [tables[k, x] = s] and transforms
+    one variable at a time: new[s, c] = sum_x old[s - c*x, x] along that
     variable's axis, each term a shift of the output axis s.  The axis
     being transformed is kept in front of the remaining variables and
-    moved to the back afterwards, so after n rounds the c-axes are back in
-    table order and each shift is a pair of slice additions over
-    contiguous blocks.  Entries never exceed p^n, which int32 holds below
-    MAX_TABLE_ENTRIES.
+    moved behind them, still ahead of the tables, afterwards, so after n
+    rounds the c-axes are back in table order and each shift is a pair of
+    slice additions over contiguous blocks that span every table.  Entries
+    never exceed p^n, which int32 holds below MAX_TABLE_ENTRIES.
     """
-    p = f.p
-    dtype = np.int32 if f.size < 2**31 else np.int64
-    t = (np.arange(p)[:, None] == f.array.reshape(1, -1)).astype(dtype)
-    for _ in range(f.n):
-        old = t.reshape(p, p, -1)  # (s, the variable transformed, the rest)
+    k = len(tables)
+    dtype = np.int32 if p**n < 2**31 else np.int64
+    t = (np.arange(p)[:, None, None] == tables.T).astype(dtype)
+    for _ in range(n):
+        old = t.reshape(p, p, -1)  # (s, the variable transformed, the rest and K)
         new = np.zeros_like(old)
         for c in range(p):
             dst = new[:, c]
@@ -415,23 +418,22 @@ def _row_transform(f: PFunction) -> np.ndarray:
                 dst[r:] += src[: p - r]
                 if r:
                     dst[:r] += src[p - r :]
-        t = np.ascontiguousarray(new.transpose(0, 2, 1))
-    return t.reshape(p, -1)
+        t = np.ascontiguousarray(new.reshape(p, p, -1, k).transpose(0, 2, 1, 3))
+    return t.reshape(p, -1, k)
 
 
-def _transform_ci_order(f: PFunction) -> int:
-    """ci_order read off _row_transform: the least weight of a nonzero c
-    whose row T[., c] is not uniform, minus one; n when there is none."""
-    p = f.p
-    rows = _row_transform(f)
+def _transform_ci_orders(tables: np.ndarray, p: int, n: int) -> np.ndarray:
+    """ci_order of each row of a (K, p^n) integer array of tables, read off
+    _row_transform: the least weight of a nonzero c whose row T[., c] is
+    not uniform, minus one; n where there is none."""
+    rows = _row_transform(tables, p, n)
     uneven = (rows != rows[:1]).any(axis=0)
+    uneven[0] = False  # c = 0, the histogram, which immunity leaves free
     nonzero = (np.arange(p) != 0).astype(np.int8)
     weight = nonzero
-    for _ in range(f.n - 1):
+    for _ in range(n - 1):
         weight = np.add.outer(weight, nonzero)
-    weight = weight.reshape(-1)
-    failing = weight[uneven & (weight > 0)]
-    return int(failing.min()) - 1 if failing.size else f.n
+    return np.where(uneven, weight.reshape(-1, 1), n + 1).min(axis=0) - 1
 
 
 def _order(f: PFunction, symmetric: bool) -> int:
@@ -442,7 +444,7 @@ def _order(f: PFunction, symmetric: bool) -> int:
         for subset in (tuple(variables[:m]),) if symmetric else combinations(variables, m):
             spent += size
             if spent > budget:
-                return _transform_ci_order(f)
+                return int(_transform_ci_orders(f.flat[None], f.p, f.n)[0])
             if not _rows_equal(f, subset):
                 return m - 1
     return f.n
@@ -457,8 +459,9 @@ def ci_order(f: PFunction) -> int:
     an immune f the scan reads about 2^n subsets of p^n steps each, so it
     is rented, ski-rental style: before each subset p^n is added to the
     steps spent, and once they pass _transform_steps(f) the order is read
-    off the exact transform instead (_transform_ci_order).  Either way the
-    verdict costs at most about twice the cheaper of scan and transform.
+    off the exact transform instead (_transform_ci_orders, on f alone as a
+    batch of one).  Either way the verdict costs at most about twice the
+    cheaper of scan and transform.
     ci_order_symmetric rents its scan of one subset per order the same way.
 
     _transform_steps(f) = n * (64 * p^2 + (p^2 + 12 * p) * p^n // 190)

@@ -10,6 +10,7 @@ agreement between suite and library is evidence rather than tautology.
 from __future__ import annotations
 
 import ast
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -149,6 +150,36 @@ def search_by_recount(p: int, n: int, target: int, resilient: bool, seed: int, b
         if cost == 0:
             break
     return best[1], evals, best[0], stops
+
+
+def maiorana_mcfarland(p: int, n: int, m: int, seed: int) -> PFunction:
+    """A seeded f(x, y) = phi(y) . x + g(y) over F_p, whose ci_order and
+    resiliency_order are both exactly m (Camion, Carlet, Charpin and
+    Sendrier, CRYPTO '91).  x holds the first r variables and y the other
+    s = n - r >= 1, r the least that leaves p^s vectors of weight >= m + 1
+    in F_p^r.  phi sends the p^s values of y to distinct such vectors, one
+    of weight exactly m + 1; g is uniform.
+
+    For c = (a, b) and k != 0, the sum of omega^(k*(phi(y) + a).x) over x
+    is p^r or 0 as phi(y) = -a or not, and injectivity leaves at most one
+    such y; so the sum of omega^(k*(f + c.(x, y))) over all points is zero
+    for every k, and the row of c in T[s, c] = #{(x, y) : f + c.(x, y) = s}
+    uniform, iff -a is no image of phi.  That holds for every c of weight
+    <= m (c = 0 is balance), and fails at (-phi(y), 0) of weight m + 1.
+    """
+    def weight_at_least(r):
+        return sum(math.comb(r, w) * (p - 1) ** w for w in range(m + 1, r + 1))
+
+    r = next(r for r in range(m + 1, n) if weight_at_least(r) >= p ** (n - r))
+    rng = random.Random(seed)
+    heavy = [a for a in points(p, r) if sum(v != 0 for v in a) > m]
+    first = rng.choice([a for a in heavy if sum(v != 0 for v in a) == m + 1])
+    images = [first] + rng.sample([a for a in heavy if a != first], p ** (n - r) - 1)
+    rng.shuffle(images)
+    g = np.array([rng.randrange(p) for _ in images])
+    # row y, column x: table index x + p^r * y, as x_1 is the least digit
+    table = (np.array(images) @ np.array(list(points(p, r))).T + g[:, None]) % p
+    return PFunction(p, n, table.ravel())
 
 
 def walsh_coeff(f: PFunction, c) -> int:

@@ -4,19 +4,23 @@ conftest.py exports src/ in PYTHONPATH, so the scripts import this
 checkout's package.
 """
 
+import resource
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def _run(name, *args):
+def _run(name, *args, timeout=120, preexec_fn=None):
     return subprocess.run(
         [sys.executable, str(SCRIPTS / name), *args],
         capture_output=True,
         text=True,
-        timeout=120,
+        timeout=timeout,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -47,6 +51,44 @@ def test_ci_census_binary_four_variables():
     assert _histogram(lines, "resiliency_order histogram:") == {
         -1: 52666, 0: 12648, 1: 212, 2: 8, 3: 2,
     }
+
+
+def test_ci_census_ternary_two_variables():
+    proc = _run("ci_census.py", "--p", "3", "--n", "2")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert _histogram(lines, "ci_order histogram:") == {0: 19632, 1: 48, 2: 3}
+    assert _histogram(lines, "resiliency_order histogram:") == {-1: 18003, 0: 1668, 1: 12}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("--p", "4", "--n", "1"), ("--p", "1", "--n", "2"), ("--p", "2", "--n", "0"),
+     ("--p", "9", "--n", "1"), ("--symmetric", "--p", "4", "--n", "1"),
+     ("--symmetric", "--p", "2", "--n", "0")],
+)
+def test_ci_census_rejects_a_composite_p_or_n_below_one(args):
+    # (9, 1) is refused for its 9^9 functions, as size is decided first
+    proc = _run("ci_census.py", *args)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+
+
+def _address_space_512_mib():
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("--p", "3", "--n", "16"), ("--symmetric", "--p", "101", "--n", "6"),
+     ("--p", "1000003", "--n", "1000000"), ("--symmetric", "--p", "1000003", "--n", "1000000")],
+)
+def test_ci_census_refuses_an_oversized_family_without_building_it(args):
+    # 3^(3^16) functions, or C(106, 6) symmetric classes, would neither fit
+    # the time nor the address space given here
+    proc = _run("ci_census.py", *args, timeout=10, preexec_fn=_address_space_512_mib)
+    assert proc.returncode == 2, proc.stderr
+    assert "more than 1000000" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_worked_example_runs():

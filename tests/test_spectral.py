@@ -586,31 +586,44 @@ def _definition_order(f):
     return m
 
 
+def _stacked(functions):
+    """The tables of functions as one (K, p^n) batch, in order."""
+    return np.stack([f.flat for f in functions])
+
+
 @pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (3, 3), (5, 2)])
 def test_row_transform_counts_every_shifted_output(p, n):
-    # column k is the c whose digits are those of table index k
+    # column j is the c whose digits are those of table index j; the last
+    # axis holds the tables of the batch in order
     rng = random.Random(p * 10 + n)
-    for _ in range(5):
-        f = random_function(p, n, seed=rng.randrange(10**6))
-        rows = spectral._row_transform(f)
-        assert rows.shape == (p, p**n)
-        for k, c in enumerate(helpers.points(p, n)):
+    family = [random_function(p, n, seed=rng.randrange(10**6)) for _ in range(5)]
+    rows = spectral._row_transform(_stacked(family), p, n)
+    assert rows.shape == (p, p**n, 5)
+    for i, f in enumerate(family):
+        for j, c in enumerate(helpers.points(p, n)):
             for s in range(p):
                 want = sum(
                     (f.evaluate(x) + sum(ci * xi for ci, xi in zip(c, x))) % p == s
                     for x in helpers.points(p, n)
                 )
-                assert rows[s, k] == want
+                assert rows[s, j, i] == want
 
 
 @pytest.mark.parametrize("p,n", [(2, 3), (3, 2)])
 def test_transform_order_matches_is_ci_exhaustive(p, n):
-    seen = set()
-    for f in all_functions(p, n):
-        order = spectral._transform_ci_order(f)
-        assert order == _definition_order(f)
-        seen.add(order)
-    assert seen == set(range(n + 1))
+    family = list(all_functions(p, n))
+    orders = spectral._transform_ci_orders(_stacked(family), p, n).tolist()
+    assert orders == [_definition_order(f) for f in family]
+    assert set(orders) == set(range(n + 1))
+
+
+@pytest.mark.parametrize("p,n", [(2, 4), (3, 2)])
+def test_transform_orders_match_ci_order_over_every_table(p, n):
+    # the batch reads the whole family at once; ci_order reads each table
+    # by its own scan, or by the transform of that table alone
+    family = list(all_functions(p, n))
+    orders = spectral._transform_ci_orders(_stacked(family), p, n)
+    assert orders.tolist() == [ci_order(f) for f in family]
 
 
 @pytest.mark.parametrize("p,n", [(2, 6), (3, 4), (5, 3), (7, 2), (2, 10), (3, 6)])
@@ -621,12 +634,33 @@ def test_transform_order_matches_is_ci_on_seeded_families(p, n):
         families.append(random_function(p, n, seed=rng.randrange(10**6)))  # order 0
         families.append(_balanced_table(rng, p, n))
         families.append(_q_plus_linear(rng, p, n)[0])
-    orders = set()
-    for f in families:
-        order = spectral._transform_ci_order(f)
-        assert order == _definition_order(f)
-        orders.add(order)
-    assert {0, n} <= orders and len(orders) >= 3
+    orders = spectral._transform_ci_orders(_stacked(families), p, n).tolist()
+    assert orders == [_definition_order(f) for f in families]
+    assert {0, n} <= set(orders) and len(set(orders)) >= 3
+
+
+@pytest.mark.parametrize(
+    "p,n,m,transformed",
+    [(2, 6, 1, False), (3, 4, 1, False), (2, 19, 2, True), (2, 19, 5, True),
+     (3, 12, 2, True), (7, 7, 2, True)],
+)
+def test_maiorana_mcfarland_orders_in_every_handover_regime(monkeypatch, p, n, m, transformed):
+    # the closed form gives ci_order = resiliency_order = m exactly; the
+    # small members end in the subset scan, the large ones in the transform
+    f = helpers.maiorana_mcfarland(p, n, m, seed=100 * p + n)
+    transforms = []
+    transform = spectral._transform_ci_orders
+    monkeypatch.setattr(
+        spectral, "_transform_ci_orders", lambda *a: transforms.append(a) or transform(*a)
+    )
+    assert analyze_function(f) == {
+        "p": p, "n": n, "balanced": True, "symmetric": False,
+        "ci_order": m, "resiliency_order": m,
+    }
+    assert len(transforms) == transformed
+    if not transformed:
+        assert all(consensus(f, m).verdicts.values())
+        assert not any(consensus(f, m + 1).verdicts.values())
 
 
 def _spy_rows_equal(monkeypatch) -> list:
@@ -660,7 +694,7 @@ def test_is_ci_hands_over_to_the_transform(monkeypatch):
 
 def test_ci_order_keeps_the_scan_where_it_is_cheaper(monkeypatch):
     calls = _spy_rows_equal(monkeypatch)
-    monkeypatch.setattr(spectral, "_transform_ci_order", lambda g: pytest.fail("transformed"))
+    monkeypatch.setattr(spectral, "_transform_ci_orders", lambda *a: pytest.fail("transformed"))
     # a random table fails on its first subset
     assert ci_order(random_function(2, 12, seed=5)) == 0
     assert calls == [(1,)]
@@ -805,10 +839,10 @@ def test_symmetric_shortcut_hands_over_to_the_transform(monkeypatch):
     # parity is immune up to n - 1; the shortcut alone reads all 14 prefixes
     f = parse_polynomial("+".join(f"x{i}" for i in range(1, 15)), 2, 14)
     calls, transforms = [], []
-    rows_equal, transform = spectral._rows_equal, spectral._transform_ci_order
+    rows_equal, transform = spectral._rows_equal, spectral._transform_ci_orders
     monkeypatch.setattr(spectral, "_rows_equal", lambda g, s: calls.append(s) or rows_equal(g, s))
     monkeypatch.setattr(
-        spectral, "_transform_ci_order", lambda g: transforms.append(g) or transform(g)
+        spectral, "_transform_ci_orders", lambda *a: transforms.append(a) or transform(*a)
     )
     assert ci_order_symmetric(f) == 13
     assert 1 <= len(calls) <= spectral._transform_steps(f) // f.size + 1
@@ -822,7 +856,7 @@ def test_symmetric_shortcut_keeps_the_scan_where_it_is_cheaper(monkeypatch, p, n
     calls = []
     rows_equal = spectral._rows_equal
     monkeypatch.setattr(spectral, "_rows_equal", lambda g, s: calls.append(s) or rows_equal(g, s))
-    monkeypatch.setattr(spectral, "_transform_ci_order", lambda g: pytest.fail("transformed"))
+    monkeypatch.setattr(spectral, "_transform_ci_orders", lambda *a: pytest.fail("transformed"))
     assert ci_order_symmetric(f) == n - 1
     assert calls == [tuple(range(1, m + 1)) for m in range(1, n + 1)]
 
