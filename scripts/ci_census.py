@@ -3,7 +3,7 @@
 
 Enumerates every function F_p^n -> F_p (p^(p^n) tables, so keep p^n small)
 and tallies the ci_order and resiliency_order distributions.  The family is
-read in all_functions' order, in chunks of tables that one exact row
+read in lexicographic table order, in chunks of tables that one exact row
 transform decides at once (spectral._transform_ci_orders, the kernel
 ci_order hands over to); balance comes from each chunk's per-table
 histogram, and m-resilient means balanced and m-CI.  To check the spectral
@@ -19,7 +19,9 @@ criterion goes wrong; at p = 2 the orbit is that one location and the count
 is zero.
 
 Either mode exits 2 unless p is a prime and n >= 1, or when its family has
-more than MAX_FAMILY functions; both are decided before anything is
+more than MAX_FAMILY functions; --symmetric also exits 2 when its loop
+would take more than MAX_SYMMETRIC_WORK entry-orders (symmetric_work), as
+at n >= 11 for p = 2 and at (7, 1).  All are decided before anything is
 enumerated or any family count is built.
 """
 
@@ -45,12 +47,26 @@ from cispectra.spectral import _transform_ci_orders
 
 # Enumerating beyond this many tables is a typo, not an experiment.
 MAX_FAMILY = 10**6
+# The symmetric loop's work cap, in entry-orders (symmetric_work).
+MAX_SYMMETRIC_WORK = 3 * 10**7
+# A symmetric function's build and calls, in entry-orders.
+FUNCTION_WORK = 256
+
+
+def symmetric_work(p: int, n: int) -> int:
+    """The work of symmetric_census at (p, n), in entry-orders: one order's
+    joint count over one table entry.  Each function is built and counted
+    once per order, so functions * (n * p^n + FUNCTION_WORK).  An
+    entry-order took 0.18-0.27 us over (2,9), (3,3) and (7,1) on a 2-CPU
+    x86-64 host with Python 3.11, so the cap is about 5-8 s of loop."""
+    return p ** comb(n + p - 1, n) * (n * p**n + FUNCTION_WORK)
 
 
 def check_family(ap, p: int, n: int, symmetric: bool) -> None:
     """ap.error (exit 2) unless p >= 2 and n >= 1, then if the family has
-    more than MAX_FAMILY functions, then unless p is prime: ptable's order,
-    so trial division only runs on a small p.  The family has p^classes
+    more than MAX_FAMILY functions or a symmetric census more than
+    MAX_SYMMETRIC_WORK work, then unless p is prime: ptable's order, so
+    trial division only runs on a small p.  The family has p^classes
     functions, classes being p^n table entries or C(n+p-1, n) multisets of
     digits, and classes >= max(p, n + 1) in both modes; 2^classes passes
     the cap once classes passes its bit length, so no large count is built.
@@ -64,6 +80,9 @@ def check_family(ap, p: int, n: int, symmetric: bool) -> None:
         p, comb(n + p - 1, n) if symmetric else p**n, MAX_FAMILY
     ):
         ap.error(f"the family at p = {p}, n = {n} has more than {MAX_FAMILY} {kind}")
+    if symmetric and symmetric_work(p, n) > MAX_SYMMETRIC_WORK:
+        ap.error(f"the symmetric census at p = {p}, n = {n} takes {symmetric_work(p, n)} "
+                 f"entry-orders, more than {MAX_SYMMETRIC_WORK}")
     if not _is_prime(p):
         ap.error(f"--p must be a prime >= 2, got {p}")
 

@@ -19,7 +19,6 @@ from .ptable import (
     PFunction,
     SizeLimitError,
     VariableTuple,
-    all_functions,
     apply_permutation,
     digits_of,
     index_of,
@@ -68,7 +67,6 @@ __all__ = [
     "SizeLimitError",
     "SpectrumDump",
     "VariableTuple",
-    "all_functions",
     "apply_permutation",
     "autocorrelation",
     "chrestenson_cyclic",

@@ -19,8 +19,9 @@ never a float probability):
 consensus() runs these five plus the spectral test and reports agreement.
 The point of the module is cross-validation: the oracles share only ptable
 plumbing with the verdict path.  The definition oracle reads the same joint
-counts (ptable._joint_counts) as the spectral verdict but tests them by its
-own identity; the orthogonal-array oracle counts each level set itself.
+counts as the spectral verdict, but from the per-point ptable._joint_counts
+rather than the verdict's ptable._subset_counts, and tests them by its own
+identity; the orthogonal-array oracle counts each level set itself.
 
 The three Fourier-side oracles (chrestenson_cyclic, chrestenson_linear,
 matrix) share count_matrix: for each c one pass over the table gives
@@ -53,7 +54,7 @@ sizes |W_i|, and three kinds of count tensors:
 Each method keeps its own criterion, an integer fold of one kind:
 
   spectral           spectral.stratum_vanishes: J_S changes along none of
-                     its axes 0..m-1 (the _axis_changes criterion)
+                     its axes 0..m-1 (the _changes_along criterion)
   definition         p^m * J_S equals the output histogram
   chrestenson_cyclic the root counts of omega^(f(x) - c.x), folded from M_c,
                      reduce to zero as in from_root_counts: coordinate j

@@ -27,22 +27,21 @@ lives on the frequency stratum gcd(j, N) = p^(n-m):
   * a value depends on a permutation pi only through which variables pi
     places on positions 1..m and in what order, and vanishes iff the joint
     counts of (x_S, f(x)) over its variable set S do not change along its
-    top variable (_axis_changes); no ordered tuple is ever enumerated.
-    Every ordering of S passes iff all rows of those counts are equal
-    (_rows_equal), so ci_order, and is_ci derived from it, read each of
-    the C(n, m) subsets at most once, and so does first_failing_tuple (the
-    witness of the consensus "spectral" method).  stratum_vanishes is the
-    same criterion over one subset's counts for a whole array of tables,
-    the fold reference.consensus_verdicts applies; those counts are
-    table-minor, shape (p, ..., p, K), so it compares along the short
-    leading digit axes with the K tables contiguous.  The search climb scores a
-    table by ParsevalCost, p^m * sum over m-subsets S of SS(S) - C(n, m) *
-    SS(empty set), SS being the sum of squared joint counts; it is zero
-    exactly when every m-subset has equal rows.  Each climb start counts
-    every m-subset with one np.bincount.  A move is scored by reading one
-    count pair per count list, two for a swap (_change_delta, _swap_delta),
-    and written only when the climb keeps it (_write).  These collapses and
-    the orbit criterion are validated in the test suite against an ordered
+    top variable (_changes_along); no ordered tuple is ever enumerated.
+    Every ordering of S passes iff all rows of those counts are equal:
+    stratum_vanishes, over table-minor counts (p, ..., p, K) of K tables,
+    which reference.consensus_verdicts applies to its batches and
+    _rows_equal to f alone.  So ci_order, and is_ci derived from it, read
+    each of the C(n, m) subsets at most once, and so does
+    first_failing_tuple (the witness of the consensus "spectral" method),
+    axis by axis.  The search climb scores a table by ParsevalCost, p^m *
+    sum over m-subsets S of SS(S) - C(n, m) * SS(empty set), SS being the
+    sum of squared joint counts; it is zero exactly when every m-subset
+    has equal rows, and compares no rows.  A move is scored by reading one
+    count pair per count list, two for a swap (_change_delta,
+    _swap_delta), and written only when the climb keeps it (_write).  All
+    these counts come from ptable._subset_counts.  These collapses and the
+    orbit criterion are validated in the test suite against an ordered
     scan of the exact values and the counting oracles;
   * ci_order does not have to scan subsets at all: with
     T[c, s] = #{x : f(x) + c.x = s}, f is m-CI iff every row T[c, .] with
@@ -58,7 +57,8 @@ lives on the frequency stratum gcd(j, N) = p^(n-m):
     subset scan stays first, because it stops at the first failing subset;
     both verdicts hand over to the transform once the scan has spent its
     estimated cost (the rule and its constants are in ci_order's
-    docstring), so each costs at most about twice the cheaper of the two;
+    docstring), so with an exact estimate each costs at most twice the
+    cheaper of the two;
   * for a symmetric f every tuple gives the same values, so one subset per
     order decides (ci_order_symmetric reads only {1, ..., m}): f is m-CI iff,
     for every c in 1..p-1, the DFT of c*f vanishes at the one index p^(n-m).
@@ -95,6 +95,7 @@ from .ptable import (
     VariableTuple,
     _check_order,
     _joint_counts,
+    _subset_counts,
     digits_of,
     is_balanced,
     is_symmetric,
@@ -152,30 +153,41 @@ def exact_spectrum_conjugates(f: PFunction, m: int, t) -> tuple[CycloElement, ..
     return tuple(out)
 
 
-def _axis_changes(cm: list[int], p: int, r: int) -> bool:
-    """True iff some two rows cm[w*p : w*p + p] of a joint-count list that
-    differ only in digit r of w differ.
+def _changes_along(counts: np.ndarray, axis: int) -> np.ndarray:
+    """For each of K tables' (p, ..., p, K) joint counts over an m-subset
+    (stratum_vanishes's layout), whether two rows that differ only in the
+    digit on axis 0 <= axis < m differ, as K bools.
 
-    For the counts over an ordered tuple and r its top position, no change
-    along r is equivalent to all p-1 conjugate spectral values vanishing:
-    reducing the associated polynomial mod the p^m-th cyclotomic polynomial
-    leaves Z[omega]-coefficients whose integer coordinates are the row
-    differences, a vanishing combination of powers of omega with integer
-    coordinates forces all coordinates equal, and their sum over outputs is
-    fixed at the fiber size p^(n-m), forcing them to zero.  The order of
-    the other variables only permutes rows.
-
-    Digit r of w has stride p^(r+1) in the flat list, so the rows sharing
-    every other digit form p consecutive chunks of length p^(r+1) in each
-    block of length p^(r+2).  The chunks of a block are all equal iff the
-    block equals itself shifted by one chunk.
+    For the counts over an ordered tuple whose top variable is on that
+    axis, no change is equivalent to all p-1 conjugate spectral values
+    vanishing: reducing the associated polynomial mod the p^m-th
+    cyclotomic polynomial leaves Z[omega]-coefficients whose integer
+    coordinates are the row differences, a vanishing combination of powers
+    of omega with integer coordinates forces all coordinates equal, and
+    their sum over outputs is fixed at the fiber size p^(n-m), forcing them
+    to zero.  The order of the other variables only permutes rows.
     """
-    step = p ** (r + 1)
-    block = step * p
-    for b in range(0, len(cm), block):
-        if cm[b + step : b + block] != cm[b : b + block - step]:
-            return True
-    return False
+    p, k = counts.shape[0], counts.shape[-1]
+    rows = counts.reshape(p**axis, p, -1)
+    return (rows != rows[:, :1]).reshape(-1, k).any(axis=0)
+
+
+def stratum_vanishes(counts: np.ndarray) -> np.ndarray:
+    """first_failing_tuple finds no tuple over one m-subset S, for each of
+    K tables: their (p, ..., p, K) joint counts of (x_S, f(x)), axes 0..m-1
+    holding the digits of x_S (S's last variable first), axis m the output
+    and the last axis the tables, change along none of axes 0..m-1
+    (_changes_along), as K bools."""
+    ok = np.ones(counts.shape[-1], dtype=bool)
+    for axis in range(counts.ndim - 2):
+        ok &= ~_changes_along(counts, axis)
+    return ok
+
+
+def _batch_of_one(f: PFunction, subset) -> np.ndarray:
+    """f's joint counts over subset in stratum_vanishes's layout, K = 1."""
+    (counts,) = _subset_counts(f, [subset])
+    return counts.reshape((f.p,) * (len(subset) + 1) + (1,))
 
 
 def first_failing_tuple(f: PFunction, m: int) -> VariableTuple | None:
@@ -183,13 +195,12 @@ def first_failing_tuple(f: PFunction, m: int) -> VariableTuple | None:
     value is nonzero, or None when f is m-CI.
 
     A tuple fails iff the counts over its set change along its top variable
-    (_axis_changes), so sorting its first m-1 entries keeps it failing and
+    (_changes_along), so sorting its first m-1 entries keeps it failing and
     makes it no larger: the first failing tuple is an increasing prefix
     followed by a top variable.  Prefixes and then tops are tried in
     increasing order, and each subset's counts are read at most once.
     """
     _check_order(f, m, 1)
-    p = f.p
     # subset -> the variables along which its counts change (failing tops)
     failing: dict[tuple[int, ...], list[int]] = {}
     for prefix in combinations(range(1, f.n + 1), m - 1):
@@ -199,25 +210,13 @@ def first_failing_tuple(f: PFunction, m: int) -> VariableTuple | None:
             subset = tuple(sorted(prefix + (top,)))
             tops = failing.get(subset)
             if tops is None:
-                cm = _joint_counts(f, subset)
-                tops = [s for r, s in enumerate(subset) if _axis_changes(cm, p, r)]
+                counts = _batch_of_one(f, subset)
+                # axis m - 1 - r holds the digit of subset[r]
+                tops = [s for r, s in enumerate(subset) if _changes_along(counts, m - 1 - r)[0]]
                 failing[subset] = tops
             if top in tops:
                 return VariableTuple(prefix + (top,))
     return None
-
-
-def stratum_vanishes(counts: np.ndarray) -> np.ndarray:
-    """first_failing_tuple finds no tuple over one m-subset S, for each of
-    K tables: their (p, ..., p, K) joint counts of (x_S, f(x)), axes 0..m-1
-    holding the digits of x_S (S's last variable first), axis m the output
-    and the last axis the tables, change along none of axes 0..m-1
-    (_axis_changes), as K bools."""
-    k = counts.shape[-1]
-    ok = np.ones(k, dtype=bool)
-    for axis in range(counts.ndim - 2):
-        ok &= ~np.diff(counts, axis=axis).reshape(-1, k).any(axis=0)
-    return ok
 
 
 class ParsevalCost:
@@ -235,19 +234,14 @@ class ParsevalCost:
 
     The state is the running cost and the C(n, m) + 1 count lists, laid end
     to end in one flat list _counts: the m-subsets in combinations order,
-    then the histogram.  The counts of a subset S are built at each start
-    by one np.bincount over the key f(x) + sum_r x_(S_r) * p^(r+1), int32
-    where it fits: the digit terms are broadcast over f.array, and the key
-    of each prefix of S is summed once and shared, so about one p^n
-    addition per subset and at most m + 1 p^n-sized temporaries are alive.
+    then the histogram, all built at each start by ptable._subset_counts.
     _lists holds one (offset, weight, ((place, stride), ...)) tuple per
     count list: point k, whose digit x_s is k // place % p, counts in cell
     offset + sum of x_s * stride + f(k).  A changed entry moves one cell
     pair in each list, and so each SS by O(1).  _change_delta and
     _swap_delta score a move by reading those pairs, and _write moves them;
-    the search climb calls these three directly.  cost_after scores a move
-    through them and writes nothing; apply writes one.  `table` is the
-    current table as a list; change it only through apply or _write.
+    the search climb calls these three directly.  `table` is the current
+    table as a list; change it only through _write.
     """
 
     def __init__(self, f: PFunction, m: int):
@@ -255,24 +249,9 @@ class ParsevalCost:
         p, n = f.p, f.n
         self.table, self._p = f.flat.tolist(), p
         cells = p ** (m + 1)
-        # every key is < cells
-        digit = np.arange(p, dtype=np.int32 if cells <= 2**31 else np.int64)
         subsets = list(combinations(range(1, n + 1), m))
-        # keys[r] = f(x) + sum_(q < r) x_(sub[q]) * p^(q+1) over f.array, whose
-        # axis n - s holds x_s: a (p, 1, ..., 1) term with s - 1 ones
-        # broadcasts along it.  Only the terms from the first variable where
-        # sub leaves the previous subset are added again.
-        keys, last, counts = [f.array] * (m + 1), (0,) * m, []
-        for sub in subsets:
-            r = 0
-            while r < m and sub[r] == last[r]:
-                r += 1
-            for r in range(r, m):
-                term = (digit * p ** (r + 1)).reshape((p,) + (1,) * (sub[r] - 1))
-                keys[r + 1] = keys[r] + term
-            counts.append(np.bincount(keys[m].ravel(), minlength=cells))
-            last = sub
-        rows, hist = np.stack(counts), np.bincount(f.flat, minlength=p)
+        *rows, hist = _subset_counts(f, subsets + [()])
+        rows = np.stack(rows)
         self._counts = rows.ravel().tolist() + hist.tolist()
         # each SS is at most (p^n)^2, within int64; their sum is a Python int
         ss = (rows * rows).sum(axis=1).tolist()
@@ -327,32 +306,11 @@ class ParsevalCost:
             cm[base + v] += 1
         self.table[k] = v
 
-    def cost_after(self, changes) -> int:
-        """The cost apply(changes) would give, read off the counts; nothing
-        is written.  changes is one (k, v) or a swap [(i, table[j]),
-        (j, table[i])]."""
-        table = self.table
-        if len(changes) == 1:
-            ((k, v),) = changes
-            return self.cost if table[k] == v else self.cost + self._change_delta(k, v)
-        (i, b), (j, a) = changes
-        if (a, b) != (table[i], table[j]):
-            raise ValueError(f"not one change or a swap of two entries: {changes}")
-        return self.cost if a == b else self.cost + self._swap_delta(i, j)
-
-    def apply(self, changes) -> int:
-        """Set table[k] = v for each (k, v) in order; return the new cost."""
-        for k, v in changes:
-            if self.table[k] != v:
-                self.cost += self._change_delta(k, v)
-                self._write(k, v)
-        return self.cost
-
 
 def _rows_equal(f: PFunction, indices) -> bool:
     """True iff every row cm[w*p : w*p + p] of the joint counts over the
-    variable set indices is the same, i.e. no axis changes (_axis_changes)
-    and every ordering of indices passes.
+    variable set indices is the same: stratum_vanishes on f alone, so every
+    ordering of indices passes.
 
     An ordering passes iff the rows do not change when its top variable
     changes; when that holds for every variable of the set, single-coordinate
@@ -364,8 +322,7 @@ def _rows_equal(f: PFunction, indices) -> bool:
     """
     if len(indices) == f.n:
         return bool(f.flat.min() == f.flat.max())
-    cm = _joint_counts(f, indices)
-    return cm == cm[: f.p] * (len(cm) // f.p)
+    return bool(stratum_vanishes(_batch_of_one(f, indices))[0])
 
 
 def is_ci(f: PFunction, m: int) -> bool:
@@ -376,11 +333,11 @@ def is_ci(f: PFunction, m: int) -> bool:
     return ci_order(f) >= m
 
 
-# The transform's cost in scan steps, one step being what _rows_equal
-# spends per table entry; see ci_order.
-_ADD_CALL_STEPS = 64
-_ADDED_CELLS_PER_STEP = 190
-_TRANSPOSED_CELL_ADDS = 12
+# The transform's cost in scan steps, a subset's scan being p^n steps;
+# see ci_order.
+_ADD_CALL_STEPS = 12
+_ADDED_CELLS_PER_STEP = 29
+_TRANSPOSED_CELL_ADDS = 10
 
 
 def _transform_steps(f: PFunction) -> int:
@@ -460,21 +417,24 @@ def ci_order(f: PFunction) -> int:
     is rented, ski-rental style: before each subset p^n is added to the
     steps spent, and once they pass _transform_steps(f) the order is read
     off the exact transform instead (_transform_ci_orders, on f alone as a
-    batch of one).  Either way the verdict costs at most about twice the
-    cheaper of scan and transform.
+    batch of one).  With an exact estimate the verdict costs at most twice
+    the cheaper of scan and transform; the estimate's error (below) widens
+    that.
     ci_order_symmetric rents its scan of one subset per order the same way.
 
-    _transform_steps(f) = n * (64 * p^2 + (p^2 + 12 * p) * p^n // 190)
-    counts each of the transform's n rounds: about p^2 numpy slice
-    additions over p^(n+2) cells, then one transpose of p^(n+1) cells.
-    Its constants are in scan steps, one step being _rows_equal's time per
-    table entry (median 83-121 ns from run to run, over p = 2..13 and
-    p^n = 2^8..2^19).  An addition's fixed cost is 64 steps (6 us); 190
-    int32 cells are added per step; a transposed cell, whose innermost run
-    is only p long, costs as much as 12 added ones.  Against
-    _row_transform's measured time over p = 2..13 and p^n = 2^8..13^5 the
-    estimate came out 1.1 to 2.1 times high, closest at the largest sizes
-    ((2,19) 0.15 s, (7,7) 0.37 s).  All were measured on a 2-CPU x86-64
+    _transform_steps(f) = n * (12 * p^2 + (p^2 + 10 * p) * p^n // 29)
+    counts each of the transform's n rounds: p^2 numpy slice additions
+    over p^n cells each, then one transpose of p^(n+1) cells.  A step is
+    1/p^n of _rows_equal's time on one subset (10.7-44 us per 2-subset up
+    to p^n = 4096, 2.9-5.5 ms at 2^19 to 7^7).  An addition's fixed cost
+    is 12 steps, 29 cells are added per step, and a transposed cell costs
+    as much as 10 added ones: the least-squares fit over p = 2..13 and
+    p^n = 16..7^7 among the constants that keep the regimes the tests pin
+    (below; the symmetric scan of x1 + ... + x8 over F_2; the (7,7)
+    Maiorana-McFarland member of order 2 in the transform).  The estimate
+    came out 0.34 to 4.4 times _row_transform's measured cost: 0.9 to 1.2
+    for p = 2, 3 at p^n >= 2,000, 0.34 to 0.8 there for p = 5..13, and up
+    to 4.4 on tiny tables.  All were measured on a 2-CPU x86-64
     host with Python 3.11 and numpy 2.4; they are a property of the host,
     and a wrong estimate only moves the handover, never the answer.
     With them the estimate is at least p^n at every size, so a table that
@@ -507,12 +467,13 @@ def first_unbalanced_restriction(f: PFunction, m: int):
     """
     _check_order(f, m, 0)
     p = f.p
-    for subset in combinations(range(1, f.n + 1), m):
-        cm = _joint_counts(f, subset)
-        for a in range(p**m):
-            row = cm[a * p : a * p + p]
-            if row.count(row[0]) != p:
-                return (subset, digits_of(a, p, m), tuple(row))
+    subsets = list(combinations(range(1, f.n + 1), m))
+    for subset, cm in zip(subsets, _subset_counts(f, subsets)):
+        rows = cm.reshape(-1, p)
+        uneven = np.flatnonzero((rows != rows[:, :1]).any(axis=1))
+        if uneven.size:
+            a = int(uneven[0])
+            return (subset, digits_of(a, p, m), tuple(rows[a].tolist()))
     return None
 
 

@@ -110,6 +110,36 @@ def parseval_cost_points(f: PFunction, m: int) -> int:
     return total
 
 
+def all_functions(p: int, n: int):
+    """Every function F_p^n -> F_p, in lexicographic table order."""
+    for table in product(range(p), repeat=p**n):
+        yield PFunction(p, n, table)
+
+
+def cost_after(cost, changes) -> int:
+    """The cost a ParsevalCost would have after apply_changes(cost, changes),
+    read off its counts by the climb's own scorers; nothing is written.
+    changes is one (k, v) or a swap [(i, table[j]), (j, table[i])]."""
+    table = cost.table
+    if len(changes) == 1:
+        ((k, v),) = changes
+        return cost.cost if table[k] == v else cost.cost + cost._change_delta(k, v)
+    (i, b), (j, a) = changes
+    if (a, b) != (table[i], table[j]):
+        raise ValueError(f"not one change or a swap of two entries: {changes}")
+    return cost.cost if a == b else cost.cost + cost._swap_delta(i, j)
+
+
+def apply_changes(cost, changes) -> int:
+    """Set table[k] = v for each (k, v) of changes in order, through the
+    climb's own scorer and writer; return the ParsevalCost's new cost."""
+    for k, v in changes:
+        if cost.table[k] != v:
+            cost.cost += cost._change_delta(k, v)
+            cost._write(k, v)
+    return cost.cost
+
+
 def search_by_recount(p: int, n: int, target: int, resilient: bool, seed: int, budget: int):
     """Reference for the `search` climb: the same draws, restarts and
     acceptance rule, with every table, start or moved, scored afresh by

@@ -16,7 +16,6 @@ import time
 import numpy as np
 
 from cispectra import (
-    all_functions,
     apply_permutation,
     critical_index,
     dft_float,
@@ -87,7 +86,7 @@ def test_acceptance_3_six_way_exhaustive_consensus():
     disagreements = 0
     checked = 0
     for p, n, orders in [(2, 3, (1, 2, 3)), (3, 2, (1, 2))]:
-        for f in all_functions(p, n):
+        for f in helpers.all_functions(p, n):
             checked += 1
             for m in orders:
                 if not consensus(f, m).consensus:

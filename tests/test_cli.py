@@ -153,13 +153,13 @@ def test_analyze_highly_immune_functions_is_not_factorial(capsys, argv, symmetri
 def test_analyze_never_counts_over_all_variables(capsys, monkeypatch, poly, p, n, order):
     # order n is decided from the table (f constant or not), not from the
     # p^(n+1) counts over every variable, which ran out of memory here
-    real = spectral._joint_counts
+    real = spectral._subset_counts
 
-    def spy(f, indices):
-        assert len(indices) < f.n, "joint counts over all n variables"
-        return real(f, indices)
+    def spy(f, subsets):
+        assert all(len(s) < f.n for s in subsets), "joint counts over all n variables"
+        return real(f, subsets)
 
-    monkeypatch.setattr(spectral, "_joint_counts", spy)
+    monkeypatch.setattr(spectral, "_subset_counts", spy)
     start = time.perf_counter()
     code, out = run(capsys, "analyze", "--json", "--poly", poly, "--p", str(p), "--n", str(n))
     assert time.perf_counter() - start < 2.0
@@ -693,11 +693,19 @@ def test_search_counter_size_is_bounded_before_any_table(capsys, monkeypatch, ar
 
 @pytest.mark.parametrize("args,code,digest", PINNED_SEARCHES)
 def test_search_climb_reads_only_counts(capsys, monkeypatch, args, code, digest):
-    # the climb decides each axis from square sums, never by comparing rows
+    # the climb decides each axis from square sums, never by comparing rows;
+    # only the verdict on its result, which analyze gives, compares them
+    changes_along, analyze = spectral._changes_along, cli.analyze_function
+
     def refuse(*_):
         raise AssertionError("the climb compared count rows")
 
-    monkeypatch.setattr(spectral, "_axis_changes", refuse)
+    def verdict(f):
+        monkeypatch.setattr(spectral, "_changes_along", changes_along)
+        return analyze(f)
+
+    monkeypatch.setattr(spectral, "_changes_along", refuse)
+    monkeypatch.setattr(cli, "analyze_function", verdict)
     got_code, out = run(capsys, "search", "--json", *args.split())
     assert got_code == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -6,7 +6,7 @@ import json
 import random
 import time
 from collections import Counter
-from itertools import product
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +18,6 @@ from cispectra import (
     PFunction,
     SizeLimitError,
     VariableTuple,
-    all_functions,
     apply_permutation,
     count_matrix,
     digits_of,
@@ -40,6 +39,7 @@ from cispectra.ptable import (
     _packed_digits,
     _random_chunks,
     _random_table,
+    _subset_counts,
     _tally,
     _weighted_digits,
 )
@@ -353,7 +353,7 @@ def test_is_symmetric_is_fast_on_large_tables():
 
 def test_is_symmetric_compares_two_generators(monkeypatch):
     for p, n in [(2, 3), (3, 2)]:
-        for f in all_functions(p, n):
+        for f in helpers.all_functions(p, n):
             assert is_symmetric(f) == helpers.is_symmetric_loop(f)
     # fixed by the 4-cycle but not by a transposition; every (2,3) table
     # fixed by the 3-cycle is symmetric
@@ -403,6 +403,44 @@ def test_joint_counts_match_brute_force(p, n, tuples):
             )
             expected = [want[(w, v)] for w in range(p ** len(indices)) for v in range(p)]
             assert _joint_counts(f, indices) == expected
+
+
+def _assert_subset_counts(f, subsets):
+    """_subset_counts over the whole sequence, prefixes shared, equals
+    _joint_counts subset by subset."""
+    got = list(_subset_counts(f, subsets))
+    assert len(got) == len(subsets)
+    for indices, counts in zip(subsets, got):
+        assert counts.dtype == np.int64
+        assert counts.tolist() == _joint_counts(f, indices)
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (2, 8), (5, 3), (7, 3)])
+def test_subset_counts_are_the_joint_counts(p, n):
+    rng = random.Random(31 * p + n)
+    variables = range(1, n + 1)
+    every = [s for m in range(n + 1) for s in combinations(variables, m)]
+    ordered = [tuple(rng.sample(variables, rng.randrange(n + 1))) for _ in range(40)]
+    subjects = [random_function(p, n, seed=s) for s in range(3)]
+    subjects.append(parse_polynomial(" + ".join(f"x{i}" for i in variables), p, n))
+    for f in subjects:
+        _assert_subset_counts(f, every)
+        _assert_subset_counts(f, ordered)
+        _assert_subset_counts(f, every[::-1])
+
+
+@pytest.mark.parametrize("p,n", [(997, 2), (65537, 1)])
+def test_subset_counts_on_wide_storage(p, n):
+    # uint16 and uint32 tables meet the int32 key (int64 once p^(m+1) passes
+    # 2^31); only subsets short of all n variables, as the verdicts count
+    for seed in range(2):
+        f = random_function(p, n, seed=seed)
+        assert f.flat.dtype == (np.uint16 if p < 2**16 else np.uint32)
+        subsets = [s for m in range(n) for s in combinations(range(1, n + 1), m)]
+        _assert_subset_counts(f, subsets)
+        _assert_subset_counts(f, subsets[::-1])
+    f = PFunction(p, n, np.full(p**n, p - 1))
+    _assert_subset_counts(f, [(), *((i,) for i in range(1, n))])
 
 
 @pytest.mark.parametrize(
@@ -712,14 +750,14 @@ def test_random_chunks_are_randrange_calls(p, n, count, rows):
 
 
 def test_all_functions_order_and_count():
-    fam = list(all_functions(2, 2))
+    fam = list(helpers.all_functions(2, 2))
     assert len(fam) == 16
     assert fam[0].table == (0, 0, 0, 0)
     assert fam[1].table == (0, 0, 0, 1)
     assert fam[-1].table == (1, 1, 1, 1)
     tables = [f.table for f in fam]
     assert tables == sorted(tables)
-    assert sum(1 for _ in all_functions(3, 1)) == 27
+    assert sum(1 for _ in helpers.all_functions(3, 1)) == 27
 
 
 @pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2)])
@@ -728,7 +766,7 @@ def test_exhaustive_chunks_are_all_functions_in_order(p, n, rows):
     chunks = list(_exhaustive_chunks(p, n, rows))
     assert all(c.dtype == np.int64 and 1 <= len(c) <= rows for c in chunks)
     got = [tuple(row) for c in chunks for row in c.tolist()]
-    assert got == [f.table for f in all_functions(p, n)]
+    assert got == [f.table for f in helpers.all_functions(p, n)]
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,6 @@ import pytest
 from cispectra import (
     CycloElement,
     PFunction,
-    all_functions,
     parse_polynomial,
     random_function,
 )
@@ -286,7 +285,7 @@ def test_fourier_oracles_match_point_sums_exhaustive(p, n, values):
     # witnesses reach each fold up to the first failing c.  A whole family
     # is closed under output shifts, so shift 0 of every member covers
     # chrestenson_linear(_shifted(f, a), c) for every (f, a).
-    for f in all_functions(p, n):
+    for f in helpers.all_functions(p, n):
         if values:
             _check_values(f, (0,))
         _check_witnesses(f)
@@ -412,7 +411,7 @@ def test_consensus_on_failing_function(e2e3):
 
 
 def test_consensus_exhaustive_tiny_family():
-    for f in all_functions(2, 2):
+    for f in helpers.all_functions(2, 2):
         for m in (1, 2):
             rep = consensus(f, m)
             assert rep.consensus, (f.table, m, rep.verdicts)

@@ -7,6 +7,7 @@ checkout's package.
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -89,6 +90,17 @@ def test_ci_census_refuses_an_oversized_family_without_building_it(args):
     proc = _run("ci_census.py", *args, timeout=10, preexec_fn=_address_space_512_mib)
     assert proc.returncode == 2, proc.stderr
     assert "more than 1000000" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("p,n", [(2, 18), (2, 11), (7, 1)])
+def test_ci_census_refuses_a_symmetric_census_past_its_work(p, n):
+    # 2^19 symmetric functions at (2,18) pass the family cap, but each
+    # would take 18 counts over a 2^18 table
+    start = time.perf_counter()
+    proc = _run("ci_census.py", "--symmetric", "--p", str(p), "--n", str(n), timeout=10)
+    assert time.perf_counter() - start < 2.0
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == "" and "entry-orders" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_worked_example_runs():

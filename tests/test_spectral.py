@@ -20,7 +20,6 @@ import pytest
 from cispectra import (
     PFunction,
     VariableTuple,
-    all_functions,
     apply_permutation,
     consensus,
     critical_index,
@@ -234,9 +233,7 @@ def test_is_ci_matches_walsh_for_binary_functions():
 
 
 def test_is_ci_exhaustive_small_families():
-    from cispectra import all_functions
-
-    for f in all_functions(2, 2):
+    for f in helpers.all_functions(2, 2):
         for m in (1, 2):
             assert is_ci(f, m) == ci_oracle_definition(f, m)
 
@@ -313,13 +310,14 @@ def test_failing_tuples_are_exactly_the_nonvanishing_orbits(text, p, n):
 
 def test_first_failing_tuple_counts_each_subset_at_most_once(monkeypatch):
     calls = []
-    real = spectral._joint_counts
+    real = spectral._subset_counts
 
-    def counting(f, indices):
-        calls.append(tuple(indices))
-        return real(f, indices)
+    def counting(f, subsets):
+        for subset, counts in zip(subsets, real(f, subsets)):
+            calls.append(tuple(subset))
+            yield counts
 
-    monkeypatch.setattr(spectral, "_joint_counts", counting)
+    monkeypatch.setattr(spectral, "_subset_counts", counting)
     rng = random.Random(71)
     subjects = [parse_polynomial(" + ".join(f"x{i}" for i in range(1, 7)), 2, 6)]
     subjects += [_q_plus_linear(rng, 3, 4)[0] for _ in range(6)]
@@ -384,11 +382,11 @@ def _check_counter(cost_cls, f, m, rng, steps) -> int:
         for k, v in move:
             moved[k] = v
         before = _state(cost)
-        got = cost.cost_after(move)
+        got = helpers.cost_after(cost, move)
         assert _state(cost) == before
         assert got == spectral.ParsevalCost(PFunction(f.p, f.n, tuple(moved)), m).cost
         if rng.random() < 0.5:
-            assert cost.apply(move) == got
+            assert helpers.apply_changes(cost, move) == got
             assert cost.table == moved
             _assert_fresh(cost, f, m)
     return first
@@ -412,7 +410,7 @@ def test_parseval_cost_exhaustive(p, n):
     def code(table):
         return sum(v * place for v, place in zip(table, places))
 
-    tables = list(all_functions(p, n))
+    tables = list(helpers.all_functions(p, n))
     shared = 0
     for m in range(n + 1):
         costs = {code(f.table): spectral.ParsevalCost(f, m) for f in tables}
@@ -425,14 +423,14 @@ def test_parseval_cost_exhaustive(p, n):
             for k, (old, place) in enumerate(zip(f.table, places)):
                 for v in range(p):
                     moved = here + (v - old) * place
-                    assert cost.cost_after([(k, v)]) == costs[moved].cost
+                    assert helpers.cost_after(cost, [(k, v)]) == costs[moved].cost
             for _ in range(2):
                 i, j = rng.randrange(f.size), rng.randrange(f.size)
                 a, b = f.table[i], f.table[j]
                 if a == b:
                     continue
                 moved = here + (b - a) * places[i] + (a - b) * places[j]
-                assert cost.cost_after([(i, b), (j, a)]) == costs[moved].cost
+                assert helpers.cost_after(cost, [(i, b), (j, a)]) == costs[moved].cost
                 # i and j share a row of the counts over some m-subset, and
                 # lie in different rows of those over the others
                 shared += 1 <= m <= _agreeing_digits(p, n, i, j)
@@ -442,11 +440,11 @@ def test_parseval_cost_exhaustive(p, n):
             # so the cached costs stay valid
             move = _random_move(rng, f.table, p)
             moved = here + sum((v - f.table[k]) * places[k] for k, v in move)
-            scored = cost.cost_after(move)
-            assert cost.apply(move) == scored == costs[moved].cost
+            scored = helpers.cost_after(cost, move)
+            assert helpers.apply_changes(cost, move) == scored == costs[moved].cost
             assert cost._counts == costs[moved]._counts
             assert code(cost.table) == moved
-            cost.apply([(k, f.table[k]) for k, _ in move])
+            helpers.apply_changes(cost, [(k, f.table[k]) for k, _ in move])
             assert _state(cost) == before
     assert shared >= 100
     assert time.perf_counter() - start < 20.0
@@ -462,8 +460,8 @@ def test_parseval_cost_matches_a_point_recount(p, n):
             assert cost.cost == helpers.parseval_cost_points(f, m)
             for _ in range(5):
                 move = _random_move(rng, cost.table, p)
-                scored = cost.cost_after(move)
-                got = cost.apply(move)
+                scored = helpers.cost_after(cost, move)
+                got = helpers.apply_changes(cost, move)
                 assert scored == got == helpers.parseval_cost_points(
                     PFunction(p, n, tuple(cost.table)), m
                 )
@@ -507,7 +505,7 @@ class _NoHistogram(spectral.ParsevalCost):
 
 def test_parseval_cost_check_catches_a_histogram_mutant():
     with pytest.raises(AssertionError):
-        for f in all_functions(2, 3):
+        for f in helpers.all_functions(2, 3):
             _check_counter(_NoHistogram, f, 1, random.Random(1), steps=1)
 
 
@@ -520,19 +518,19 @@ def test_parseval_cost_same_value_and_repeated_index():
         before = _state(counter)
         # a change to the value already there, and a swap of equal values
         # or of an entry with itself, are no-ops
-        assert counter.cost_after([(k, f.table[k])]) == counter.cost
-        assert counter.cost_after([(k, f.table[same]), (same, f.table[k])]) == counter.cost
-        assert counter.cost_after([(k, f.table[k]), (k, f.table[k])]) == counter.cost
+        assert helpers.cost_after(counter, [(k, f.table[k])]) == counter.cost
+        assert helpers.cost_after(counter, [(k, f.table[same]), (same, f.table[k])]) == counter.cost
+        assert helpers.cost_after(counter, [(k, f.table[k]), (k, f.table[k])]) == counter.cost
         # applying a no-op writes nothing either
-        assert counter.apply([(k, f.table[k])]) == counter.cost
+        assert helpers.apply_changes(counter, [(k, f.table[k])]) == counter.cost
         assert _state(counter) == before
         # two changes that are no swap are refused, not mis-scored
         with pytest.raises(ValueError):
-            counter.cost_after([(k, (f.table[k] + 1) % 3), (j, (f.table[j] + 1) % 3)])
+            helpers.cost_after(counter, [(k, (f.table[k] + 1) % 3), (j, (f.table[j] + 1) % 3)])
         assert _state(counter) == before
         # apply writes any list of changes in order, a repeated index too
         moves = [(k, (f.table[k] + 1) % 3), (j, (f.table[j] + 1) % 3), (k, (f.table[k] + 2) % 3)]
-        got = counter.apply(moves)
+        got = helpers.apply_changes(counter, moves)
         assert counter.table[k] == (f.table[k] + 2) % 3
         assert counter.table[j] == (f.table[j] + 1) % 3
         assert got == counter.cost
@@ -546,9 +544,9 @@ def test_parseval_cost_edges():
     zero = spectral.ParsevalCost(f, 0)
     assert zero.cost == 0
     change = [(0, (f.table[0] + 1) % 3)]
-    assert zero.cost_after(change) == 0
+    assert helpers.cost_after(zero, change) == 0
     assert tuple(zero.table) == f.table
-    assert zero.apply(change) == 0
+    assert helpers.apply_changes(zero, change) == 0
     assert zero.table[0] == (f.table[0] + 1) % 3
 
 
@@ -611,7 +609,7 @@ def test_row_transform_counts_every_shifted_output(p, n):
 
 @pytest.mark.parametrize("p,n", [(2, 3), (3, 2)])
 def test_transform_order_matches_is_ci_exhaustive(p, n):
-    family = list(all_functions(p, n))
+    family = list(helpers.all_functions(p, n))
     orders = spectral._transform_ci_orders(_stacked(family), p, n).tolist()
     assert orders == [_definition_order(f) for f in family]
     assert set(orders) == set(range(n + 1))
@@ -621,7 +619,7 @@ def test_transform_order_matches_is_ci_exhaustive(p, n):
 def test_transform_orders_match_ci_order_over_every_table(p, n):
     # the batch reads the whole family at once; ci_order reads each table
     # by its own scan, or by the transform of that table alone
-    family = list(all_functions(p, n))
+    family = list(helpers.all_functions(p, n))
     orders = spectral._transform_ci_orders(_stacked(family), p, n)
     assert orders.tolist() == [ci_order(f) for f in family]
 
@@ -661,6 +659,35 @@ def test_maiorana_mcfarland_orders_in_every_handover_regime(monkeypatch, p, n, m
     if not transformed:
         assert all(consensus(f, m).verdicts.values())
         assert not any(consensus(f, m + 1).verdicts.values())
+
+
+@pytest.mark.parametrize(
+    "p,n,orders", [(2, 6, (1, 2, 3)), (2, 8, (1, 2, 4, 5)), (3, 4, (1, 2)), (3, 5, (1, 2)),
+                   (5, 3, (1,)), (7, 3, (1,))],
+)
+def test_forced_scan_matches_the_transform_on_planted_orders(monkeypatch, p, n, orders):
+    # the scan, never rented out, and the transform give the same order on
+    # Maiorana-McFarland members (order exactly m) and on each with one
+    # entry changed
+    rng = random.Random(7 * p + n)
+    subjects, want = [], []
+    for m in orders:
+        for seed in range(3):
+            f = helpers.maiorana_mcfarland(p, n, m, seed=seed)
+            subjects.append(f)
+            want.append(m)
+            for k in rng.sample(range(f.size), 4):
+                table = f.flat.copy()
+                table[k] = (table[k] + rng.randrange(1, p)) % p
+                subjects.append(PFunction(p, n, table))
+                want.append(None)
+    transformed = spectral._transform_ci_orders(_stacked(subjects), p, n).tolist()
+    monkeypatch.setattr(spectral, "_transform_steps", lambda f: 10**18)
+    monkeypatch.setattr(spectral, "_transform_ci_orders", lambda *a: pytest.fail("transformed"))
+    scanned = [ci_order(f) for f in subjects]
+    assert scanned == transformed
+    assert [o for o, w in zip(scanned, want) if w is not None] == [w for w in want if w is not None]
+    assert min(scanned) < min(orders)  # some change drops the order
 
 
 def _spy_rows_equal(monkeypatch) -> list:
@@ -754,9 +781,7 @@ def _q_plus_linear(rng, p, n):
 
 @pytest.mark.parametrize("p,n", [(2, 3), (3, 2)])
 def test_subset_verdict_matches_tuple_scan_exhaustive(p, n):
-    from cispectra import all_functions
-
-    for f in all_functions(p, n):
+    for f in helpers.all_functions(p, n):
         _assert_subset_verdicts_match_tuple_scan(f)
 
 
