@@ -37,6 +37,7 @@ from .ptable import (
     _check_p_n,
     _exceeds,
     _exhaustive_chunks,
+    _randbelow,
     _random_chunks,
     _random_table,
     _table_header,
@@ -334,7 +335,8 @@ def cmd_search(args) -> int:
         open(args.output, "a").close()
 
     rng = random.Random(seed)
-    randrange, size, resilient = rng.randrange, p**n, args.resilient
+    # moves draw what rng.randrange would, through below (ptable._randbelow)
+    below, size, resilient = _randbelow(rng), p**n, args.resilient
     stall_limit = 8 * size
     evals = 0
     best = None  # (cost, table) of the lowest-cost climb so far
@@ -348,17 +350,17 @@ def cmd_search(args) -> int:
         while climb.cost > 0 and stall < stall_limit and evals < args.budget:
             if resilient:
                 # swap two differing entries; preserves the output multiset
-                i, j = randrange(size), randrange(size)
+                i, j = below(size), below(size)
                 while table[i] == table[j]:
-                    i, j = randrange(size), randrange(size)
+                    i, j = below(size), below(size)
                 delta = climb._swap_delta(i, j)
                 if delta < 0:
                     a, b = table[i], table[j]
                     climb._write(i, b)
                     climb._write(j, a)
             else:
-                k = randrange(size)
-                v = (table[k] + randrange(1, p)) % p
+                k = below(size)
+                v = (table[k] + 1 + below(p - 1)) % p
                 delta = climb._change_delta(k, v)
                 if delta < 0:
                     climb._write(k, v)

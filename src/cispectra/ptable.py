@@ -54,6 +54,18 @@ loops (_joint_counts, the reference oracles); it is built on first use
 only, so a large table that only numpy code reads never holds p^n Python
 ints.
 
+Random draws
+------------
+Random tables and the search climb's moves hold the values of literal
+rng.randrange calls and leave rng where those calls would.  CPython's
+randrange(n) is _randbelow_with_getrandbits(n): it draws
+getrandbits(n.bit_length()) and draws again while the value is >= n.  Two
+readers state that one rule.  _draws reads many draws below one p in bulk
+off the generator's 32-bit words, for random tables and crosscheck's
+random chunks.  _randbelow returns below, one draw at a time without
+randrange's argument checks, for the climb's entry, value step and swap
+indices, and for _draws' last few values.
+
 Everything here is an immutable value and every function is pure; no
 module-level state remains.  The caches on an object, PFunction.array and
 PFunction.table, are written once with values derived from flat, so
@@ -508,8 +520,8 @@ def _draws(rng: random.Random, p: int, count: int) -> np.ndarray:
     round takes one word per value still due, as the little-endian 32-bit
     groups of getrandbits(32 * left), and keeps the values < p.  Each value
     uses at least one word, so no round takes a word past the last one the
-    calls would use.  The last _DRAW_TAIL values or fewer are drawn with
-    CPython's own loop.  Every p of a table within MAX_TABLE_ENTRIES is
+    calls would use.  The last _DRAW_TAIL values or fewer are drawn one at a
+    time by _randbelow.  Every p of a table within MAX_TABLE_ENTRIES is
     < 2^32.
     """
     k = p.bit_length()
@@ -520,15 +532,31 @@ def _draws(rng: random.Random, p: int, count: int) -> np.ndarray:
         words = words >> (32 - k)
         parts.append(words[words < p])
         left -= len(parts[-1])
-    getrandbits = rng.getrandbits
-    tail = []
-    for _ in range(left):
-        r = getrandbits(k)
-        while r >= p:
-            r = getrandbits(k)
-        tail.append(r)
-    parts.append(np.array(tail, dtype=np.int64))
+    below = _randbelow(rng)
+    parts.append(np.array([below(p) for _ in range(left)], dtype=np.int64))
     return np.concatenate(parts, dtype=np.int64)
+
+
+def _randbelow(rng: random.Random):
+    """below, a function with below(n) == rng.randrange(n) for every n >= 1,
+    in value and in the state it leaves rng.
+
+    It is CPython's _randbelow_with_getrandbits without randrange's argument
+    checks: it draws getrandbits(k), k = n.bit_length(), and draws again
+    while the value is >= n.  So at n = 1 and at every power of two a draw
+    may use more than one k-bit value.  1 + below(p - 1) is
+    rng.randrange(1, p), at p = 2 too.
+    """
+    getrandbits = rng.getrandbits
+
+    def below(n: int) -> int:
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    return below
 
 
 def _random_table(rng: random.Random, p: int, n: int) -> PFunction:

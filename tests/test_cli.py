@@ -750,6 +750,31 @@ def test_search_writes_only_the_moves_it_keeps(capsys, monkeypatch, args):
     assert len(scored) < json.loads(out)["evaluations"]
 
 
+@pytest.mark.parametrize("args", [
+    "--p 5 --n 2 --target-ci 1 --seed 6 --budget 1500",
+    "--p 2 --n 5 --target-ci 1 --resilient --seed 11 --budget 2000",
+])
+def test_search_draws_no_randrange(capsys, monkeypatch, args):
+    # every move reads its randrange draws through ptable._randbelow, and the
+    # starts draw through _draws and shuffle, so the pinned bytes come
+    # without one randrange call
+    calls = []
+    randrange = random.Random.randrange
+
+    def spy(self, *a, **kw):
+        calls.append(a)
+        return randrange(self, *a, **kw)
+
+    monkeypatch.setattr(random.Random, "randrange", spy)
+    code, digest = {a: (c, d) for a, c, d in PINNED_SEARCHES}[args]
+    got_code, out = run(capsys, "search", "--json", *args.split())
+    assert got_code == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert calls == []
+    random.Random(0).randrange(3)
+    assert calls == [(3,)]
+
+
 def test_search_climb_equals_a_recounting_climb(capsys, monkeypatch):
     # the running cost, scored and written move by move, against a climb
     # that recounts every moved table (helpers.search_by_recount): equal
@@ -764,7 +789,7 @@ def test_search_climb_equals_a_recounting_climb(capsys, monkeypatch):
 
     monkeypatch.setattr(spectral, "ParsevalCost", Recorded)
     stops = []
-    for p, n in [(2, 2), (2, 3), (3, 2), (5, 2), (7, 2)]:
+    for p, n in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2)]:
         for resilient in (False, True):
             for target in range(1, n if resilient else n + 1):
                 for seed, budget in product(range(4), (7, 60, 400)):

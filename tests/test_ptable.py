@@ -37,6 +37,7 @@ from cispectra.ptable import (
     _exhaustive_chunks,
     _joint_counts,
     _packed_digits,
+    _randbelow,
     _random_chunks,
     _random_table,
     _subset_counts,
@@ -747,6 +748,28 @@ def test_random_chunks_are_randrange_calls(p, n, count, rows):
     want, state = _randranges(count, p, count * p**n)
     assert got == want
     assert rng.getstate() == state
+
+
+# below is search's move draw.  It must be rng.randrange itself, in values
+# and in the state it leaves, also where a rejected draw takes more bits
+# (n = 1 and the powers of two).
+@pytest.mark.parametrize("seed", [0, 1, 7, 1729])
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 27, 96, 2**19, 3**12, 65536])
+def test_randbelow_is_randrange(seed, n):
+    rng, ref = random.Random(seed), random.Random(seed)
+    below = _randbelow(rng)
+    assert [below(n) for _ in range(500)] == [ref.randrange(n) for _ in range(500)]
+    assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 1729])
+@pytest.mark.parametrize("p", [2, 3, 97])
+def test_one_plus_randbelow_is_randrange_from_one(seed, p):
+    # the climb's value step; at p = 2 it is always 1 and still uses bits
+    rng, ref = random.Random(seed), random.Random(seed)
+    below = _randbelow(rng)
+    assert [1 + below(p - 1) for _ in range(500)] == [ref.randrange(1, p) for _ in range(500)]
+    assert rng.getstate() == ref.getstate()
 
 
 def test_all_functions_order_and_count():
