@@ -52,7 +52,9 @@ Axis j holds x_(n-j), so x_1 is the last, fastest-varying axis.
 PFunction.table is the values as a tuple of ints for the per-point Python
 loops (_joint_counts, the reference oracles); it is built on first use
 only, so a large table that only numpy code reads never holds p^n Python
-ints.
+ints.  The reference oracles keep one more cache in the same __dict__:
+their count matrices by reduced c-vector, one entry written per c on first
+use (reference module docstring).
 
 Random draws
 ------------
@@ -67,9 +69,10 @@ randrange's argument checks, for the climb's entry, value step and swap
 indices, and for _draws' last few values.
 
 Everything here is an immutable value and every function is pure; no
-module-level state remains.  The caches on an object, PFunction.array and
-PFunction.table, are written once with values derived from flat, so
-objects can be shared freely across threads.
+module-level state remains.  The caches on an object, PFunction.array,
+PFunction.table and reference's count-matrix memo, are each written once
+(the memo once per c) with values derived from flat, so objects can be
+shared freely across threads.
 """
 
 from __future__ import annotations
@@ -153,8 +156,9 @@ class PFunction:
     PFunction(p, n, table) takes any integer sequence or integer ndarray of
     the p^n values, table[k] = f(x) for the point x encoded by k as in the
     module docstring, and keeps a read-only copy in flat (module docstring,
-    Storage).  Two functions are equal, and hash equal, iff their p, n and
-    values are.
+    Storage).  array, table and reference's count-matrix memo are caches
+    written once (the memo once per c) from flat.  Two functions are equal,
+    and hash equal, iff their p, n and values are.
     """
 
     def __init__(self, p: int, n: int, table: Sequence[int] | np.ndarray):

@@ -30,6 +30,16 @@ sum puts M_c[d][v] on omega^(v - d); the linear sum of the shift f + a puts
 ((v + a) mod p) * M_c[d][v] on omega^d (Xiao and Massey, IEEE Trans. IT
 34(3), 1988; Camion, Carlet, Charpin and Sendrier, CRYPTO '91).
 
+Each function keeps one memo of these, keyed by the reduced c: the
+CountMatrix, which holds M_c and caches the cyclic value and the linear
+oracle's first failing shift, each computed on first use.  The memo lives in
+the function's __dict__, as PFunction.table does, so M_c and both
+Chrestenson folds are made once per function and c: consensus shares them
+across its three oracles, and analyze --reports across all its orders.  An
+entry is written once (dict.setdefault keeps the first one stored), from
+values derived from flat, so a function stays safe to share across
+threads; equal functions built apart share nothing.
+
 Both Chrestenson sums are kept unscaled (multiplied by p^n relative to the
 normalized definitions); scaling cannot change zero-ness and staying in
 integers keeps the oracle exact.
@@ -95,7 +105,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations, product
 
 import numpy as np
@@ -171,6 +181,8 @@ class CountMatrix:
 
     Rows of a CI function are identical for every c of weight 1..m; for any
     c != 0 each row sums to p^(n-1) (fiber size of a nonzero linear form).
+    cyclic and linear_failure are the two Chrestenson folds at c, each
+    computed from entries on first use and kept (module docstring).
     """
 
     c: tuple[int, ...]
@@ -179,17 +191,55 @@ class CountMatrix:
     def rows_identical(self) -> bool:
         return all(row == self.entries[0] for row in self.entries)
 
+    @cached_property
+    def cyclic(self) -> CycloElement:
+        """chrestenson_cyclic at c: M_c[d][v] lands on omega^(v - d)."""
+        p = len(self.entries)
+        counts = [0] * p
+        for d, row in enumerate(self.entries):
+            for v, k in enumerate(row):
+                counts[(v - d) % p] += k
+        return CycloElement.from_root_counts(p, 1, counts)
+
+    @cached_property
+    def linear_failure(self) -> int | None:
+        """The first output shift a whose linear sum at c does not vanish,
+        or None (_shift_folds)."""
+        p = len(self.entries)
+        for a, counts in enumerate(_shift_folds(self.entries)):
+            if not CycloElement.from_root_counts(p, 1, counts).is_zero():
+                return a
+        return None
+
+
+def _memo(f: PFunction) -> dict:
+    """f's count matrices by reduced c (module docstring)."""
+    return vars(f).setdefault("_count_matrix_memo", {})
+
 
 def count_matrix(f: PFunction, c) -> CountMatrix:
-    """The one pass over the table behind the matrix and Chrestenson oracles."""
+    """The one pass over the table behind the matrix and Chrestenson oracles,
+    made on the first call for each reduced c and read from f's memo after."""
     if len(c) != f.n:
         raise ValueError(f"c has length {len(c)}, expected {f.n}")
     p = f.p
     c = tuple([int(v) % p for v in c])
-    flat = [0] * (p * p)
-    for d, v in zip(_weighted_digits(p, c), f.table):
-        flat[d % p * p + v] += 1
-    return CountMatrix(c, tuple([tuple(flat[i : i + p]) for i in range(0, p * p, p)]))
+    memo = _memo(f)
+    cm = memo.get(c)
+    if cm is None:
+        flat = [0] * (p * p)
+        for d, v in zip(_weighted_digits(p, c), f.table):
+            flat[d % p * p + v] += 1
+        cm = memo.setdefault(c, CountMatrix(c, tuple([tuple(flat[i : i + p]) for i in range(0, p * p, p)])))
+    return cm
+
+
+def _count_matrices(f: PFunction, m: int):
+    """M_c for every c with 1 <= wt(c) <= m, in scan order; count_matrix is
+    called only for a c not yet in f's memo."""
+    memo = _memo(f)
+    for c in _weighted_vectors(f.p, f.n, m):
+        yield memo.get(c) or count_matrix(f, c)
 
 
 def _shift_folds(rows):
@@ -216,12 +266,7 @@ def chrestenson_cyclic(f: PFunction, c) -> CycloElement:
 
     At p = 2 this is the classical Walsh-Hadamard sum sum_x (-1)^(f(x)+c.x).
     """
-    p = f.p
-    counts = [0] * p
-    for d, row in enumerate(count_matrix(f, c).entries):
-        for v, k in enumerate(row):
-            counts[(v - d) % p] += k
-    return CycloElement.from_root_counts(p, 1, counts)
+    return count_matrix(f, c).cyclic
 
 
 def chrestenson_linear(f: PFunction, c) -> CycloElement:
@@ -232,9 +277,9 @@ def chrestenson_linear(f: PFunction, c) -> CycloElement:
 
 def chrestenson_cyclic_witness(f: PFunction, m: int):
     _check_order(f, m, 1)
-    for c in _weighted_vectors(f.p, f.n, m):
-        if not chrestenson_cyclic(f, c).is_zero():
-            return c
+    for cm in _count_matrices(f, m):
+        if not cm.cyclic.is_zero():
+            return cm.c
     return None
 
 
@@ -243,11 +288,9 @@ def chrestenson_linear_witness(f: PFunction, m: int):
     linear spectrum on every c with 1 <= wt(c) <= m.  Every shift is folded
     from one count matrix per c (_shift_folds)."""
     _check_order(f, m, 1)
-    p = f.p
-    for c in _weighted_vectors(p, f.n, m):
-        for a, counts in enumerate(_shift_folds(count_matrix(f, c).entries)):
-            if not CycloElement.from_root_counts(p, 1, counts).is_zero():
-                return (c, a)
+    for cm in _count_matrices(f, m):
+        if cm.linear_failure is not None:
+            return (cm.c, cm.linear_failure)
     return None
 
 
@@ -255,8 +298,7 @@ def matrix_test(f: PFunction, m: int):
     """(verdict, witness): verdict true iff every count matrix for
     1 <= wt(c) <= m has identical rows; witness is the first failing matrix."""
     _check_order(f, m, 1)
-    for c in _weighted_vectors(f.p, f.n, m):
-        cm = count_matrix(f, c)
+    for cm in _count_matrices(f, m):
         if not cm.rows_identical():
             return (False, cm)
     return (True, None)

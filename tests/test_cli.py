@@ -1087,6 +1087,32 @@ PINNED_OUTPUTS = [
      "0b19ef3e9afec8476baf448204bafa3cebcea9b2e3581f27c0c0d6b555d4e23d"),
     ("analyze --poly x1+x2+x3 --p 2 --n 3 --reports", False, EXIT_OK,
      "ebc599cdc10976f4cd8a64a0cb1179264de6d54cfcc217112a1b0af0946a5de2"),
+    # --reports at one more size per prime, each member failing at some
+    # order so that its witnesses print; at p >= 3 the linear oracle's
+    # witness there is a nonzero output shift.  The q + linear members pass
+    # the orders below their ci_order first.
+    ("analyze --poly x1*x2+x3+x4+x5 --p 2 --n 5 --reports", False, EXIT_OK,
+     "d179ed9ce102b2fa3fae3f2563367a90b03af2867c43bad3ae4d44ea05b9dd17"),
+    ("analyze --poly x1*x2+x3+x4+x5 --p 2 --n 5 --reports --json", False, EXIT_OK,
+     "af36566962379982e911d8f128ccfc9825b47a7cd3774c42f214d558fc26edc5"),
+    ("analyze --poly x1*x2+x1^2 --p 3 --n 4 --reports", False, EXIT_OK,
+     "b35b8b42317e8c9d5208d71296d32d1341a14f00c03ef9583b046bcded07c1bf"),
+    ("analyze --poly x1*x2+x1^2 --p 3 --n 4 --reports --json", False, EXIT_OK,
+     "664018ff6fc270ff237732b1bdf9ff1dc8eeee3ab0d9e5fff1c65b163c8f59ab"),
+    ("analyze --poly x1*x2+x3+2*x4 --p 3 --n 4 --reports --json", False, EXIT_OK,
+     "360ee0111ae34908b8eb5fd04df7f6b34baaa929eef80fb391b350590bdf7eec"),
+    ("analyze --poly x3^3+4*x1^3 --p 5 --n 3 --reports", False, EXIT_OK,
+     "7ab523754b3f89dfdd5cbb30cf1a6e36e7aeb8c8f1136d79824fb323f8229cc6"),
+    ("analyze --poly x3^3+4*x1^3 --p 5 --n 3 --reports --json", False, EXIT_OK,
+     "1d63213794d5ba88af2c4ac87de29d6cac3691d79d150490227394b106616efc"),
+    ("analyze --poly x1^2+x2+3*x3 --p 5 --n 3 --reports --json", False, EXIT_OK,
+     "d982a44f62bd195d6acc90ff83aadf723dcdeb8f3210fa77245af0ddd9b58794"),
+    ("analyze --poly 4*x1^2+6*x2^6 --p 7 --n 2 --reports", False, EXIT_OK,
+     "e99724c1014e24b70dcb1f333560837bc091a534ac83da71a3648bd933d67463"),
+    ("analyze --poly 4*x1^2+6*x2^6 --p 7 --n 2 --reports --json", False, EXIT_OK,
+     "c7fa823d04babaffb7c74bf02503dd043cd20dc9c9baa60a8469828f19f62051"),
+    ("analyze --poly x1+3*x2 --p 7 --n 2 --reports --json", False, EXIT_OK,
+     "2ea6e16b0fb82c2d97cf1edc9d3c647502c459c46ee0e7bed3eb4ab324e3d1ab"),
     # quad1 is not symmetric and immune up to n - 3, so ci_order reads it
     # off the transform
     ("analyze --poly x1*x2+x3+x4+x5+x6+x7+x8+x9+x10+x11+x12 --p 2 --n 12 --json", False, EXIT_OK,

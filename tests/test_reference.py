@@ -2,6 +2,8 @@
 
 import json
 import random
+import sys
+import threading
 from collections import Counter
 from itertools import product
 
@@ -301,29 +303,114 @@ def test_fourier_oracles_match_point_sums_on_seeded_tables(p, n):
         _check_witnesses(f)
 
 
-def test_fourier_oracles_make_one_digit_pass_per_c(monkeypatch):
-    # x1 + x2 + x3 over F_3 is 2-CI, so each oracle evaluates every c of
-    # weight 1..2 and returns no witness
-    f = parse_polynomial("x1 + x2 + x3", 3, 3)
+def _spy_passes(monkeypatch):
+    """The weights of every _weighted_digits pass reference makes; for a
+    count matrix they are its reduced c."""
     passes = []
     weighted_digits = reference._weighted_digits
     monkeypatch.setattr(
         reference, "_weighted_digits",
-        lambda p, weights: passes.append(1) or weighted_digits(p, weights))
+        lambda p, weights: passes.append(tuple(weights)) or weighted_digits(p, weights))
+    return passes
+
+
+def test_fourier_oracles_make_one_digit_pass_per_c(monkeypatch):
+    # x1 + x2 + x3 over F_3 is 2-CI, so each oracle evaluates every c of
+    # weight 1..2 and returns no witness.  The first oracle on a function
+    # packs each c once; the other two, and the first again, read its memo.
+    fs = [parse_polynomial("x1 + x2 + x3", 3, 3) for _ in range(2)]
+    assert fs[0] == fs[1] and fs[0] is not fs[1]
+    passes = _spy_passes(monkeypatch)
     builds = []
     init = PFunction.__init__
     monkeypatch.setattr(
         PFunction, "__init__", lambda self, *args: builds.append(1) or init(self, *args))
-    evaluated = len(list(_weighted_vectors(3, 3, 2)))
-    assert chrestenson_cyclic_witness(f, 2) is None
-    assert len(passes) == evaluated
-    passes.clear()
-    assert chrestenson_linear_witness(f, 2) is None
-    assert len(passes) == evaluated
+    evaluated = list(_weighted_vectors(3, 3, 2))
+    # the second, equal function packs every c again: no memo is shared
+    # between objects
+    for f in fs:
+        assert chrestenson_cyclic_witness(f, 2) is None
+        assert passes == evaluated
+        passes.clear()
+        assert chrestenson_linear_witness(f, 2) is None
+        assert matrix_test(f, 2) == (True, None)
+        assert chrestenson_cyclic_witness(f, 2) is None
+        assert passes == []
     assert builds == []
-    passes.clear()
-    assert matrix_test(f, 2) == (True, None)
-    assert len(passes) == evaluated
+
+
+@pytest.mark.parametrize("poly,p,n", [("x1 + x2 + x3", 3, 3), ("x1^2 + x2 + 3*x3", 5, 3)])
+def test_analyze_reports_pack_each_c_once(capsys, monkeypatch, poly, p, n):
+    # consensus at every order m = 1..n of one function shares each count
+    # matrix across its three Fourier-side oracles and across the orders
+    passes = _spy_passes(monkeypatch)
+    assert cli.main(["analyze", "--json", "--reports", "--poly", poly, "--p", str(p), "--n", str(n)]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert len(record["reports"]) == n
+    assert Counter(passes).most_common(1)[0][1] == 1
+    # every c below the function's order is scanned, so the spy saw them all
+    assert set(_weighted_vectors(p, n, record["ci_order"])) <= set(passes)
+
+
+def test_oracle_argument_errors_hold_on_every_call():
+    f = parse_polynomial("x1 + x2", 3, 2)
+    consensus(f, 1)  # fills f's memo at every c of weight 1
+    for _ in range(2):
+        for oracle in (count_matrix, chrestenson_cyclic, chrestenson_linear):
+            for c in [(1,), (1, 0, 0)]:
+                with pytest.raises(ValueError, match=f"c has length {len(c)}, expected 2"):
+                    oracle(f, c)
+        for oracle in (chrestenson_cyclic_witness, chrestenson_linear_witness, matrix_test,
+                       orthogonal_array_witness, consensus):
+            for m in (0, 3):
+                with pytest.raises(ValueError, match=f"m must be in 1..2, got {m}"):
+                    oracle(f, m)
+        for m in (-1, 3):
+            with pytest.raises(ValueError, match=f"m must be in 0..2, got {m}"):
+                definition_witness(f, m)
+
+
+def test_one_function_shared_across_threads_keeps_one_matrix_per_c():
+    # more threads than cores, started together, and a short switch
+    # interval, so that builds of one c interleave; the memo keeps the first
+    # matrix stored for each c, so every thread gets that one object
+    poly, p, n = "x1 + x2 + x3 + x4", 3, 4
+    expected = [consensus(parse_polynomial(poly, p, n), m).record() for m in range(1, n + 1)]
+    f = parse_polynomial(poly, p, n)
+    cs = list(_weighted_vectors(p, n, n))
+    results = [None] * 6
+    barrier = threading.Barrier(len(results), timeout=60)
+
+    def work(i):
+        barrier.wait()
+        matrices = [count_matrix(f, c) for c in cs]
+        results[i] = (matrices, [consensus(f, m).record() for m in range(1, n + 1)])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(results))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    first = results[0][0]
+    for matrices, records in results:
+        assert all(a is b for a, b in zip(matrices, first))
+        assert records == expected
+
+
+def test_count_matrix_memo_is_keyed_by_the_reduced_c(monkeypatch):
+    f = random_function(3, 2, seed=303)
+    passes = _spy_passes(monkeypatch)
+    cm = count_matrix(f, (4, -1))
+    assert cm.c == (1, 2)
+    assert count_matrix(f, (1, 2)) is cm
+    assert chrestenson_cyclic(f, (-2, 5)) is cm.cyclic
+    assert passes == [(1, 2)]
 
 
 # ---------------------------------------------------------------------------
