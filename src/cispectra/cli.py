@@ -340,10 +340,14 @@ def cmd_search(args) -> int:
     stall_limit = 8 * size
     evals = 0
     best = None  # (cost, table) of the lowest-cost climb so far
+    # a point's row in the counts depends on p, n, target and the point
+    # alone, so every climb reads one table of them, when it fits the limit
+    rows = [None] * size if size * math.comb(n, target) <= limit else None
     while evals < args.budget:
         # a resilient start is balanced and swaps keep it so, so the cost
         # charges no imbalance
         climb = spectral.ParsevalCost(_search_start(rng, p, n, resilient), target)
+        climb._rows = rows
         table = climb.table
         evals += 1
         stall = 0

@@ -37,10 +37,14 @@ lives on the frequency stratum gcd(j, N) = p^(n-m):
     axis by axis.  The search climb scores a table by ParsevalCost, p^m *
     sum over m-subsets S of SS(S) - C(n, m) * SS(empty set), SS being the
     sum of squared joint counts; it is zero exactly when every m-subset
-    has equal rows, and compares no rows.  A move is scored by reading one
-    count pair per count list, two for a swap (_change_delta,
-    _swap_delta), and written only when the climb keeps it (_write).  All
-    these counts come from ptable._subset_counts.  These collapses and the
+    has equal rows, and compares no rows.  Its counts lie end to end in
+    one flat list, the m-subsets' lists and then the histogram's.  A move is
+    scored by reading one count pair per count list, two for a swap
+    (_change_delta, _swap_delta), and written only when the climb keeps it
+    (_write); the moved point's cells in the subset lists are read off its
+    row, built from its digits on its first move and kept in a row table
+    that the search shares among its climbs when it fits the size limit.
+    All these counts come from ptable._subset_counts.  These collapses and the
     orbit criterion are validated in the test suite against an ordered
     scan of the exact values and the counting oracles;
   * ci_order does not have to scan subsets at all: with
@@ -234,14 +238,26 @@ class ParsevalCost:
 
     The state is the running cost and the C(n, m) + 1 count lists, laid end
     to end in one flat list _counts: the m-subsets in combinations order,
-    then the histogram, all built at each start by ptable._subset_counts.
-    _lists holds one (offset, weight, ((place, stride), ...)) tuple per
-    count list: point k, whose digit x_s is k // place % p, counts in cell
-    offset + sum of x_s * stride + f(k).  A changed entry moves one cell
-    pair in each list, and so each SS by O(1).  _change_delta and
-    _swap_delta score a move by reading those pairs, and _write moves them;
-    the search climb calls these three directly.  `table` is the current
-    table as a list; change it only through _write.
+    p^(m+1) cells each, then the histogram's p cells at _hist, all built at
+    each start by ptable._subset_counts.  _lists holds one
+    (offset, ((place, stride), ...)) pair per subset list: point k, whose
+    digit x_s is k // place % p, counts in cell offset + sum of
+    x_s * stride + f(k) there, and in cell _hist + f(k) of the histogram.
+    Every subset list weighs p^m in the cost and the histogram -C(n, m).
+
+    _row(k) is point k's row: its row start in every subset list, in _lists
+    order.  Where _rows is a list of p^n entries, the row table, each row
+    is computed by the digit loop on its point's first move and kept there;
+    where _rows is None, as it starts, on every use.  A row depends only on
+    (p, n, m, k), so one table can serve every ParsevalCost of the same p,
+    n and m: the search hands one to all its climbs when its
+    p^n * C(n, m) entries fit the size limit, and None otherwise.
+
+    A changed entry moves one cell pair in each list, and so each SS by
+    O(1).  _change_delta and _swap_delta score a move by reading those
+    pairs, and _write moves them; the search climb calls these three
+    directly.  `table` is the current table as a list; change it only
+    through _write.
     """
 
     def __init__(self, f: PFunction, m: int):
@@ -250,31 +266,50 @@ class ParsevalCost:
         self.table, self._p = f.flat.tolist(), p
         cells = p ** (m + 1)
         subsets = list(combinations(range(1, n + 1), m))
-        *rows, hist = _subset_counts(f, subsets + [()])
-        rows = np.stack(rows)
-        self._counts = rows.ravel().tolist() + hist.tolist()
+        *counts, hist = _subset_counts(f, subsets + [()])
+        counts = np.stack(counts)
+        self._counts = counts.ravel().tolist() + hist.tolist()
         # each SS is at most (p^n)^2, within int64; their sum is a Python int
-        ss = (rows * rows).sum(axis=1).tolist()
-        self.cost = p**m * sum(ss) - len(subsets) * int(hist @ hist)
+        ss = (counts * counts).sum(axis=1).tolist()
+        self._weight, self._hist = p**m, len(subsets) * cells
+        self.cost = self._weight * sum(ss) - len(subsets) * int(hist @ hist)
         self._lists = [
-            (i * cells, p**m, tuple((p ** (s - 1), p ** (r + 1)) for r, s in enumerate(sub)))
+            (i * cells, tuple((p ** (s - 1), p ** (r + 1)) for r, s in enumerate(sub)))
             for i, sub in enumerate(subsets)
         ]
-        self._lists.append((len(subsets) * cells, -len(subsets), ()))
+        self._rows = None
+
+    def _row(self, k: int) -> tuple:
+        """Point k's row start in every subset list: read from _rows, or
+        computed by the digit loop and kept there when _rows is a list."""
+        rows = self._rows
+        row = None if rows is None else rows[k]
+        if row is None:
+            p, row = self._p, []
+            for base, digits in self._lists:
+                for place, stride in digits:
+                    base += k // place % p * stride
+                row.append(base)
+            row = tuple(row)
+            if rows is not None:
+                rows[k] = row
+        return row
 
     def _change_delta(self, k: int, v: int) -> int:
         """The cost change of setting table[k] = v from a different value old.
 
         The change moves cm[base + old] - 1 and cm[base + v] + 1 in each
         count list, which moves SS by 2 * (cm[base + v] - cm[base + old] + 1).
+        The subset lists share one weight, so their differences are summed
+        before it multiplies them.
         """
-        cm, p, old = self._counts, self._p, self.table[k]
-        delta = 0
-        for base, weight, digits in self._lists:
-            for place, stride in digits:
-                base += k // place % p * stride
-            delta += weight * (cm[base + v] - cm[base + old] + 1)
-        return 2 * delta
+        cm, old, hist = self._counts, self.table[k], self._hist
+        row = self._row(k)
+        moved = 0
+        for base in row:
+            moved += cm[base + v] - cm[base + old]
+        lists = len(row)
+        return 2 * (self._weight * (moved + lists) - lists * (cm[hist + v] - cm[hist + old] + 1))
 
     def _swap_delta(self, i: int, j: int) -> int:
         """The cost change of swapping table[i] = a and table[j] = b, a != b.
@@ -283,27 +318,22 @@ class ParsevalCost:
         different rows, and nothing in one where they share a row.  The
         histogram has one row, so no swap moves it.
         """
-        cm, p, a, b = self._counts, self._p, self.table[i], self.table[j]
-        delta = 0
-        for offset, weight, digits in self._lists:
-            base_i = base_j = offset
-            for place, stride in digits:
-                base_i += i // place % p * stride
-                base_j += j // place % p * stride
+        cm, a, b = self._counts, self.table[i], self.table[j]
+        moved = 0
+        for base_i, base_j in zip(self._row(i), self._row(j)):
             if base_i != base_j:
-                moved = cm[base_i + b] - cm[base_i + a] + cm[base_j + a] - cm[base_j + b]
-                delta += weight * (moved + 2)
-        return 2 * delta
+                moved += cm[base_i + b] - cm[base_i + a] + cm[base_j + a] - cm[base_j + b] + 2
+        return 2 * self._weight * moved
 
     def _write(self, k: int, v: int):
         """Set table[k] = v and move its count pair in every list; the
         caller adds the cost change."""
-        cm, p, old = self._counts, self._p, self.table[k]
-        for base, _, digits in self._lists:
-            for place, stride in digits:
-                base += k // place % p * stride
+        cm, old, hist = self._counts, self.table[k], self._hist
+        for base in self._row(k):
             cm[base + old] -= 1
             cm[base + v] += 1
+        cm[hist + old] -= 1
+        cm[hist + v] += 1
         self.table[k] = v
 
 

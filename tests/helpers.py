@@ -140,6 +140,18 @@ def apply_changes(cost, changes) -> int:
     return cost.cost
 
 
+def count_row(p: int, n: int, m: int, k: int) -> tuple:
+    """Point k's row start in each m-subset's joint counts of (x_S, f(x)),
+    the subsets in combinations order, p^(m+1) cells each: the row of the
+    digits (x_S1, ..., x_Sm) of k, x_s = k // p^(s-1) % p, starts at
+    sum_r x_Sr * p^r * p inside its subset's cells."""
+    digits = [k // p**i % p for i in range(n)]
+    return tuple(
+        i * p ** (m + 1) + p * sum(digits[s - 1] * p**r for r, s in enumerate(subset))
+        for i, subset in enumerate(combinations(range(1, n + 1), m))
+    )
+
+
 def search_by_recount(p: int, n: int, target: int, resilient: bool, seed: int, budget: int):
     """Reference for the `search` climb: the same draws, restarts and
     acceptance rule, with every table, start or moved, scored afresh by

@@ -611,6 +611,14 @@ PINNED_SEARCHES = [
      "e08f3dbd56e111efcbc4a663c5918cdb9c3619adad4e76ad587faa74b7281268"),
     ("--p 2 --n 6 --target-ci 2 --resilient --seed 3 --budget 2000", EXIT_UNMET,
      "3c136f92b14957db42527fbdbdb6069c3be40beabbd130c0c12878239030e79a"),
+    # m = 2, found on the sixth and the seventh climb
+    ("--p 2 --n 6 --target-ci 2 --seed 6 --budget 5000", EXIT_OK,
+     "bcb4f6b700bbf71eb88793636527c76dce8bf23ba97568a3fa50b0865c575229"),
+    ("--p 3 --n 3 --target-ci 2 --seed 11 --budget 5000", EXIT_OK,
+     "af662b645b853afeedbb8c30e6eadb3f708b2afefedb1f111efdfbb1ceac51bd"),
+    # six climbs over 56 count lists at the default budget
+    ("--p 2 --n 8 --target-ci 3 --seed 4", EXIT_UNMET,
+     "052605256f5dd7b3d824ef438f18daa057fc0a59593b87dc43d8116c02925968"),
 ]
 
 
@@ -809,6 +817,66 @@ def test_search_climb_equals_a_recounting_climb(capsys, monkeypatch):
                     stops += why
     assert {"zero", "stall", "budget"} <= set(stops)
     assert stops.count("stall") >= 5 and stops.count("budget") >= 20
+
+
+@pytest.mark.parametrize("args", [
+    "--p 2 --n 4 --target-ci 1 --seed 3 --budget 2000",
+    "--p 2 --n 6 --target-ci 2 --seed 6 --budget 5000",
+])
+def test_search_builds_each_row_once_per_request(capsys, monkeypatch, args):
+    # every climb of one request reads one row table; a point's row is
+    # built on its first move and read back after, by later climbs too,
+    # and it is the row the digits of the point give
+    climbs, built = [], []
+    row = ParsevalCost._row
+
+    class Recorded(ParsevalCost):
+        def __init__(self, f, m):
+            super().__init__(f, m)
+            climbs.append(self)
+
+    def spy_row(self, k):
+        if self._rows[k] is None:
+            built.append(k)
+        return row(self, k)
+
+    monkeypatch.setattr(spectral, "ParsevalCost", Recorded)
+    monkeypatch.setattr(Recorded, "_row", spy_row)
+    code, digest = {a: (c, d) for a, c, d in PINNED_SEARCHES}[args]
+    got_code, out = run(capsys, "search", "--json", *args.split())
+    assert got_code == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    rows = climbs[0]._rows
+    assert all(climb._rows is rows for climb in climbs)
+    assert len(built) == len(set(built)) == sum(row is not None for row in rows) > 0
+    p, n, target = (int(a) for a in args.split()[1:6:2])
+    for k in built:
+        assert rows[k] == helpers.count_row(p, n, target, k)
+
+
+def test_search_row_table_is_bounded_by_the_limit(capsys, monkeypatch):
+    # 64 * C(6, 2) = 960 row entries: the default limit keeps the table,
+    # a limit of 500 admits the 122 counts but not the table, and every
+    # row is then computed per move; the bytes are the same
+    climbs = []
+
+    class Recorded(ParsevalCost):
+        def __init__(self, f, m):
+            super().__init__(f, m)
+            climbs.append(self)
+
+    monkeypatch.setattr(spectral, "ParsevalCost", Recorded)
+    args = "search --json --p 2 --n 6 --target-ci 2 --seed 3 --budget 2000".split()
+    code, out = run(capsys, *args)
+    assert code == EXIT_UNMET
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3b379377fbe866a27b3b881e5c87aedebb9a02c88464c8388f240cad3b9b5762")
+    assert len(climbs) > 1
+    assert any(row is not None for row in climbs[0]._rows)
+    climbs.clear()
+    monkeypatch.setenv("CI_SPECTRA_MAX_N", "500")
+    assert run(capsys, *args) == (code, out)
+    assert len(climbs) > 1 and all(climb._rows is None for climb in climbs)
 
 
 def test_search_move_is_constant_time_in_the_counts(capsys):

@@ -496,17 +496,74 @@ def test_parseval_cost_is_a_level_set_spectrum(p, n):
 
 
 class _NoHistogram(spectral.ParsevalCost):
-    """Mutant: a move updates the m-subset counts but not the histogram."""
+    """Mutant: a move updates the m-subset counts but not the histogram,
+    whose p cells end the counts."""
 
-    def __init__(self, f, m):
-        super().__init__(f, m)
-        self._lists = self._lists[:-1]
+    def _write(self, k, v):
+        hist = self._counts[-self._p:]
+        super()._write(k, v)
+        self._counts[-self._p:] = hist
 
 
 def test_parseval_cost_check_catches_a_histogram_mutant():
     with pytest.raises(AssertionError):
         for f in helpers.all_functions(2, 3):
             _check_counter(_NoHistogram, f, 1, random.Random(1), steps=1)
+
+
+class _OtherPointRow(spectral.ParsevalCost):
+    """Mutant: the row table serves point k the row of point k + 1."""
+
+    def __init__(self, f, m):
+        super().__init__(f, m)
+        self._rows = [helpers.count_row(f.p, f.n, m, (k + 1) % f.size) for k in range(f.size)]
+
+
+class _ShortRow(spectral.ParsevalCost):
+    """Mutant: the row table serves every point a row missing its last
+    subset list."""
+
+    def __init__(self, f, m):
+        super().__init__(f, m)
+        self._rows = [helpers.count_row(f.p, f.n, m, k)[:-1] for k in range(f.size)]
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (2, 5)])
+def test_parseval_cost_row_table_passes_the_check(p, n):
+    # the check the mutants below fail: on every table of (2,3) and seeded
+    # random ones beyond, at every order, moves scored and written through
+    # a row table equal fresh counts, and each row built is the digit
+    # computation's
+    made = []
+
+    class Tabled(spectral.ParsevalCost):
+        """A ParsevalCost with its own row table, built point by point as
+        the moves reach it, as the search's climbs have."""
+
+        def __init__(self, f, m):
+            super().__init__(f, m)
+            self._rows = [None] * f.size
+            made.append((self, m))
+
+    rng = random.Random(p + n)
+    if p**n <= 8:
+        subjects = list(helpers.all_functions(p, n))
+    else:
+        subjects = [random_function(p, n, seed=s) for s in range(30)]
+    for m in range(n + 1):
+        for f in subjects:
+            _check_counter(Tabled, f, m, rng, steps=3)
+    built = [(m, k, row) for cost, m in made for k, row in enumerate(cost._rows) if row is not None]
+    assert len(built) >= len(made)
+    for m, k, row in built:
+        assert row == helpers.count_row(p, n, m, k)
+
+
+@pytest.mark.parametrize("mutant", [_OtherPointRow, _ShortRow])
+def test_parseval_cost_check_catches_a_stale_row(mutant):
+    with pytest.raises(AssertionError):
+        for f in helpers.all_functions(2, 3):
+            _check_counter(mutant, f, 1, random.Random(1), steps=1)
 
 
 def test_parseval_cost_same_value_and_repeated_index():
