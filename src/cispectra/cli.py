@@ -421,7 +421,11 @@ def _search_text(record: dict) -> list[str]:
     ]
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser.  Every subcommand is listed, so top-level
+    help and an unknown command read the same whatever command is; only
+    command's own arguments are added, or every subcommand's when it is
+    None."""
     ap = argparse.ArgumentParser(
         prog="cispectra",
         description="Correlation-immunity and resiliency tests for p-ary functions",
@@ -436,53 +440,64 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--json", action="store_true", help="machine-readable output")
 
     a = sub.add_parser("analyze", help="orders and structure of one function")
-    add_input(a)
-    a.add_argument(
-        "--reports",
-        action="store_true",
-        help="include six-method consensus reports for every order",
-    )
-    a.set_defaults(func=cmd_analyze)
+    if command in (None, "analyze"):
+        add_input(a)
+        a.add_argument(
+            "--reports",
+            action="store_true",
+            help="include six-method consensus reports for every order",
+        )
+        a.set_defaults(func=cmd_analyze)
 
     s = sub.add_parser("spectrum", help="float spectrum dump or exact critical values")
-    add_input(s)
-    g = s.add_mutually_exclusive_group(required=True)
-    g.add_argument("--full", action="store_true", help="full float DFT + autocorrelation JSON")
-    g.add_argument("--exact-at", type=int, metavar="M", help="exact value(s) at index p^(n-M)")
-    s.add_argument(
-        "--tuple",
-        action="append",
-        metavar="I1,..,IM",
-        help="variable tuple for --exact-at; repeatable; default 1,..,M",
-    )
-    s.set_defaults(func=cmd_spectrum)
+    if command in (None, "spectrum"):
+        add_input(s)
+        g = s.add_mutually_exclusive_group(required=True)
+        g.add_argument("--full", action="store_true", help="full float DFT + autocorrelation JSON")
+        g.add_argument("--exact-at", type=int, metavar="M", help="exact value(s) at index p^(n-M)")
+        s.add_argument(
+            "--tuple",
+            action="append",
+            metavar="I1,..,IM",
+            help="variable tuple for --exact-at; repeatable; default 1,..,M",
+        )
+        s.set_defaults(func=cmd_spectrum)
 
     c = sub.add_parser("crosscheck", help="six-method consensus over a family")
-    c.add_argument("--p", type=int, required=True)
-    c.add_argument("--n", type=int, required=True)
-    c.add_argument("--m", type=int, required=True, help="immunity order to test")
-    gg = c.add_mutually_exclusive_group(required=True)
-    gg.add_argument("--exhaustive", action="store_true", help="every function on F_p^n")
-    gg.add_argument("--random", type=int, metavar="K", help="K seeded random functions")
-    c.add_argument("--seed", type=int, help=f"PRNG seed (default {DEFAULT_SEED}, printed)")
-    c.add_argument("--json", action="store_true")
-    c.set_defaults(func=cmd_crosscheck)
+    if command in (None, "crosscheck"):
+        c.add_argument("--p", type=int, required=True)
+        c.add_argument("--n", type=int, required=True)
+        c.add_argument("--m", type=int, required=True, help="immunity order to test")
+        gg = c.add_mutually_exclusive_group(required=True)
+        gg.add_argument("--exhaustive", action="store_true", help="every function on F_p^n")
+        gg.add_argument("--random", type=int, metavar="K", help="K seeded random functions")
+        c.add_argument("--seed", type=int, help=f"PRNG seed (default {DEFAULT_SEED}, printed)")
+        c.add_argument("--json", action="store_true")
+        c.set_defaults(func=cmd_crosscheck)
 
     se = sub.add_parser("search", help="hill-climb for a CI/resilient function")
-    se.add_argument("--p", type=int, required=True)
-    se.add_argument("--n", type=int, required=True)
-    se.add_argument("--target-ci", type=int, required=True, dest="target_ci")
-    se.add_argument("--resilient", action="store_true", help="also require balanced restrictions")
-    se.add_argument("--seed", type=int, help=f"PRNG seed (default {DEFAULT_SEED}, printed)")
-    se.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="max cost evaluations")
-    se.add_argument("--output", metavar="PATH", help="also write the table to PATH")
-    se.add_argument("--json", action="store_true")
-    se.set_defaults(func=cmd_search)
+    if command in (None, "search"):
+        se.add_argument("--p", type=int, required=True)
+        se.add_argument("--n", type=int, required=True)
+        se.add_argument("--target-ci", type=int, required=True, dest="target_ci")
+        se.add_argument(
+            "--resilient", action="store_true", help="also require balanced restrictions"
+        )
+        se.add_argument("--seed", type=int, help=f"PRNG seed (default {DEFAULT_SEED}, printed)")
+        se.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="max cost evaluations")
+        se.add_argument("--output", metavar="PATH", help="also write the table to PATH")
+        se.add_argument("--json", action="store_true")
+        se.set_defaults(func=cmd_search)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top-level parser has no option that takes a value, so the first
+    # token that is not an option is the subcommand argparse dispatches to,
+    # or a choice it refuses; only that subcommand's arguments are built
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except SizeLimitError as e:

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, including exit codes and JSON output."""
 
+import argparse
 import hashlib
 import json
 import random
@@ -1109,6 +1110,9 @@ def test_console_script(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ci_order"] == 1
+    proc = subprocess.run(["cispectra", "search", "--help"], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert "--target-ci" in proc.stdout
 
 
 def test_module_entry_point():
@@ -1119,6 +1123,24 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "ci_order = 2" in proc.stdout
+
+
+def test_main_reads_sys_argv_when_given_none(capsys, monkeypatch):
+    # the console script and `python -m cispectra` both call main()
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(
+        cli, "build_parser", lambda command=None: built.append(command) or build(command))
+    argv = ["cispectra", "analyze", "--json", "--poly", "x1 + x2", "--p", "2", "--n", "2"]
+    monkeypatch.setattr(sys, "argv", argv)
+    assert main() == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["ci_order"] == 1
+    monkeypatch.setattr(sys, "argv", ["cispectra", "-h"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: cispectra")
+    assert built == ["analyze", None]
 
 
 def test_analyze_function_result_invariants():
@@ -1134,6 +1156,86 @@ def test_analyze_function_result_invariants():
             assert not res["balanced"]
         assert list(res) == ["p", "n", "balanced", "symmetric", "ci_order", "resiliency_order"]
         assert res["p"] == 3 and res["n"] == 3
+
+
+# ---------------------------------------------------------------------------
+# Parser construction: main adds the arguments of the one subcommand it runs
+# ---------------------------------------------------------------------------
+
+def _full_parser_main(argv):
+    """Parse argv with every subcommand's arguments added, then dispatch."""
+    args = cli.build_parser().parse_args(argv)
+    return args.func(args)
+
+
+def _outcome(capsys, call, argv):
+    """(exit code, stdout, stderr) of call(argv), whether it returns or exits."""
+    try:
+        code = call(list(argv))
+    except SystemExit as e:
+        code = e.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+_X1 = ["--poly", "x1", "--p", "2", "--n", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["-h"],
+        ["analyze", "-h"],
+        ["spectrum", "-h"],
+        ["crosscheck", "-h"],
+        ["search", "-h"],
+        [],
+        ["bogus"],
+        ["-x", "analyze", *_X1],
+        ["--", "analyze", *_X1],
+        ["--help", "analyze"],
+        ["--he", "search"],
+        # argparse reads a token that looks like a negative number as a choice
+        ["-1", "analyze", *_X1],
+        ["crosscheck", "--p", "2"],
+        ["crosscheck", "--p", "2", "--n", "2", "--m", "1"],
+        ["spectrum", "--full", "--exact-at", "1", *_X1],
+        ["search", "--p", "2", "--n", "3", "--target-ci", "x"],
+        ["analyze", *_X1, "--bogus"],
+        ["analyze", "--json", "--poly", "x1*x2 + x3", "--p", "2", "--n", "3"],
+    ],
+)
+def test_help_and_usage_errors_equal_the_full_parsers(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _outcome(capsys, main, argv) == _outcome(capsys, _full_parser_main, argv)
+
+
+def test_main_adds_arguments_only_to_the_subcommand_it_runs(monkeypatch):
+    added = {}
+    add_argument = argparse._ActionsContainer.add_argument
+
+    def spy(self, *args, **kwargs):
+        # a mutually exclusive group adds to the parser that holds it
+        owner = getattr(self, "_container", self)
+        added.setdefault(owner.prog, []).append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", spy)
+    requests = {
+        "analyze": ["analyze", *_X1],
+        "spectrum": ["spectrum", "--exact-at", "1", *_X1],
+        "crosscheck": ["crosscheck", "--p", "2", "--n", "1", "--m", "1", "--exhaustive"],
+        "search": ["search", "--p", "2", "--n", "2", "--target-ci", "0"],
+    }
+    for command, argv in requests.items():
+        added.clear()
+        assert main(argv) == EXIT_OK
+        for other in requests:
+            own = added[f"cispectra {other}"]
+            if other == command:
+                assert ("-h", "--help") in own and len(own) > 1
+            else:
+                assert own == [("-h", "--help")], (command, other)
 
 
 # ---------------------------------------------------------------------------
