@@ -223,6 +223,29 @@ def _spectrum_text(record: dict) -> list[str]:
     return lines
 
 
+def _scan(chunks, p: int, n: int, m: int):
+    """(checked, ci_counts, disagreements, first_bad) of the six batch
+    verdicts over a family given chunk by chunk; first_bad holds the first
+    table whose methods disagree, with its consensus report, or None."""
+    ci_counts = {name: 0 for name in reference.METHOD_NAMES}
+    checked = 0
+    disagreements = 0
+    first_bad = None
+    for tables in chunks:
+        verdicts = reference.consensus_verdicts(tables, p, n, m)
+        checked += len(tables)
+        for name, v in verdicts.items():
+            ci_counts[name] += int(v.sum())
+        # a table's methods agree iff all or none of them accept it
+        votes = sum(v.astype(int) for v in verdicts.values())
+        (split,) = (votes % len(verdicts) != 0).nonzero()
+        disagreements += len(split)
+        if first_bad is None and len(split):
+            f = PFunction(p, n, tables[split[0]])
+            first_bad = {"table": write_table(f), "report": reference.consensus(f, m).record()}
+    return checked, ci_counts, disagreements, first_bad
+
+
 def cmd_crosscheck(args) -> int:
     limit = _env_limit()
     p, n, m = args.p, args.n, args.m
@@ -243,27 +266,19 @@ def cmd_crosscheck(args) -> int:
         # count p^size is never built, as it can have thousands of digits
         _refuse(_exceeds(p, size, limit // size),
                 f"exhaustive family has {p}^{size} functions of {size} entries", limit)
-        chunks = _exhaustive_chunks(p, n, rows)
+        # the join counts every method's tables without building one; only
+        # a disagreement, which it does not place, needs the per-table scan
+        ci_counts, agree = reference._exhaustive_join(p, n, m)
+        if agree:
+            checked, disagreements, first_bad = p**size, 0, None
+        else:
+            checked, ci_counts, disagreements, first_bad = _scan(
+                _exhaustive_chunks(p, n, rows), p, n, m)
     else:
         k = args.random
         _refuse(k * size > limit, f"--random {k} at p^n = {size} builds {k * size} entries", limit)
-        chunks = _random_chunks(random.Random(seed), p, n, k, rows)
-    ci_counts = {name: 0 for name in reference.METHOD_NAMES}
-    checked = 0
-    disagreements = 0
-    first_bad = None
-    for tables in chunks:
-        verdicts = reference.consensus_verdicts(tables, p, n, m)
-        checked += len(tables)
-        for name, v in verdicts.items():
-            ci_counts[name] += int(v.sum())
-        # a table's methods agree iff all or none of them accept it
-        votes = sum(v.astype(int) for v in verdicts.values())
-        (split,) = (votes % len(verdicts) != 0).nonzero()
-        disagreements += len(split)
-        if first_bad is None and len(split):
-            f = PFunction(p, n, tables[split[0]])
-            first_bad = {"table": write_table(f), "report": reference.consensus(f, m).record()}
+        checked, ci_counts, disagreements, first_bad = _scan(
+            _random_chunks(random.Random(seed), p, n, k, rows), p, n, m)
     record = {
         "p": p,
         "n": n,

@@ -47,11 +47,13 @@ integers keeps the oracle exact.
 Batch forms: consensus_verdicts(tables, p, n, m) gives the six verdicts,
 without witnesses, for every row of a (K, p^n) integer array of tables,
 which it checks and converts to int64 once (ptable._batch_tables);
-crosscheck runs it over its family chunk by chunk.  Every count comes from
-one kernel, ptable._tally: one np.bincount of the key
-(scale * table + digits) * K + k, all rows at once, which leaves the
-counts table-minor: the K tables are the last, contiguous axis of every
-tensor, and every fold reduces over short leading axes.  It builds the
+crosscheck --random runs it over its family chunk by chunk, and
+crosscheck --exhaustive only when _exhaustive_join finds the methods
+disagree.  Every count comes from one kernel, ptable._tally: one
+np.bincount of the key (scale * table + digits) * K + k, all rows at
+once, which leaves the counts table-minor: the K tables are the last,
+contiguous axis of every tensor, and every residual is formed over short
+leading axes.  It builds the
 output histogram once per call, shape (p, K), which is also the level-set
 sizes |W_i|, and three kinds of count tensors:
 
@@ -61,35 +63,56 @@ sizes |W_i|, and three kinds of count tensors:
   W_S  each m-subset's level-major pattern counts [i, w, k], the pattern w
        of x_S over the level set W_i, shape (p, p^m, K)
 
-Each method keeps its own criterion, an integer fold of one kind:
+Each method's criterion is a linear integer residual of one kind of
+tensor, which vanishes exactly when the method accepts the table:
 
-  spectral           spectral.stratum_vanishes: J_S changes along none of
-                     its axes 0..m-1 (the _changes_along criterion)
-  definition         p^m * J_S equals the output histogram
-  chrestenson_cyclic the root counts of omega^(f(x) - c.x), folded from M_c,
-                     reduce to zero as in from_root_counts: coordinate j
-                     minus coordinate p-1
-  chrestenson_linear the same on every shift a, by _shift_folds'
-                     recurrence: shift 0's fold and each of the p-1 steps
-                     from shift a-1 to shift a vanish, O(p^2) per matrix
-  matrix             M_c has identical rows
-  orthogonal_array   p^m divides every |W_i|, tested before any W_S is
-                     built, and every count in W_S is |W_i| / p^m; the
-                     method tallies W_S itself, level by level, rather than
-                     reading J_S
+  spectral           _spectral_residual: each row of J_S minus its row at
+                     x_S = 0, zero iff J_S changes along none of its axes
+                     0..m-1 (spectral._changes_along's criterion)
+  definition         _definition_residual: p^m * J_S minus the output
+                     histogram
+  chrestenson_cyclic _cyclic_residual: the root counts of omega^(f(x) -
+                     c.x), folded from M_c, reduced as in from_root_counts:
+                     coordinate j minus coordinate p-1
+  chrestenson_linear _linear_residual: the same coordinates on every shift
+                     a, by _shift_folds' recurrence: shift 0's fold and
+                     each of the p-1 steps from shift a-1 to shift a, O(p^2)
+                     per matrix
+  matrix             _matrix_residual: each row of M_c minus row 0
+  orthogonal_array   _orthogonal_array_residual: p^m * W_S minus |W_i|,
+                     zero iff p^m divides every |W_i| and every count in
+                     W_S is |W_i| / p^m; the method tallies W_S itself,
+                     level by level, rather than reading J_S
 
-Two plain loops build them: one over the m-subsets, where one packing of
-the subset's digits feeds J_S and W_S, and one over the c-vectors, where
-M_c feeds its three folds.  Each build is skipped once no row can still
-pass the folds that read it.  No batch form calls ci_order, _rows_equal or
-_row_transform, and no float decides a verdict.  int64 cannot overflow:
-every count is at most p^n, every product (p^m * J_S, p * M_c, the shift-0
-fold) at most p * p^n, and p^n is at most the 2^31 limit of
+consensus_verdicts accepts a table iff its residuals are zero.  Two plain
+loops build the tensors: one over the m-subsets, where one packing of the
+subset's digits feeds J_S and W_S, and one over the c-vectors, where M_c
+feeds its three residuals.  Each build is skipped once no row can still
+pass the residuals that read it, and p^m's divisibility of every |W_i| is
+tested before any W_S is built.  No batch form calls ci_order, _rows_equal
+or _row_transform, and no float decides a verdict.  int64 cannot
+overflow: every count is at most p^n, every product (p^m * J_S, p * M_c,
+the shift-0 fold) at most p * p^n, and p^n is at most the 2^31 limit of
 MAX_TABLE_ENTRIES.
 
-A chunk holds _chunk_rows(p, n, m) tables, K * max(p^n, p^2, p^(m+1)) <=
-CHUNK_CELLS = 2^14 and at least one, so no tally of more than one table
-holds more cells.  The bound counts the per-table count tensor (p^2) and
+Exhaustive families: _exhaustive_join counts each method's accepted tables
+among all p^N tables, N = p^n, without building one.  Every tensor is a
+sum over table positions and every residual is linear in its tensors, so
+a table's residual is the residual of its first h = N // 2 positions plus
+that of the other N - h, each tallied over its own positions alone.  The
+join tallies all p^h prefixes and all p^(N-h) suffixes
+(_half_residuals, int32, by the same two loops without early stops), and
+table (a, b) passes a method iff prefix a's residual column equals minus
+suffix b's.  Equal columns are grouped on their exact bytes, never on a
+hash alone, and the pairs counted per group, one method at a time.  One
+more join on the six methods' group ids together counts the tables that
+every method accepts; that set lies in each method's, so the six accepted
+sets are equal iff all seven counts are.  At the largest families the
+limit admits, (2,4) and (7,1), a half holds at most 7^4 = 2,401 columns.
+
+A chunk of the per-table scan holds _chunk_rows(p, n, m) tables,
+K * max(p^n, p^2, p^(m+1)) <= CHUNK_CELLS = 2^14 and at least one, so no
+tally of more than one table holds more cells.  The bound counts the per-table count tensor (p^2) and
 joint or pattern counts (p^(m+1)), not only the table: at p = 97,
 n = 1 a table is 97 cells and its count tensor 9,409, so a bound on
 K * p^n alone would let one chunk's tensor reach 12 MB.
@@ -104,6 +127,7 @@ it; MethodReport.record converts them to JSON.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import combinations, product
@@ -431,39 +455,73 @@ def _chunk_rows(p: int, n: int, m: int) -> int:
     return max(1, CHUNK_CELLS // max(p**n, p * p, p ** (m + 1)))
 
 
-def _uniform(counts: np.ndarray) -> np.ndarray:
-    """Zero test of each element sum_j counts[j, .., k] * omega^j of
-    Z[omega], over the first axis, for every table k of the last axis and
-    every index between, by the reduction from_root_counts makes:
-    coordinate j minus coordinate p-1 for j < p-1 must vanish."""
-    return (counts[:-1] == counts[-1]).reshape(-1, counts.shape[-1]).all(axis=0)
+def _differences(counts: np.ndarray) -> np.ndarray:
+    """The coordinates of each element sum_j counts[j, .., k] * omega^j of
+    Z[omega] after the reduction from_root_counts makes, coordinate j minus
+    coordinate p-1 for j < p-1, as (R, K) rows: the element is zero iff
+    its column is."""
+    return (counts[:-1] - counts[-1]).reshape(-1, counts.shape[-1])
 
 
-def _cyclic_vanishes(cm: np.ndarray) -> np.ndarray:
-    """chrestenson_cyclic(f, c).is_zero() for each count matrix of a
-    (p, p, K) tensor: M[d][v] lands on omega^(v - d)."""
-    p = len(cm)
-    s, d = np.ogrid[:p, :p]
-    return _uniform(cm[d, (s + d) % p].sum(axis=1))
+def _spectral_residual(joint: np.ndarray) -> np.ndarray:
+    """Each row of a (p, ..., p, K) joint-count tensor J_S minus its row at
+    x_S = 0.  It vanishes iff J_S changes along none of its axes 0..m-1,
+    the criterion of spectral._changes_along: a change along no axis
+    leaves every row equal to the row at 0, and each such difference is a
+    sum of differences along single axes."""
+    p, k = joint.shape[0], joint.shape[-1]
+    rows = joint.reshape(-1, p, k)
+    return (rows[1:] - rows[0]).reshape(-1, k)
 
 
-def _linear_vanishes(cm: np.ndarray) -> np.ndarray:
-    """chrestenson_linear_witness finds no shift failing at c, for each
-    count matrix of a (p, p, K) tensor.  As in _shift_folds, shift 0 puts
-    sum_v v * M[d][v] on omega^d and shift a adds rowsum[d] - p * M[d][p-a]
-    to shift a-1; zero elements are closed under sums and differences, so
-    every shift vanishes iff shift 0 and each of the p-1 steps does.  One
-    [d, j, k] array holds shift 0 at j = 0 and the step through column j
-    at j >= 1: O(p^2) per matrix."""
+def _definition_residual(joint: np.ndarray, hist: np.ndarray) -> np.ndarray:
+    """p^m * J_S minus the output histogram, for a (p, ..., p, K) joint-count
+    tensor and the (p, K) histogram."""
+    p, k = hist.shape
+    residual = p ** (joint.ndim - 2) * joint.reshape(-1, p, k)
+    residual -= hist
+    return residual.reshape(-1, k)
+
+
+def _orthogonal_array_residual(patterns: np.ndarray, hist: np.ndarray) -> np.ndarray:
+    """p^m * W_S minus the level-set sizes, for (p, p^m, K) level-major
+    pattern counts [i, w, k]: zero iff p^m divides every |W_i| and every
+    pattern count is |W_i| / p^m."""
+    residual = patterns.shape[1] * patterns
+    residual -= hist[:, None]
+    return residual.reshape(-1, hist.shape[1])
+
+
+def _cyclic_residual(cm: np.ndarray) -> np.ndarray:
+    """chrestenson_cyclic(f, c)'s reduced coordinates for each count matrix
+    of a (p, p, K) tensor: M[d][v] lands on omega^(v - d)."""
+    d = np.arange(len(cm))
+    # [s, d, k] holds M[d][s + d], which lands on omega^s
+    return _differences(cm[d, (d[:, None] + d) % len(cm)].sum(axis=1))
+
+
+def _linear_residual(cm: np.ndarray) -> np.ndarray:
+    """Zero iff chrestenson_linear_witness finds no shift failing at c, for
+    each count matrix of a (p, p, K) tensor.  As in _shift_folds, shift 0
+    puts sum_v v * M[d][v] on omega^d and shift a adds rowsum[d] - p *
+    M[d][p-a] to shift a-1; zero elements are closed under sums and
+    differences, so every shift vanishes iff shift 0 and each of the p-1
+    steps does.  One [d, j, k] array holds shift 0 at j = 0 and the step
+    through column j at j >= 1: O(p^2) per matrix."""
     p = len(cm)
     folds = cm.sum(axis=1, keepdims=True) - p * cm
     folds[:, 0] = np.arange(p) @ cm
-    return _uniform(folds)
+    return _differences(folds)
 
 
-def _rows_identical(cm: np.ndarray) -> np.ndarray:
-    """CountMatrix.rows_identical for each count matrix of a (p, p, K) tensor."""
-    return (cm == cm[0]).all(axis=(0, 1))
+def _matrix_residual(cm: np.ndarray) -> np.ndarray:
+    """Each row of each count matrix of a (p, p, K) tensor minus its row 0."""
+    return (cm[1:] - cm[0]).reshape(-1, cm.shape[-1])
+
+
+def _accepts(residual: np.ndarray) -> np.ndarray:
+    """K bools: which tables' (R, K) residual columns are zero."""
+    return (residual == 0).all(axis=0)
 
 
 def consensus_verdicts(tables: np.ndarray, p: int, n: int, m: int) -> dict[str, np.ndarray]:
@@ -474,33 +532,123 @@ def consensus_verdicts(tables: np.ndarray, p: int, n: int, m: int) -> dict[str, 
     k, strength = len(tables), p**m
     hist = _tally(tables, 1, 0, p)
     ok = {name: np.ones(k, dtype=bool) for name in METHOD_NAMES}
-    # the histogram is also the level-set sizes |W_i|
+    # the histogram is also the level-set sizes |W_i|; a residual of zero
+    # needs p^m to divide each, which is tested before any W_S is built
     ok["orthogonal_array"] = (hist % strength == 0).all(axis=0)
-    expected = (hist // strength)[:, None]
-    # each fold is looked up by name at call time, as in consensus, and no
-    # tensor is built once no row can still pass the folds that read it
+    # each residual is looked up by name at call time, as in consensus, and
+    # no tensor is built once no row can still pass the residuals that read it
     for subset in combinations(range(1, n + 1), m):
         joint = ok["spectral"].any() or ok["definition"].any()
         if not (joint or ok["orthogonal_array"].any()):
             break
         digits = np.array(_packed_digits(p, n, subset), dtype=np.int64)
         if joint:
-            # axes 0..m-1 hold the digits of x_S, most significant (S's
-            # last variable) first; axis m holds the output
-            j = _tally(tables, 1, p * digits, p * strength).reshape((p,) * (m + 1) + (k,))
-            ok["spectral"] &= spectral.stratum_vanishes(j)
-            ok["definition"] &= (strength * j.reshape(-1, p, k) == hist).all(axis=(0, 1))
+            j = _joint_tensor(tables, p, m, digits)
+            ok["spectral"] &= _accepts(_spectral_residual(j))
+            ok["definition"] &= _accepts(_definition_residual(j, hist))
         if ok["orthogonal_array"].any():
-            # level-major: [v, w, k] counts the pattern w of x_S over level set v
-            w = _tally(tables, strength, digits, p * strength).reshape(p, strength, k)
-            ok["orthogonal_array"] &= (w == expected).all(axis=(0, 1))
+            w = _pattern_tensor(tables, p, m, digits)
+            ok["orthogonal_array"] &= _accepts(_orthogonal_array_residual(w, hist))
     for c in _weighted_vectors(p, n, m):
         if not (ok["chrestenson_cyclic"] | ok["chrestenson_linear"] | ok["matrix"]).any():
             break
-        # M[d, v, k] = #{x : c.x = d, table k at x = v}
-        d = np.array(_weighted_digits(p, c), dtype=np.int64) % p
-        cm = _tally(tables, 1, p * d, p * p).reshape(p, p, k)
-        ok["chrestenson_cyclic"] &= _cyclic_vanishes(cm)
-        ok["chrestenson_linear"] &= _linear_vanishes(cm)
-        ok["matrix"] &= _rows_identical(cm)
+        cm = _count_tensor(tables, p, np.array(_weighted_digits(p, c), dtype=np.int64))
+        ok["chrestenson_cyclic"] &= _accepts(_cyclic_residual(cm))
+        ok["chrestenson_linear"] &= _accepts(_linear_residual(cm))
+        ok["matrix"] &= _accepts(_matrix_residual(cm))
     return ok
+
+
+def _joint_tensor(tables: np.ndarray, p: int, m: int, digits: np.ndarray) -> np.ndarray:
+    """J_S of each row, from the packed digits of x_S at its positions:
+    axes 0..m-1 hold the digits of x_S, most significant (S's last
+    variable) first; axis m holds the output."""
+    return _tally(tables, 1, p * digits, p ** (m + 1)).reshape((p,) * (m + 1) + (len(tables),))
+
+
+def _pattern_tensor(tables: np.ndarray, p: int, m: int, digits: np.ndarray) -> np.ndarray:
+    """W_S of each row, level-major: [v, w, k] counts the pattern w of x_S
+    over level set v."""
+    strength = p**m
+    return _tally(tables, strength, digits, p * strength).reshape(p, strength, len(tables))
+
+
+def _count_tensor(tables: np.ndarray, p: int, weighted: np.ndarray) -> np.ndarray:
+    """M_c of each row, from c.x at its positions: M[d, v, k] = #{x : c.x =
+    d, table k at x = v}."""
+    return _tally(tables, 1, p * (weighted % p), p * p).reshape(p, p, len(tables))
+
+
+# --------------------------------------------------------------------------
+# Exhaustive families: a meet-in-the-middle join over half-tables
+# --------------------------------------------------------------------------
+
+def _half_residuals(tables: np.ndarray, p: int, n: int, m: int, start: int) -> dict[str, np.ndarray]:
+    """Each method's residual for each row of a (K, L) array that fills
+    table positions start..start+L-1, tallied over those positions alone:
+    {name: (R, K) int32}, in METHOD_NAMES order.  The same two loops as
+    consensus_verdicts build the tensors, without its early stops, and
+    the residuals are looked up at call time, so both read the same ones."""
+    stop = start + tables.shape[1]
+    hist = _tally(tables, 1, 0, p)
+    blocks: dict[str, list] = {name: [] for name in METHOD_NAMES}
+
+    def add(name, residual):
+        blocks[name].append(residual.astype(np.int32))
+
+    for subset in combinations(range(1, n + 1), m):
+        digits = np.array(_packed_digits(p, n, subset)[start:stop], dtype=np.int64)
+        j = _joint_tensor(tables, p, m, digits)
+        add("spectral", _spectral_residual(j))
+        add("definition", _definition_residual(j, hist))
+        add("orthogonal_array", _orthogonal_array_residual(_pattern_tensor(tables, p, m, digits), hist))
+    for c in _weighted_vectors(p, n, m):
+        cm = _count_tensor(tables, p, np.array(_weighted_digits(p, c)[start:stop], dtype=np.int64))
+        add("chrestenson_cyclic", _cyclic_residual(cm))
+        add("chrestenson_linear", _linear_residual(cm))
+        add("matrix", _matrix_residual(cm))
+    return {name: np.concatenate(b) for name, b in blocks.items()}
+
+
+def _column_keys(residual: np.ndarray) -> list[bytes]:
+    """The bytes of each column of an (R, K) int32 array: equal bytes iff
+    equal columns, so a dict keyed on them groups columns exactly."""
+    columns = np.ascontiguousarray(residual.T)
+    return columns.view(np.dtype((np.void, columns.shape[1] * columns.itemsize))).ravel().tolist()
+
+
+def _pairs(a: list, b: list) -> int:
+    """#{(i, j) : a[i] == b[j]}."""
+    count = Counter(a)
+    return sum(count[key] for key in b)
+
+
+def _exhaustive_join(p: int, n: int, m: int) -> tuple[dict[str, int], bool]:
+    """For the family of all p^(p^n) tables at order m: each method's count
+    of the tables it accepts, in METHOD_NAMES order, and whether the six
+    methods accept the same tables (module docstring).  No table of the
+    family is built."""
+    size = p**n
+    half = size // 2
+    halves = []
+    for start, length in ((0, half), (half, size - half)):
+        # every filling of the positions start..start+length-1
+        places = p ** np.arange(length - 1, -1, -1, dtype=np.int64)
+        tables = np.arange(p**length, dtype=np.int64)[:, None] // places % p
+        halves.append(_half_residuals(tables, p, n, m, start))
+    prefixes, suffixes = halves
+    counts = {}
+    prefix_ids, suffix_ids = [], []
+    for name in METHOD_NAMES:
+        prefix, suffix = prefixes.pop(name), suffixes.pop(name)
+        # table (a, b) passes iff prefix column a cancels suffix column b
+        ids: dict[bytes, int] = {}
+        a = [ids.setdefault(key, len(ids)) for key in _column_keys(prefix)]
+        b = [ids.get(key, -1) for key in _column_keys(-suffix)]
+        counts[name] = _pairs(a, b)
+        prefix_ids.append(a)
+        suffix_ids.append(b)
+    # the tables every method accepts are a subset of each method's, so the
+    # six sets are equal iff each count equals this one
+    everyone = _pairs(list(zip(*prefix_ids)), list(zip(*suffix_ids)))
+    return counts, all(count == everyone for count in counts.values())

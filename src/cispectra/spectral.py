@@ -30,9 +30,10 @@ lives on the frequency stratum gcd(j, N) = p^(n-m):
     top variable (_changes_along); no ordered tuple is ever enumerated.
     Every ordering of S passes iff all rows of those counts are equal:
     stratum_vanishes, over table-minor counts (p, ..., p, K) of K tables,
-    which reference.consensus_verdicts applies to its batches and
-    _rows_equal to f alone.  So ci_order, and is_ci derived from it, read
-    each of the C(n, m) subsets at most once, and so does
+    which _rows_equal applies to f alone; reference's batch spectral
+    residual restates it as every row minus the row at x_S = 0.  So
+    ci_order, and is_ci derived from it, read each of the C(n, m) subsets
+    at most once, and so does
     first_failing_tuple (the witness of the consensus "spectral" method),
     axis by axis.  The search climb scores a table by ParsevalCost, p^m *
     sum over m-subsets S of SS(S) - C(n, m) * SS(empty set), SS being the

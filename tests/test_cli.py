@@ -326,6 +326,67 @@ def test_crosscheck_exhaustive_tiny(capsys):
     assert "seed" not in out
 
 
+# every (p, n) whose exhaustive family the default limit admits, at every
+# order, and (2,4) under a raised limit
+EXHAUSTIVE_ORDERS = [
+    *[(p, n, m, None) for p, n in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]
+      for m in range(1, n + 1)],
+    *[(2, 4, m, str(2**21)) for m in range(1, 5)],
+]
+
+
+@pytest.mark.parametrize("p,n,m,env", EXHAUSTIVE_ORDERS)
+def test_exhaustive_join_counts_equal_the_per_table_scan(capsys, monkeypatch, p, n, m, env):
+    if env is not None:
+        monkeypatch.setenv("CI_SPECTRA_MAX_N", env)
+    expected = dict.fromkeys(reference.METHOD_NAMES, 0)
+    for tables in cli._exhaustive_chunks(p, n, reference._chunk_rows(p, n, m)):
+        for name, v in reference.consensus_verdicts(tables, p, n, m).items():
+            expected[name] += int(v.sum())
+    assert reference._exhaustive_join(p, n, m) == (expected, True)
+
+    def scan(*args):
+        pytest.fail("the per-table scan ran while the methods agree")
+
+    monkeypatch.setattr(cli, "_exhaustive_chunks", scan)
+    code, out = run(capsys, "crosscheck", "--json", "--exhaustive",
+                    "--p", str(p), "--n", str(n), "--m", str(m))
+    assert code == EXIT_OK
+    obj = json.loads(out)
+    assert (obj["checked"], obj["ci_counts"], obj["disagreements"]) == (p ** (p**n), expected, 0)
+
+
+def _accept_every_table(tensor, *rest):
+    """A residual that is zero on every table of a count tensor's last axis."""
+    return np.zeros((1, tensor.shape[-1]), dtype=np.int64)
+
+
+RESIDUALS = {
+    "spectral": "_spectral_residual",
+    "definition": "_definition_residual",
+    "chrestenson_cyclic": "_cyclic_residual",
+    "chrestenson_linear": "_linear_residual",
+    "matrix": "_matrix_residual",
+    "orthogonal_array": "_orthogonal_array_residual",
+}
+
+
+@pytest.mark.parametrize("name", reference.METHOD_NAMES)
+def test_exhaustive_join_reports_a_lying_method_as_the_scan_does(capsys, monkeypatch, name):
+    # both paths read the patched residual: the join sees the lying method
+    # accept all 3^9 tables and hands the family to the per-table scan
+    monkeypatch.setattr(reference, RESIDUALS[name], _accept_every_table)
+    counts, agree = reference._exhaustive_join(3, 2, 1)
+    assert not agree and counts[name] == 3**9
+    argv = ["crosscheck", "--json", "--exhaustive", "--p", "3", "--n", "2", "--m", "1"]
+    code, out = run(capsys, *argv)
+    assert code == EXIT_DISAGREEMENT
+    monkeypatch.setattr(reference, "_exhaustive_join", lambda p, n, m: ({}, False))
+    assert run(capsys, *argv) == (EXIT_DISAGREEMENT, out)
+    obj = json.loads(out)
+    assert obj["disagreements"] > 0 and "first_disagreement" in obj
+
+
 def test_crosscheck_random_prints_seed(capsys):
     code, out = run(
         capsys, "crosscheck", "--p", "3", "--n", "2", "--m", "1", "--random", "25"
@@ -1022,6 +1083,7 @@ def test_every_work_refusal_is_pinned_and_runs_no_later_stage(capsys, monkeypatc
         (spectral, "ci_order"), (spectral, "ci_order_symmetric"), (reference, "consensus"),
         (spectral, "exact_spectrum_conjugates"), (cli, "_exhaustive_chunks"),
         (cli, "_random_chunks"), (reference, "consensus_verdicts"), (spectral, "ParsevalCost"),
+        (reference, "_exhaustive_join"),
     ]:
         monkeypatch.setattr(module, name, later_stage)
     code = main(argv)
@@ -1079,6 +1141,7 @@ def test_negative_seed_exits_2_before_any_table(capsys, monkeypatch, argv):
 
     monkeypatch.setattr(cli, "_random_chunks", later_stage)
     monkeypatch.setattr(cli, "_exhaustive_chunks", later_stage)
+    monkeypatch.setattr(reference, "_exhaustive_join", later_stage)
     monkeypatch.setattr(spectral, "ParsevalCost", later_stage)
     code = main(argv)
     captured = capsys.readouterr()
@@ -1244,7 +1307,8 @@ def test_main_adds_arguments_only_to_the_subcommand_it_runs(monkeypatch):
 
 # (argv, whether the spectral method is made to wrongly accept every table,
 # exit code, sha256 of stdout).  The lying spectral method is the only way to
-# reach crosscheck's disagreement report.  PINNED_SEARCHES pins `search
+# reach crosscheck's disagreement report; its residual is what both the
+# exhaustive join and the per-table scan read.  PINNED_SEARCHES pins `search
 # --json` when the climb runs, so only its text form is pinned here.
 PINNED_OUTPUTS = [
     ("analyze --poly x1*x2+x3 --p 3 --n 3", False, EXIT_OK,
@@ -1321,6 +1385,15 @@ PINNED_OUTPUTS = [
     # every order of the exhaustive (3,2) family, p = 7 at m = 2, and m = 3
     ("crosscheck --json --exhaustive --p 3 --n 2 --m 2", False, EXIT_OK,
      "527c8bc8c26c7a4194fdbd393d60d0aa58c81ff3494862d2723019531764cf6c"),
+    # the other exhaustive requests of perfbench's crosscheck workload
+    ("crosscheck --json --exhaustive --p 3 --n 2 --m 1", False, EXIT_OK,
+     "d54becb30ff42269635031cd9f55353a2bc90827682626481a1783ccad1bf523"),
+    ("crosscheck --json --exhaustive --p 2 --n 3 --m 1", False, EXIT_OK,
+     "2707990abd94ad28023b533710279ef9b3dadef424e6077675daf5b5a7fc3841"),
+    ("crosscheck --json --exhaustive --p 2 --n 3 --m 2", False, EXIT_OK,
+     "a081d5aa80947a278c250eaa825e558fb4d07fe3f1135da7fdd038cb6eafc5ab"),
+    ("crosscheck --json --exhaustive --p 2 --n 3 --m 3", False, EXIT_OK,
+     "a0c92305fee5ea4c18813674928eb959dc44c8fdedeab80040311ba0a4cd8ebd"),
     ("crosscheck --json --random 200 --seed 7 --p 7 --n 2 --m 2", False, EXIT_OK,
      "1a73b3a19046fe2659fbc99f8bd5459198e99a1de319bf9e436bd04f98a4fdf6"),
     ("crosscheck --json --random 30 --seed 7 --p 2 --n 10 --m 3", False, EXIT_OK,
@@ -1346,8 +1419,7 @@ PINNED_OUTPUTS = [
 def test_output_is_pinned(capsys, monkeypatch, args, lie, code, digest):
     if lie:
         monkeypatch.setattr(spectral, "first_failing_tuple", lambda f, m: None)
-        monkeypatch.setattr(
-            spectral, "stratum_vanishes", lambda counts: np.ones(counts.shape[-1], bool))
+        monkeypatch.setattr(reference, "_spectral_residual", _accept_every_table)
     got_code, out = run(capsys, *args.split())
     assert got_code == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest

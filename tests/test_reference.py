@@ -606,8 +606,8 @@ def _count_tensors(p, seed):
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 97])
 def test_batch_folds_equal_the_single_table_folds_on_each_matrix(p):
     cm = _count_tensors(p, seed=p)
-    linear, cyclic = reference._linear_vanishes(cm), reference._cyclic_vanishes(cm)
-    rows = reference._rows_identical(cm)
+    linear, cyclic, rows = (reference._accepts(residual(cm)) for residual in (
+        reference._linear_residual, reference._cyclic_residual, reference._matrix_residual))
     assert linear.shape == cyclic.shape == rows.shape == (80,)
     for k, matrix in enumerate(cm.transpose(2, 0, 1).tolist()):
         assert linear[k] == all(
@@ -619,18 +619,18 @@ def test_batch_folds_equal_the_single_table_folds_on_each_matrix(p):
     # only the linear fold of shift 0
     assert rows[20:45].all() and linear[20:45].all() and cyclic[20:60].all()
     assert not (rows[45:].any() or linear[45:].any() or cyclic[60:].any())
-    assert _linear_shift_zero_only(cm)[60:].all()
+    assert reference._accepts(_linear_shift_zero_only(cm))[60:].all()
 
 
 def _linear_shift_zero_only(cm):
-    """Mutant: the linear fold of shift 0 alone, sum_v v * M[d][v] on omega^d."""
-    return reference._uniform(np.arange(len(cm)) @ cm)
+    """Mutant: the linear residual of shift 0 alone, sum_v v * M[d][v] on omega^d."""
+    return reference._differences(np.arange(len(cm)) @ cm)
 
 
 def test_batch_check_catches_a_linear_form_that_folds_shift_zero_only(monkeypatch):
     # at p = 2 shift 1 adds sum_x omega^(c.x) = 0, so only p > 2 tells
     (tables,) = _exhaustive_chunks(3, 2, 3**9)
-    monkeypatch.setattr(reference, "_linear_vanishes", _linear_shift_zero_only)
+    monkeypatch.setattr(reference, "_linear_residual", _linear_shift_zero_only)
     mutant = reference.consensus_verdicts(tables, 3, 2, 1)
     bad = _mismatches(tables, 3, 2, 1, mutant)
     assert bad and {name for name, _ in bad} == {"chrestenson_linear"}
