@@ -29,9 +29,8 @@ lives on the frequency stratum gcd(j, N) = p^(n-m):
     counts of (x_S, f(x)) over its variable set S do not change along its
     top variable (_changes_along); no ordered tuple is ever enumerated.
     Every ordering of S passes iff all rows of those counts are equal:
-    stratum_vanishes, over table-minor counts (p, ..., p, K) of K tables,
-    which _rows_equal applies to f alone; reference's batch spectral
-    residual restates it as every row minus the row at x_S = 0.  So
+    _rows_equal compares every row with the row at x_S = 0 in one step,
+    as reference's batch spectral residual does for K tables.  So
     ci_order, and is_ci derived from it, read each of the C(n, m) subsets
     at most once, and so does
     first_failing_tuple (the witness of the consensus "spectral" method),
@@ -56,7 +55,9 @@ lives on the frequency stratum gcd(j, N) = p^(n-m):
     and a^(-1)*c, and a^(-1)*c has the weight of c.  So ci_order is the
     least weight of a nonzero c with a non-uniform row, minus one.
     _row_transform builds T exactly in integers for K tables at once, one
-    butterfly per variable, n * p^(n+2) cell additions per table, and
+    round per variable: one gather of the p^3 shifted rows of its (s, x)
+    slab and one sum over x, in blocks of bounded size, n * p^(n+2)
+    gathered cells per table in all, and
     _transform_ci_orders reads each table's order off it: ci_order hands it
     a batch of one, scripts/ci_census.py whole chunks of a family.  The
     subset scan stays first, because it stops at the first failing subset;
@@ -159,9 +160,10 @@ def exact_spectrum_conjugates(f: PFunction, m: int, t) -> tuple[CycloElement, ..
 
 
 def _changes_along(counts: np.ndarray, axis: int) -> np.ndarray:
-    """For each of K tables' (p, ..., p, K) joint counts over an m-subset
-    (stratum_vanishes's layout), whether two rows that differ only in the
-    digit on axis 0 <= axis < m differ, as K bools.
+    """For each of K tables' (p, ..., p, K) joint counts over an m-subset S
+    (axes 0..m-1 holding the digits of x_S, S's last variable first, axis m
+    the output and the last axis the tables), whether two rows that differ
+    only in the digit on axis 0 <= axis < m differ, as K bools.
 
     For the counts over an ordered tuple whose top variable is on that
     axis, no change is equivalent to all p-1 conjugate spectral values
@@ -177,20 +179,8 @@ def _changes_along(counts: np.ndarray, axis: int) -> np.ndarray:
     return (rows != rows[:, :1]).reshape(-1, k).any(axis=0)
 
 
-def stratum_vanishes(counts: np.ndarray) -> np.ndarray:
-    """first_failing_tuple finds no tuple over one m-subset S, for each of
-    K tables: their (p, ..., p, K) joint counts of (x_S, f(x)), axes 0..m-1
-    holding the digits of x_S (S's last variable first), axis m the output
-    and the last axis the tables, change along none of axes 0..m-1
-    (_changes_along), as K bools."""
-    ok = np.ones(counts.shape[-1], dtype=bool)
-    for axis in range(counts.ndim - 2):
-        ok &= ~_changes_along(counts, axis)
-    return ok
-
-
 def _batch_of_one(f: PFunction, subset) -> np.ndarray:
-    """f's joint counts over subset in stratum_vanishes's layout, K = 1."""
+    """f's joint counts over subset in _changes_along's layout, K = 1."""
     (counts,) = _subset_counts(f, [subset])
     return counts.reshape((f.p,) * (len(subset) + 1) + (1,))
 
@@ -340,12 +330,14 @@ class ParsevalCost:
 
 def _rows_equal(f: PFunction, indices) -> bool:
     """True iff every row cm[w*p : w*p + p] of the joint counts over the
-    variable set indices is the same: stratum_vanishes on f alone, so every
-    ordering of indices passes.
+    variable set indices equals row 0, compared in one step, so every
+    ordering of indices passes: reference._spectral_residual's criterion
+    on f alone.
 
     An ordering passes iff the rows do not change when its top variable
-    changes; when that holds for every variable of the set, single-coordinate
-    changes connect all rows.
+    changes (_changes_along); all rows equal means no change along any
+    variable, and a change along none leaves every row equal to row 0,
+    since single-coordinate changes connect all rows.
 
     Over all n variables each row holds a single 1, at f(w), so the rows are
     equal iff f is constant; that case is read off f.flat without
@@ -353,7 +345,9 @@ def _rows_equal(f: PFunction, indices) -> bool:
     """
     if len(indices) == f.n:
         return bool(f.flat.min() == f.flat.max())
-    return bool(stratum_vanishes(_batch_of_one(f, indices))[0])
+    (counts,) = _subset_counts(f, [indices])
+    rows = counts.reshape(-1, f.p)
+    return bool((rows == rows[0]).all())
 
 
 def is_ci(f: PFunction, m: int) -> bool:
@@ -364,18 +358,22 @@ def is_ci(f: PFunction, m: int) -> bool:
     return ci_order(f) >= m
 
 
-# The transform's cost in scan steps, a subset's scan being p^n steps;
-# see ci_order.
-_ADD_CALL_STEPS = 12
-_ADDED_CELLS_PER_STEP = 29
-_TRANSPOSED_CELL_ADDS = 10
+# The transform's cost in scan steps, a subset's scan being p^n steps, as
+# (the fixed steps of a round per p^2, gathered cells per step, the cells
+# one transposed cell costs); see ci_order.
+_TRANSFORM_CONSTANTS = (2, 10, 1)
+# _row_transform's blocks hold at most this many gathered cells.
+_GATHER_CELLS = 2**17
 
 
-def _transform_steps(f: PFunction) -> int:
-    """Estimated cost of _row_transform, in subset-scan steps."""
+def _transform_steps(f: PFunction, constants=_TRANSFORM_CONSTANTS) -> int:
+    """Estimated cost of _row_transform, in subset-scan steps.  f needs only
+    p, n and size, which scripts/fit_transform_steps.py passes as arrays
+    to weigh many candidate constants at once."""
+    round_calls, cells_per_step, transposed = constants
     p = f.p
-    cells = (p * p + _TRANSPOSED_CELL_ADDS * p) * f.size
-    return f.n * (_ADD_CALL_STEPS * p * p + cells // _ADDED_CELLS_PER_STEP)
+    cells = (p * p + transposed * p) * f.size
+    return f.n * (round_calls * p * p + cells // cells_per_step)
 
 
 def _row_transform(tables: np.ndarray, p: int, n: int) -> np.ndarray:
@@ -385,28 +383,35 @@ def _row_transform(tables: np.ndarray, p: int, n: int) -> np.ndarray:
     T[:, j, k] is table k's row of the c whose digits are those of j.
 
     Starts from the one-hot A[s, x, k] = [tables[k, x] = s] and transforms
-    one variable at a time: new[s, c] = sum_x old[s - c*x, x] along that
-    variable's axis, each term a shift of the output axis s.  The axis
-    being transformed is kept in front of the remaining variables and
-    moved behind them, still ahead of the tables, afterwards, so after n
-    rounds the c-axes are back in table order and each shift is a pair of
-    slice additions over contiguous blocks that span every table.  Entries
-    never exceed p^n, which int32 holds below MAX_TABLE_ENTRIES.
+    one variable at a time, the last one left first: new[s, c] = sum_x
+    old[(s - c*x) mod p, x] along its axis, which is behind the remaining
+    variables and ahead of the tables.  The round runs in blocks of at most
+    _GATHER_CELLS gathered cells over the remaining digits and the tables:
+    each block's (s, x) rows are copied into one contiguous slab, one
+    np.take of the fixed (s, c, x) row index gathers all p^3 shifted rows,
+    and one sum over x writes them to new, whose axis c is put in front of
+    the remaining variables.  So after n rounds the c-axes are in table
+    order.  Entries never exceed p^n, which int32 holds below
+    MAX_TABLE_ENTRIES.
     """
     k = len(tables)
     dtype = np.int32 if p**n < 2**31 else np.int64
     t = (np.arange(p)[:, None, None] == tables.T).astype(dtype)
+    s, c, x = np.ogrid[:p, :p, :p]
+    rows = ((s - c * x) % p * p + x).ravel()
+    rest = p ** (n - 1)
+    tables_per_block = min(k, max(1, _GATHER_CELLS // p**3))
+    digits_per_block = max(1, _GATHER_CELLS // (p**3 * tables_per_block))
     for _ in range(n):
-        old = t.reshape(p, p, -1)  # (s, the variable transformed, the rest and K)
-        new = np.zeros_like(old)
-        for c in range(p):
-            dst = new[:, c]
-            for x in range(p):
-                src, r = old[:, x], c * x % p
-                dst[r:] += src[: p - r]
-                if r:
-                    dst[:r] += src[p - r :]
-        t = np.ascontiguousarray(new.reshape(p, p, -1, k).transpose(0, 2, 1, 3))
+        old = t.reshape(p, rest, p, k)  # s, the rest, the variable transformed, K
+        t = np.empty((p, p, rest, k), dtype)
+        for lo in range(0, rest, digits_per_block):
+            for first in range(0, k, tables_per_block):
+                digits, batch = slice(lo, lo + digits_per_block), slice(first, first + tables_per_block)
+                block = old[:, digits, :, batch].transpose(0, 2, 1, 3)
+                slab = np.ascontiguousarray(block).reshape(p * p, -1)
+                gathered = np.take(slab, rows, axis=0).reshape((p, p, p) + block.shape[2:])
+                gathered.sum(axis=2, out=t[:, :, digits, batch])
     return t.reshape(p, -1, k)
 
 
@@ -453,26 +458,26 @@ def ci_order(f: PFunction) -> int:
     that.
     ci_order_symmetric rents its scan of one subset per order the same way.
 
-    _transform_steps(f) = n * (12 * p^2 + (p^2 + 10 * p) * p^n // 29)
-    counts each of the transform's n rounds: p^2 numpy slice additions
-    over p^n cells each, then one transpose of p^(n+1) cells.  A step is
-    1/p^n of _rows_equal's time on one subset (10.7-44 us per 2-subset up
-    to p^n = 4096, 2.9-5.5 ms at 2^19 to 7^7).  An addition's fixed cost
-    is 12 steps, 29 cells are added per step, and a transposed cell costs
-    as much as 10 added ones: the least-squares fit over p = 2..13 and
-    p^n = 16..7^7 among the constants that keep the regimes the tests pin
-    (below; the symmetric scan of x1 + ... + x8 over F_2; the (7,7)
-    Maiorana-McFarland member of order 2 in the transform).  The estimate
-    came out 0.34 to 4.4 times _row_transform's measured cost: 0.9 to 1.2
-    for p = 2, 3 at p^n >= 2,000, 0.34 to 0.8 there for p = 5..13, and up
-    to 4.4 on tiny tables.  All were measured on a 2-CPU x86-64
-    host with Python 3.11 and numpy 2.4; they are a property of the host,
-    and a wrong estimate only moves the handover, never the answer.
-    With them the estimate is at least p^n at every size, so a table that
-    fails on its first subset, as random tables do, never reaches the
-    transform; a table of 16 entries is always scanned; and the transform
-    is never reached at (31, 4) or (97, 3), where it would take seconds
-    and over 300 MB.
+    _transform_steps(f) = n * (2 * p^2 + (p^2 + p) * p^n // 10)
+    counts each of the transform's n rounds: a fixed cost, then p^(n+2)
+    cells gathered and summed and p^(n+1) transposed into the slabs.  A
+    step is 1/p^n of _rows_equal's time on one subset (8-40 us per subset
+    of at most two variables up to p^n = 4096, 3.0-5.7 ms at 3^12, 7^7 and
+    2^19).  A round's fixed cost is 2 * p^2 steps, 10 gathered cells cost
+    a step, and a transposed cell costs as much as a gathered one: the
+    constants of least squared log error over p = 2..13 and p^n = 16..7^7
+    among those that keep the two invariants below
+    (scripts/fit_transform_steps.py, which found the same constants in
+    three runs).  The estimate came out 0.39 to 2.5 times the transform's
+    measured cost: 0.82 to 1.9 for p = 2, 3 at p^n >= 2,000 (and 2.5 once,
+    at 2^18), 0.39 to 1.5 there for p = 5..13, and 0.42 to 2.2 on tables
+    under 2,000 entries.  All were measured on a 2-CPU x86-64 host with
+    Python 3.11 and numpy 2.4; they are a property of the host, and a wrong
+    estimate only moves the handover, never the answer.  With them the
+    estimate is at least p^n at every size, so a table that fails on its
+    first subset, as random tables do, never reaches the transform; and
+    the transform is never reached at (31, 4) or (97, 3), where it would
+    take seconds and over 300 MB.
     """
     return _order(f, False)
 

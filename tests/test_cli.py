@@ -765,16 +765,19 @@ def test_search_counter_size_is_bounded_before_any_table(capsys, monkeypatch, ar
 def test_search_climb_reads_only_counts(capsys, monkeypatch, args, code, digest):
     # the climb decides each axis from square sums, never by comparing rows;
     # only the verdict on its result, which analyze gives, compares them
-    changes_along, analyze = spectral._changes_along, cli.analyze_function
+    row_tests = {name: getattr(spectral, name) for name in ("_changes_along", "_rows_equal")}
+    analyze = cli.analyze_function
 
     def refuse(*_):
         raise AssertionError("the climb compared count rows")
 
     def verdict(f):
-        monkeypatch.setattr(spectral, "_changes_along", changes_along)
+        for name, row_test in row_tests.items():
+            monkeypatch.setattr(spectral, name, row_test)
         return analyze(f)
 
-    monkeypatch.setattr(spectral, "_changes_along", refuse)
+    for name in row_tests:
+        monkeypatch.setattr(spectral, name, refuse)
     monkeypatch.setattr(cli, "analyze_function", verdict)
     got_code, out = run(capsys, "search", "--json", *args.split())
     assert got_code == code

@@ -117,3 +117,14 @@ def test_ci_census_symmetric_ternary_two_variables():
     lines = proc.stdout.splitlines()
     assert _histogram(lines, "zero at p^(n-m), orbit nonzero, by order m:") == {1: 60, 2: 3}
     assert "total: 63 of 1458 (function, order) pairs" in lines
+
+
+def test_fit_transform_steps_on_a_two_point_grid():
+    proc = _run("fit_transform_steps.py", "--points", "2,4", "3,3", "--repeat", "1")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split()[:2] for line in lines[1:3]] == [["2", "4"], ["3", "3"]]
+    fitted = [line for line in lines if line.startswith("fitted: _TRANSFORM_CONSTANTS = (")]
+    in_use = [line for line in lines if line.startswith("in use: _TRANSFORM_CONSTANTS = (")]
+    assert len(fitted) == len(in_use) == 1
+    assert sum("estimate / measured: " in line for line in lines) == 2
