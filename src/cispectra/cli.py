@@ -54,6 +54,7 @@ EXIT_PARSE = 2
 EXIT_LIMIT = 3
 EXIT_UNMET = 4
 
+PROG = "cispectra"
 DEFAULT_SEED = 1729
 DEFAULT_BUDGET = 20000
 
@@ -93,14 +94,31 @@ def _load_function(args, limit: int) -> PFunction:
     if args.table is None:
         raise ParseError("provide a truth-table file or --poly")
     if args.table == "-":
-        text = sys.stdin.read()
+        text = _read_table_text(sys.stdin, limit)
     else:
         with open(args.table) as fh:
-            text = fh.read()
-    # the header alone decides the size limit, before the body is parsed
-    p, n, _ = _table_header(text)
-    _check_p_n(p, n, limit)
+            text = _read_table_text(fh, limit)
     return read_table(text)
+
+
+def _read_table_text(fh, limit: int) -> str:
+    """The truth-table text of fh.  Its header line alone is checked, and
+    refused over the size limit or malformed, before the body is read."""
+    head = fh.readline()
+    while head and not head.strip():
+        head = fh.readline()
+    try:
+        p, n, _ = _table_header(head)
+    except ParseError:
+        # the message quotes the header as the whole text strips it, with
+        # its trailing blanks only when an entry follows, so read on to the
+        # first entry; read_table raises the same error
+        rest = fh.read(4096)
+        while rest and not rest.strip():
+            rest = fh.read(4096)
+        return head + rest
+    _check_p_n(p, n, limit)
+    return head + fh.read()
 
 
 def _refuse(over, what: str, limit: int) -> None:
@@ -439,13 +457,15 @@ def _search_text(record: dict) -> list[str]:
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The command-line parser.  Every subcommand is listed, so top-level
     help and an unknown command read the same whatever command is; only
-    command's own arguments are added, or every subcommand's when it is
-    None."""
+    command's own arguments and -h are added, or every subcommand's when it
+    is None."""
     ap = argparse.ArgumentParser(
-        prog="cispectra",
+        prog=PROG,
         description="Correlation-immunity and resiliency tests for p-ary functions",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
+    # the top-level parser has no positional before the subcommand, so the
+    # prefix argparse would format from its usage line is PROG itself
+    sub = ap.add_subparsers(dest="command", required=True, prog=PROG)
 
     def add_input(sp):
         sp.add_argument("table", nargs="?", help="truth-table file, '-' for stdin")
@@ -454,18 +474,15 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         sp.add_argument("--n", type=int, help="number of variables (with --poly)")
         sp.add_argument("--json", action="store_true", help="machine-readable output")
 
-    a = sub.add_parser("analyze", help="orders and structure of one function")
-    if command in (None, "analyze"):
+    def add_analyze(a):
         add_input(a)
         a.add_argument(
             "--reports",
             action="store_true",
             help="include six-method consensus reports for every order",
         )
-        a.set_defaults(func=cmd_analyze)
 
-    s = sub.add_parser("spectrum", help="float spectrum dump or exact critical values")
-    if command in (None, "spectrum"):
+    def add_spectrum(s):
         add_input(s)
         g = s.add_mutually_exclusive_group(required=True)
         g.add_argument("--full", action="store_true", help="full float DFT + autocorrelation JSON")
@@ -476,10 +493,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             metavar="I1,..,IM",
             help="variable tuple for --exact-at; repeatable; default 1,..,M",
         )
-        s.set_defaults(func=cmd_spectrum)
 
-    c = sub.add_parser("crosscheck", help="six-method consensus over a family")
-    if command in (None, "crosscheck"):
+    def add_crosscheck(c):
         c.add_argument("--p", type=int, required=True)
         c.add_argument("--n", type=int, required=True)
         c.add_argument("--m", type=int, required=True, help="immunity order to test")
@@ -488,10 +503,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         gg.add_argument("--random", type=int, metavar="K", help="K seeded random functions")
         c.add_argument("--seed", type=int, help=f"PRNG seed (default {DEFAULT_SEED}, printed)")
         c.add_argument("--json", action="store_true")
-        c.set_defaults(func=cmd_crosscheck)
 
-    se = sub.add_parser("search", help="hill-climb for a CI/resilient function")
-    if command in (None, "search"):
+    def add_search(se):
         se.add_argument("--p", type=int, required=True)
         se.add_argument("--n", type=int, required=True)
         se.add_argument("--target-ci", type=int, required=True, dest="target_ci")
@@ -502,7 +515,20 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         se.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="max cost evaluations")
         se.add_argument("--output", metavar="PATH", help="also write the table to PATH")
         se.add_argument("--json", action="store_true")
-        se.set_defaults(func=cmd_search)
+
+    for name, summary, add, func in [
+        ("analyze", "orders and structure of one function", add_analyze, cmd_analyze),
+        ("spectrum", "float spectrum dump or exact critical values", add_spectrum, cmd_spectrum),
+        ("crosscheck", "six-method consensus over a family", add_crosscheck, cmd_crosscheck),
+        ("search", "hill-climb for a CI/resilient function", add_search, cmd_search),
+    ]:
+        # argparse never dispatches to a subcommand that main does not run,
+        # so that one gets neither arguments nor a help action
+        own = command in (None, name)
+        sp = sub.add_parser(name, help=summary, add_help=own)
+        if own:
+            add(sp)
+            sp.set_defaults(func=func)
     return ap
 
 
@@ -510,7 +536,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # the top-level parser has no option that takes a value, so the first
     # token that is not an option is the subcommand argparse dispatches to,
-    # or a choice it refuses; only that subcommand's arguments are built
+    # or a choice it refuses; only that subcommand's arguments and help are built
     command = next((arg for arg in argv if not arg.startswith("-")), None)
     args = build_parser(command).parse_args(argv)
     try:

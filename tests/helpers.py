@@ -253,6 +253,34 @@ def resilient_by_counting(f: PFunction, m: int) -> bool:
     return True
 
 
+def anf_degrees(tables: np.ndarray, p: int, n: int) -> np.ndarray:
+    """The algebraic degree of each row of a (K, p^n) array of tables, -1
+    for the zero function: the largest e_1 + ... + e_n over the monomials
+    x_1^e_1 ... x_n^e_n (each e_i <= p - 1) of its normal form over F_p.
+
+    The coefficients take one pass mod p per axis of the inverse of the
+    Vandermonde matrix V[x, e] = x^e (0^0 = 1).  Its row 0 picks x = 0, and
+    its row e >= 1 is -x^(p-1-e), as the sum of x^k over F_p is -1 when
+    p - 1 divides k > 0 and 0 otherwise.  No count of the table is read.
+    """
+    inverse = np.array(
+        [[int(x == 0) for x in range(p)]]
+        + [[-pow(x, p - 1 - e, p) % p for x in range(p)] for e in range(1, p)]
+    )
+    coeffs = np.asarray(tables, dtype=np.int64).reshape(-1, *(p,) * n)
+    for axis in range(1, n + 1):
+        coeffs = np.moveaxis(np.tensordot(inverse, coeffs, axes=([1], [axis])), 0, axis) % p
+    weight = np.arange(p)
+    for _ in range(n - 1):
+        weight = np.add.outer(weight, np.arange(p))
+    return np.where(coeffs != 0, weight, -1).reshape(len(coeffs), -1).max(axis=1)
+
+
+def anf_degree(f: PFunction) -> int:
+    """The algebraic degree of f (anf_degrees); -1 when f is zero."""
+    return int(anf_degrees(f.flat[None], f.p, f.n)[0])
+
+
 def poly_eval_ast(text: str, p: int, x) -> int:
     """Evaluate a polynomial string at one point through Python's own parser."""
     tree = ast.parse(text.replace("^", "**"), mode="eval")

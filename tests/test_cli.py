@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import io
 import json
 import random
 import shutil
@@ -72,6 +73,47 @@ def test_oversized_table_file_is_refused_before_its_body_is_parsed(
     path.write_text(f"{head}\n" + "0 " * entries)
     monkeypatch.setattr(cli, "read_table", lambda text: pytest.fail("the body was parsed"))
     assert run(capsys, "analyze", str(path))[0] == EXIT_LIMIT
+
+
+@pytest.mark.parametrize("head,code,unread", [
+    ("3 30000000", EXIT_LIMIT, 0),
+    (" \n\t\n3 30000000 ", EXIT_LIMIT, 0),
+    # a malformed header reads on only to the body's first entry
+    ("3 x ", EXIT_PARSE, 4096),
+])
+def test_table_stream_is_refused_on_its_header_before_the_body_is_read(
+    capsys, monkeypatch, head, code, unread
+):
+    body = "0 1 2 " * 20000 + "\n"
+    stdin = io.StringIO(f"{head}\n{body}")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    assert run(capsys, "analyze", "-")[0] == code
+    assert stdin.read() == body[unread:]
+
+
+def _table_text_outcome(text, streamed):
+    """The PFunction, or the error type and message, of text read through
+    _read_table_text, or read whole and checked on its header first."""
+    from cispectra.ptable import DEFAULT_SIZE_LIMIT, _check_p_n, _table_header
+
+    try:
+        if streamed:
+            text = cli._read_table_text(io.StringIO(text), DEFAULT_SIZE_LIMIT)
+        else:
+            p, n, _ = _table_header(text)
+            _check_p_n(p, n, DEFAULT_SIZE_LIMIT)
+        return read_table(text)
+    except ValueError as e:
+        return type(e).__name__, str(e)
+
+
+def test_table_stream_reads_to_the_result_and_messages_of_the_whole_text():
+    heads = ["2 2", " 2 2 ", "2 x", "2 x  ", "2", "", "\t3 30000000\t", "3 3 1", "4 1", "2 0"]
+    blanks = ["", "\n\n", " \n\t\n", "\x1c\n"]
+    bodies = ["", "\n", "0 1 1 0", "  \n 0 1 1 0 \n", " " * 5000 + "0 1 1 0", "0 1", "0 1 1 9"]
+    for blank, head, body in product(blanks, heads, bodies):
+        text = f"{blank}{head}\n{body}"
+        assert _table_text_outcome(text, True) == _table_text_outcome(text, False), text
 
 
 def test_analyze_constant_zero(capsys, tmp_path):
@@ -1229,8 +1271,18 @@ def test_analyze_function_result_invariants():
 # ---------------------------------------------------------------------------
 
 def _full_parser_main(argv):
-    """Parse argv with every subcommand's arguments added, then dispatch."""
-    args = cli.build_parser().parse_args(argv)
+    """Parse argv with every subcommand's arguments added, and the prefix of
+    the subcommands' prog formatted by argparse, then dispatch."""
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+
+    def formatted_prog(self, **kwargs):
+        kwargs.pop("prog", None)
+        return add_subparsers(self, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(argparse.ArgumentParser, "add_subparsers", formatted_prog)
+        ap = cli.build_parser()
+    args = ap.parse_args(argv)
     return args.func(args)
 
 
@@ -1269,11 +1321,18 @@ _X1 = ["--poly", "x1", "--p", "2", "--n", "2"]
         ["search", "--p", "2", "--n", "3", "--target-ci", "x"],
         ["analyze", *_X1, "--bogus"],
         ["analyze", "--json", "--poly", "x1*x2 + x3", "--p", "2", "--n", "3"],
+        ["analyze", "--help"],
+        ["crosscheck", "--exhaustive", "--random", "3", "--p", "2", "--n", "2", "--m", "1"],
+        ["search", "--p", "2"],
+        # the required group of --full and --exact-at is missing
+        ["spectrum", "--poly", "x1", "--p", "2", "--n", "1"],
     ],
 )
 def test_help_and_usage_errors_equal_the_full_parsers(capsys, monkeypatch, argv):
-    monkeypatch.setenv("COLUMNS", "80")
-    assert _outcome(capsys, main, argv) == _outcome(capsys, _full_parser_main, argv)
+    # a narrow terminal wraps the usage lines, which start with each parser's prog
+    for columns in ("80", "40"):
+        monkeypatch.setenv("COLUMNS", columns)
+        assert _outcome(capsys, main, argv) == _outcome(capsys, _full_parser_main, argv), columns
 
 
 def test_main_adds_arguments_only_to_the_subcommand_it_runs(monkeypatch):
@@ -1297,11 +1356,12 @@ def test_main_adds_arguments_only_to_the_subcommand_it_runs(monkeypatch):
         added.clear()
         assert main(argv) == EXIT_OK
         for other in requests:
-            own = added[f"cispectra {other}"]
+            own = added.get(f"cispectra {other}", [])
             if other == command:
                 assert ("-h", "--help") in own and len(own) > 1
             else:
-                assert own == [("-h", "--help")], (command, other)
+                # neither arguments nor a help action
+                assert own == [], (command, other)
 
 
 # ---------------------------------------------------------------------------

@@ -838,6 +838,62 @@ def _assert_subset_verdicts_match_tuple_scan(f):
     assert resiliency_order(f) == (max(res) if res else -1)
 
 
+def _siegenthaler_slack(tables, p, n, orders):
+    """Siegenthaler's two degree bounds on a (K, p^n) batch of tables with
+    the given ci_orders, as (slack, order) pairs of arrays, one per bound:
+    (p-1)*n - deg - ci_order on the non-constant tables, and (p-1)*n - 1 -
+    deg - m on the balanced ones that are m-resilient with m = min(ci_order,
+    n - 2) >= 1."""
+    orders = np.asarray(orders)
+    degrees = helpers.anf_degrees(tables, p, n)
+    top = (p - 1) * n
+    nonconstant = (tables != tables[:, :1]).any(axis=1)
+    balanced = np.all([(tables == v).sum(axis=1) == p ** (n - 1) for v in range(p)], axis=0)
+    m = np.minimum(orders, n - 2)
+    resilient = balanced & (m >= 1)
+    return [
+        ((top - degrees - orders)[nonconstant], orders[nonconstant]),
+        ((top - 1 - degrees - m)[resilient], m[resilient]),
+    ]
+
+
+def test_anf_degree_reads_the_normal_form():
+    for poly, p, n, degree in [
+        ("0", 3, 2, -1), ("1", 5, 2, 0), ("x1*x2 + x3", 2, 3, 2), ("x1*x2^2 + x3", 3, 3, 3),
+        ("2*x1^2*x2^2*x3^2 + x1", 3, 3, 6), ("x1^3 + x2", 3, 3, 1), ("x1^4*x2^3 + x2^6", 7, 2, 7),
+    ]:
+        assert helpers.anf_degree(parse_polynomial(poly, p, n)) == degree, poly
+
+
+def test_siegenthaler_degree_bound_holds_on_every_engine_order():
+    # deg(f) + ci_order(f) <= (p-1)*n for non-constant f, and deg(f) + m <=
+    # (p-1)*n - 1 for balanced m-resilient f with 1 <= m <= n-2 (Siegenthaler,
+    # IEEE Trans. IT 30(5), 1984).  The degree reads no count, so an engine
+    # that over-reports an order breaks a bound where it is tight.
+    families = {}
+    for p, n in [(2, 3), (2, 4), (3, 2)]:
+        tables = np.array(list(product(range(p), repeat=p**n)))
+        families[p, n] = tables, spectral._transform_ci_orders(tables, p, n)
+    rng = random.Random(8801)
+    subjects = {
+        (p, n): [helpers.maiorana_mcfarland(p, n, m, seed) for m in orders for seed in range(5)]
+        for p, n, orders in [(2, 5, (1, 2)), (2, 6, (1, 2, 3)), (3, 4, (1, 2)), (5, 3, (1,))]
+    }
+    for p, n in [(3, 3), (5, 2), (5, 3), (7, 2)]:
+        subjects.setdefault((p, n), []).extend(
+            random_function(p, n, seed=rng.randrange(10**6)) for _ in range(200))
+    for (p, n), fs in subjects.items():
+        families[p, n] = _stacked(fs), [ci_order(f) for f in fs]
+    tight = {}
+    for (p, n), (tables, orders) in families.items():
+        for bound, (slack, order) in enumerate(_siegenthaler_slack(tables, p, n, orders)):
+            assert (slack >= 0).all(), (p, n, bound)
+            tight[p, n, bound] = int(((slack == 0) & (order >= 1)).sum())
+    # tight at some order >= 1 on many exhaustive tables, so they can catch
+    # an over-reported order
+    assert [tight[2, n, bound] for n in (3, 4) for bound in (0, 1)] == [10, 8, 322, 210]
+
+
 def _balanced_table(rng, p, n):
     values = [v for v in range(p) for _ in range(p ** (n - 1))]
     rng.shuffle(values)
